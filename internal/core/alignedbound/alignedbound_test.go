@@ -8,6 +8,7 @@ import (
 	"repro/internal/core/spillbound"
 	"repro/internal/ess"
 	"repro/internal/testutil"
+	"repro/internal/workload"
 )
 
 func TestPartitionsCounts(t *testing.T) {
@@ -254,5 +255,35 @@ func TestTraceBudgetsRespectPenalty(t *testing.T) {
 		if step.Budget > cc*20 {
 			t.Errorf("budget %v vastly exceeds contour cost %v", step.Budget, cc)
 		}
+	}
+}
+
+// BenchmarkPlannerColdDecision times AlignedBound's planner on a slice
+// it has not decided before: every contour of 5D_Q91's res-8 lazy
+// surface with dimension 0 pinned mid-grid, through a fresh planner (an
+// empty decision cache) over a warm source (contours and points settled
+// by the first pass). What remains is contour geometry, partition
+// search, and the per-spill-class optimizer probes of induceAlignment.
+func BenchmarkPlannerColdDecision(b *testing.B) {
+	spec, err := workload.ByName("5D_Q91")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := spec.LazySpaceWith(1.0, ess.Config{Res: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	learned := []int{4, -1, -1, -1, -1}
+	decide := func() {
+		pl := NewPlanner(src)
+		for ci := 0; ci < src.NumContours(); ci++ {
+			pl.Decide(learned, ci)
+		}
+	}
+	decide()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decide()
 	}
 }

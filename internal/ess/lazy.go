@@ -3,6 +3,7 @@ package ess
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +71,10 @@ type LazySpace struct {
 	refMu   sync.Mutex
 	pending map[[2]int]struct{}
 
+	// journal names the points that changed since DeltaSince last ran and
+	// the points refinement may still target.
+	journal changeJournal
+
 	// cells memoizes per-cell anchor data (corner indexes, their exact
 	// log costs and plans), keyed by the cell's all-lo corner. A cell is
 	// shared by every off-lattice point inside it, so the corner DP
@@ -78,6 +83,71 @@ type LazySpace struct {
 	cells sync.Map
 
 	stats lazyStats
+}
+
+// changeJournal records which points changed, so the two per-request
+// consumers pay for what changed instead of scanning res^D flags.
+//
+// changed is the log DeltaSince drains: a point id is appended after the
+// point settles and again after refinement upgrades it to exact grade —
+// at most two entries per point, each appended after the value it
+// announces is published (see ApplyRefinements for the order). Logging
+// starts when DeltaSince is first called (primed); before that its full
+// scan covers everything, so a space nobody persists logs nothing.
+//
+// recost holds the ids of points settled at recost grade, the only
+// refinement targets. ApplyRefinements scans it in place of the grid
+// and drops the entries refinement has since upgraded.
+type changeJournal struct {
+	mu      sync.Mutex
+	logging atomic.Bool
+	changed []int32
+	recost  []int32
+}
+
+// settled journals a point whose settled value was just published.
+func (j *changeJournal) settled(pt int32, exact bool) {
+	logging := j.logging.Load()
+	if exact && !logging {
+		return
+	}
+	j.mu.Lock()
+	if logging {
+		j.changed = append(j.changed, pt)
+	}
+	if !exact {
+		j.recost = append(j.recost, pt)
+	}
+	j.mu.Unlock()
+}
+
+// upgraded journals points refinement just raised to exact grade.
+func (j *changeJournal) upgraded(pts []int32) {
+	if !j.logging.Load() {
+		return
+	}
+	j.mu.Lock()
+	j.changed = append(j.changed, pts...)
+	j.mu.Unlock()
+}
+
+// prime starts (or restarts) the change log empty. A settle that does
+// not see logging on published its flag before the caller's full scan
+// reads it, so no point falls between the scan and the log.
+func (j *changeJournal) prime() {
+	j.mu.Lock()
+	j.logging.Store(true)
+	j.changed = nil
+	j.mu.Unlock()
+}
+
+// drain hands the change log to the caller and starts a fresh one.
+func (j *changeJournal) drain() []int32 {
+	j.mu.Lock()
+	pts := j.changed
+	j.changed = nil
+	j.mu.Unlock()
+	return pts
 }
 
 // cellInfo is the immutable per-cell anchor block: the 2^D lattice
@@ -123,6 +193,9 @@ type lazyStats struct {
 	contoursBuilt atomic.Int64
 	refinements   atomic.Int64
 	refinedPoints atomic.Int64
+	deltaAppends  atomic.Int64
+	deltaPoints   atomic.Int64
+	deltaBytes    atomic.Int64
 }
 
 // lazyWorker is per-goroutine settle scratch, pooled across callers.
@@ -350,6 +423,9 @@ func (ls *LazySpace) Profile() BuildProfile {
 		Misses:        ls.stats.misses.Load(),
 		Refinements:   ls.stats.refinements.Load(),
 		RefinedPoints: ls.stats.refinedPoints.Load(),
+		DeltaAppends:  ls.stats.deltaAppends.Load(),
+		DeltaPoints:   ls.stats.deltaPoints.Load(),
+		DeltaBytes:    ls.stats.deltaBytes.Load(),
 		Epoch:         ls.Epoch(),
 	}
 }
@@ -433,6 +509,7 @@ func (ls *LazySpace) solveExactLocked(pt int32) error {
 	ls.stats.dpCalls.Add(1)
 	ls.stats.settled.Add(1)
 	ls.flags[pt].Store(flagSolved | flagExact) // release: values above are published
+	ls.journal.settled(pt, true)
 	return nil
 }
 
@@ -571,6 +648,7 @@ func (ls *LazySpace) solveRecost(pt int32) error {
 		ls.stats.recostPoints.Add(1)
 		ls.stats.settled.Add(1)
 		ls.flags[pt].Store(flagSolved)
+		ls.journal.settled(pt, false)
 		return nil
 	}
 	ls.stats.fallbacks.Add(1)
@@ -740,6 +818,11 @@ func (ls *LazySpace) Observe(dim, idx int) {
 // invalidating the contour memos). It returns the number of points
 // whose value actually changed. Exactly solved and already refined
 // points are skipped — refinement only ever sharpens recost estimates.
+//
+// Publication order: the overlay first, then the refined flags, then
+// the journal. A reader that sees a point as exact-grade (ValueAt,
+// DeltaSince) therefore reads its final value, never the superseded
+// recost estimate under an exact label.
 func (ls *LazySpace) ApplyRefinements() int {
 	ls.refMu.Lock()
 	defer ls.refMu.Unlock()
@@ -752,20 +835,7 @@ func (ls *LazySpace) ApplyRefinements() int {
 	}
 	ls.pending = make(map[[2]int]struct{})
 
-	g := ls.inner.Grid
-	var targets []int32
-	for pt := 0; pt < g.NumPoints(); pt++ {
-		f := ls.flags[pt].Load()
-		if f&flagSolved == 0 || f&(flagExact|flagRefined) != 0 {
-			continue
-		}
-		for _, o := range obs {
-			if g.Coord(pt, o[0]) == o[1] {
-				targets = append(targets, int32(pt))
-				break
-			}
-		}
-	}
+	targets := ls.refinementTargets(obs)
 	ls.stats.refinements.Add(1)
 	if len(targets) == 0 {
 		return 0
@@ -775,6 +845,7 @@ func (ls *LazySpace) ApplyRefinements() int {
 	w := ls.getWorker()
 	defer ls.putWorker(w)
 	changed := make(map[int32]refinedVal)
+	upgraded := targets[:0]
 	for _, pt := range targets {
 		w.position(s, pt)
 		best := w.runner.Best(w.env)
@@ -786,28 +857,59 @@ func (ls *LazySpace) ApplyRefinements() int {
 		if best.Cost != s.PointCost[pt] || id != s.PointPlan[pt] {
 			changed[pt] = refinedVal{cost: best.Cost, plan: id}
 		}
-		// Mark refined whether or not the value moved: the point is now
-		// exact-grade and never re-scanned. Only this method writes the
-		// bit, and the point's base values are already published.
+		upgraded = append(upgraded, pt)
+	}
+	if len(changed) > 0 {
+		old := ls.state.Load()
+		next := &lazyState{
+			refined: make(map[int32]refinedVal, len(old.refined)+len(changed)),
+			epoch:   old.epoch + 1,
+		}
+		for pt, v := range old.refined {
+			next.refined[pt] = v
+		}
+		for pt, v := range changed {
+			next.refined[pt] = v
+		}
+		ls.state.Store(next)
+		ls.stats.refinedPoints.Add(int64(len(changed)))
+	}
+	// Mark refined whether or not the value moved: the point is now
+	// exact-grade and never re-solved. Only this method writes the bit,
+	// and it holds refMu.
+	for _, pt := range upgraded {
 		ls.flags[pt].Store(ls.flags[pt].Load() | flagRefined)
 	}
-	if len(changed) == 0 {
-		return 0
-	}
-	old := ls.state.Load()
-	next := &lazyState{
-		refined: make(map[int32]refinedVal, len(old.refined)+len(changed)),
-		epoch:   old.epoch + 1,
-	}
-	for pt, v := range old.refined {
-		next.refined[pt] = v
-	}
-	for pt, v := range changed {
-		next.refined[pt] = v
-	}
-	ls.state.Store(next)
-	ls.stats.refinedPoints.Add(int64(len(changed)))
+	ls.journal.upgraded(upgraded)
 	return len(changed)
+}
+
+// refinementTargets returns, ascending, the recost-grade points lying on
+// a grid slice named by an observation. It reads the journal's list of
+// recost-settled points rather than every grid flag, and drops from it
+// the points refinement has since upgraded.
+func (ls *LazySpace) refinementTargets(obs [][2]int) []int32 {
+	g := ls.inner.Grid
+	j := &ls.journal
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var targets []int32
+	keep := j.recost[:0]
+	for _, pt := range j.recost {
+		if ls.flags[pt].Load()&(flagExact|flagRefined) != 0 {
+			continue
+		}
+		keep = append(keep, pt)
+		for _, o := range obs {
+			if g.Coord(int(pt), o[0]) == o[1] {
+				targets = append(targets, pt)
+				break
+			}
+		}
+	}
+	j.recost = keep
+	slices.Sort(targets)
+	return slices.Compact(targets)
 }
 
 // --- persistence support ----------------------------------------------
@@ -851,4 +953,5 @@ func (ls *LazySpace) preload(pt int32, costv float64, planID int32, exact bool) 
 		ls.stats.settled.Add(1)
 	}
 	ls.flags[pt].Store(f)
+	ls.journal.settled(pt, exact)
 }

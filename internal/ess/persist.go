@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
@@ -551,21 +552,37 @@ type Delta struct {
 // been persisted yet and advances the watermark map (point → persisted
 // as exact-grade). A recost-settled point re-emits once refinement
 // upgrades it to exact grade; nil is returned when nothing new settled.
+//
+// A space has one DeltaSince consumer, which owns the mark: the first
+// call, with an empty mark, scans every settled point and starts the
+// change journal; each later call passes the same mark and visits only
+// the points journaled since the previous one (sorted, deduplicated), so
+// a call with nothing new costs nothing. The emitted delta is the one a
+// full scan would emit.
 func (ls *LazySpace) DeltaSince(mark map[int32]bool) *Delta {
-	d := &Delta{}
-	for _, pt := range ls.SettledPoints() {
+	var pts []int32
+	if len(mark) == 0 {
+		ls.journal.prime()
+		pts = ls.SettledPoints()
+	} else {
+		pts = ls.journal.drain()
+		slices.Sort(pts)
+		pts = slices.Compact(pts)
+	}
+	var d *Delta
+	for _, pt := range pts {
 		c, pid, exact := ls.ValueAt(pt)
 		if was, ok := mark[pt]; ok && (was || !exact) {
 			continue
 		}
 		mark[pt] = exact
+		if d == nil {
+			d = &Delta{}
+		}
 		d.Points = append(d.Points, pt)
 		d.Costs = append(d.Costs, c)
 		d.Plans = append(d.Plans, pid)
 		d.Exact = append(d.Exact, exact)
-	}
-	if len(d.Points) == 0 {
-		return nil
 	}
 	return d
 }
@@ -671,18 +688,35 @@ func (ls *LazySpace) AppendDeltaFileWith(path string, d *Delta, in *faultinject.
 	if err != nil {
 		return fmt.Errorf("ess: opening snapshot for delta append: %w", err)
 	}
-	var w io.Writer = f
+	cw := &countingWriter{w: f}
 	if in != nil {
-		w = &faultyWriter{w: f, in: in}
+		cw.w = &faultyWriter{w: f, in: in}
 	}
-	err = ls.AppendDelta(w, d)
+	err = ls.AppendDelta(cw, d)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		ls.stats.deltaAppends.Add(1)
+		ls.stats.deltaPoints.Add(int64(len(d.Points)))
+		ls.stats.deltaBytes.Add(cw.n)
+	}
 	return err
+}
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
 }
 
 // LoadLazy reconstructs a demand-driven space from a sparse base frame

@@ -104,6 +104,10 @@ type BuildProfile struct {
 	// Refinements counts applied refinement rounds and RefinedPoints the
 	// points whose value an exact re-solve actually changed (lazy only).
 	Refinements, RefinedPoints int64
+	// DeltaAppends counts refinement deltas durably appended to the
+	// snapshot file, DeltaPoints the point values they carried and
+	// DeltaBytes their framed size (lazy only).
+	DeltaAppends, DeltaPoints, DeltaBytes int64
 	// Epoch is the current refinement epoch (lazy only).
 	Epoch uint64
 }

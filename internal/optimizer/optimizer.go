@@ -8,10 +8,13 @@
 // enumeration: the cheapest plan per "first spilled epp" class, the
 // engine hook AlignedBound needs to find minimum-penalty replacement
 // plans (§5.1 of the paper; the authors patched PostgreSQL for this).
+//
+// Both searches are one enumerator, Runner.search. The naive search it
+// replaced lives on in oracle_test.go as the differential reference.
 package optimizer
 
 import (
-	"math/bits"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/plan"
@@ -28,15 +31,20 @@ type Plan struct {
 	Rows float64
 }
 
-// Optimizer searches the bushy plan space of one query.
+// Optimizer searches the bushy plan space of one query. It must not be
+// copied after first use (it holds a sync.Pool).
 type Optimizer struct {
 	q     *query.Query
 	model *cost.Model
 	edges []edge
 	// hasFilter marks relations where an index scan is applicable.
 	hasFilter []bool
-	// eppDim maps join ID to ESS dimension, -1 for non-epps.
-	eppDim []int
+
+	// runners pools DP scratch for Best and BestPerSpillClass, so one-off
+	// callers (the AlignedBound planner's probe, tests, the CLI) get the
+	// arena-backed search without retaining a runner each; the garbage
+	// collector reclaims idle scratch.
+	runners sync.Pool
 }
 
 type edge struct {
@@ -54,10 +62,6 @@ func New(q *query.Query, model *cost.Model) *Optimizer {
 	for i := range q.Relations {
 		o.hasFilter[i] = len(q.Relations[i].Filters) > 0
 	}
-	o.eppDim = make([]int, len(q.Joins))
-	for i := range o.eppDim {
-		o.eppDim[i] = q.EPPDim(i)
-	}
 	return o
 }
 
@@ -66,8 +70,9 @@ func (o *Optimizer) Query() *query.Query { return o.q }
 
 // Best returns the cost-optimal plan under env.
 func (o *Optimizer) Best(env *cost.Env) *Plan {
-	cands := o.search(env, nil)
-	return bestOf(cands)
+	r := o.pooledRunner()
+	defer o.runners.Put(r)
+	return r.Best(env)
 }
 
 // BestPerSpillClass returns, for each remaining epp dimension, the
@@ -75,17 +80,21 @@ func (o *Optimizer) Best(env *cost.Env) *Plan {
 // selects that epp. Keys are join IDs. Plans exist only for classes the
 // plan space can realize.
 func (o *Optimizer) BestPerSpillClass(env *cost.Env, remaining map[int]bool) map[int]*Plan {
-	cands := o.search(env, remaining)
-	out := make(map[int]*Plan)
-	for _, c := range cands {
-		if c == nil || c.spillJoin < 0 {
-			continue
-		}
-		if prev := out[c.spillJoin]; prev == nil || c.cost < prev.Cost {
-			out[c.spillJoin] = &Plan{Root: c.node, Cost: c.cost, Rows: c.rows}
-		}
+	r := o.pooledRunner()
+	defer o.runners.Put(r)
+	return r.BestPerSpillClass(env, remaining)
+}
+
+// pooledRunner takes a runner from the pool with its scan cache
+// invalidated: envs are arbitrary here, so the access paths are
+// re-chosen on every call.
+func (o *Optimizer) pooledRunner() *Runner {
+	r, _ := o.runners.Get().(*Runner)
+	if r == nil {
+		r = o.NewRunner()
 	}
-	return out
+	r.scanReady = false
+	return r
 }
 
 // cand is a DP candidate: a plan for some relation subset together with
@@ -100,162 +109,34 @@ type cand struct {
 	sig       string // lazily computed for deterministic tie-breaks
 }
 
-// search runs the DP. When classes is nil only the single cheapest
-// candidate per subset is kept; otherwise the cheapest per spill class.
-func (o *Optimizer) search(env *cost.Env, classes map[int]bool) []*cand {
-	n := len(o.q.Relations)
-	full := uint32(1)<<uint(n) - 1
-	// table[mask] is a small slice of candidates for the subset.
-	table := make([][]*cand, full+1)
-
-	for r := 0; r < n; r++ {
-		table[1<<uint(r)] = o.scanCands(r, env)
-	}
-
-	for mask := uint32(1); mask <= full; mask++ {
-		if bits.OnesCount32(mask) < 2 {
-			continue
-		}
-		var results []*cand
-		// Enumerate proper submask splits; both orientations appear.
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			other := mask ^ sub
-			if sub > other {
-				continue // each unordered split once; orientations handled below
-			}
-			ls, rs := table[sub], table[other]
-			if ls == nil || rs == nil {
-				continue
-			}
-			joinIDs := o.crossingJoins(sub, other)
-			if len(joinIDs) == 0 {
-				continue // avoid cross products
-			}
-			for _, l := range ls {
-				for _, r := range rs {
-					results = o.emitJoins(results, l, r, joinIDs, env, classes)
-					results = o.emitJoins(results, r, l, joinIDs, env, classes)
-				}
-			}
-		}
-		table[mask] = results
-	}
-	return table[full]
-}
-
-// scanCands returns the access-path candidates for one relation.
-func (o *Optimizer) scanCands(rel int, env *cost.Env) []*cand {
-	mk := func(m plan.ScanMethod) *cand {
-		node := plan.NewScan(rel, m)
-		res := o.model.Cost(node, env)
-		return &cand{node: node, cost: res.Cost, rows: res.Rows, spillJoin: -1}
-	}
-	seq := mk(plan.SeqScan)
-	if !o.hasFilter[rel] {
-		return []*cand{seq}
-	}
-	idx := mk(plan.IndexScan)
-	if idx.cost < seq.cost {
-		return []*cand{idx}
-	}
-	return []*cand{seq}
-}
-
-// crossingJoins returns join IDs with one endpoint in each subset, the
-// epp joins first so the primary (physical) predicate of a node is the
-// epp when one exists.
-func (o *Optimizer) crossingJoins(a, b uint32) []int {
-	var ids []int
-	for _, e := range o.edges {
-		am, bm := uint32(1)<<uint(e.a), uint32(1)<<uint(e.b)
-		if (am&a != 0 && bm&b != 0) || (am&b != 0 && bm&a != 0) {
-			ids = append(ids, e.joinID)
-		}
-	}
-	return ids
-}
-
-// emitJoins generates all physical joins of (l outer, r inner) and folds
-// them into the candidate set with per-class pruning.
-func (o *Optimizer) emitJoins(results []*cand, l, r *cand, joinIDs []int, env *cost.Env, classes map[int]bool) []*cand {
-	methods := [...]plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.IndexNLJoin, plan.NLJoin}
-	for _, m := range methods {
-		if m == plan.IndexNLJoin && !r.node.IsScan() {
-			continue
-		}
-		node := plan.NewJoin(m, joinIDs, l.node, r.node)
-		res := o.model.Cost(node, env)
-		c := &cand{
-			node:      node,
-			cost:      res.Cost,
-			rows:      res.Rows,
-			spillJoin: o.spillClass(m, l, r, joinIDs, classes),
-		}
-		results = insertCand(results, c, classes != nil)
-	}
-	return results
-}
-
 // spillClass composes the "first spilled epp" of a joined plan from its
 // children, following pipeline execution order (see plan.Pipelines):
 // HashJoin and NLJoin run the inner side's pipelines first, MergeJoin
-// and IndexNLJoin the outer side's.
-func (o *Optimizer) spillClass(m plan.JoinMethod, l, r *cand, joinIDs []int, classes map[int]bool) int {
-	if classes == nil {
-		return -1
-	}
-	own := -1
-	for _, id := range joinIDs {
-		if classes[id] {
-			own = id
-			break
-		}
-	}
-	pick := func(first, second int) int {
-		if first >= 0 {
-			return first
-		}
-		if second >= 0 {
-			return second
-		}
-		return own
-	}
+// and IndexNLJoin the outer side's. own is the join's own remaining epp
+// (or -1), which spills only when neither child does.
+func spillClass(m plan.JoinMethod, l, r *cand, own int) int {
+	var first, second int
 	switch m {
 	case plan.HashJoin, plan.NLJoin:
-		return pick(r.spillJoin, l.spillJoin)
+		first, second = r.spillJoin, l.spillJoin
 	case plan.MergeJoin:
-		return pick(l.spillJoin, r.spillJoin)
+		first, second = l.spillJoin, r.spillJoin
 	case plan.IndexNLJoin:
-		return pick(l.spillJoin, -1)
+		first, second = l.spillJoin, -1
 	default:
 		panic("optimizer: unknown join method")
 	}
+	if first >= 0 {
+		return first
+	}
+	if second >= 0 {
+		return second
+	}
+	return own
 }
 
-// insertCand keeps the cheapest candidate overall and, if perClass, the
-// cheapest per spill class. Ties break on plan signature so that POSP
-// enumeration is deterministic.
-func insertCand(results []*cand, c *cand, perClass bool) []*cand {
-	if !perClass {
-		if len(results) == 0 {
-			return append(results, c)
-		}
-		if better(c, results[0]) {
-			results[0] = c
-		}
-		return results
-	}
-	for i, prev := range results {
-		if prev.spillJoin == c.spillJoin {
-			if better(c, prev) {
-				results[i] = c
-			}
-			return results
-		}
-	}
-	return append(results, c)
-}
-
+// better orders candidates by cost, breaking ties on plan signature so
+// that POSP enumeration is deterministic.
 func better(a, b *cand) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
@@ -267,17 +148,4 @@ func better(a, b *cand) bool {
 		b.sig = b.node.Signature()
 	}
 	return a.sig < b.sig
-}
-
-func bestOf(cands []*cand) *Plan {
-	var best *cand
-	for _, c := range cands {
-		if best == nil || better(c, best) {
-			best = c
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return &Plan{Root: best.node, Cost: best.cost, Rows: best.rows}
 }

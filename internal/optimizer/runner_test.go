@@ -20,10 +20,10 @@ WHERE cr.cr_call_center_sk = cc.call_center_sk
   AND d.d_moy = 11
   AND cd.cd_dep_count = 2`
 
-// TestRunnerMatchesBest drives Runner.Best and Optimizer.Best across a
+// TestRunnerMatchesBest drives Runner.Best and the naive oracle across a
 // grid of epp selectivities and requires bit-identical results: same
 // plan signature, same cost, same cardinality. This is the contract the
-// POSP sweep relies on when it swaps the naive search for the runner.
+// POSP sweep relies on now that the runner is the only enumerator.
 func TestRunnerMatchesBest(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,7 +56,7 @@ func TestRunnerMatchesBest(t *testing.T) {
 					return
 				}
 				SetEPPSel(env, q, sel)
-				want := o.Best(env)
+				want := o.OracleBest(env)
 				got := r.Best(env)
 				if want == nil || got == nil {
 					t.Fatalf("nil plan at sel=%v (want=%v got=%v)", sel, want, got)

@@ -264,6 +264,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "rqp_lazy_contour_misses_total{workload=\"%s\"} %d\n", name, prof.Misses)
 		fmt.Fprintf(w, "rqp_lazy_refinement_rounds_total{workload=\"%s\"} %d\n", name, prof.Refinements)
 		fmt.Fprintf(w, "rqp_lazy_epoch{workload=\"%s\"} %d\n", name, prof.Epoch)
+		fmt.Fprintf(w, "rqp_lazy_delta_appends_total{workload=\"%s\"} %d\n", name, prof.DeltaAppends)
+		fmt.Fprintf(w, "rqp_lazy_delta_points_total{workload=\"%s\"} %d\n", name, prof.DeltaPoints)
+		fmt.Fprintf(w, "rqp_lazy_delta_bytes_total{workload=\"%s\"} %d\n", name, prof.DeltaBytes)
 	}
 
 	fmt.Fprintln(w, "# HELP rqp_requests_total Discovery and MSO requests routed, per strategy.")

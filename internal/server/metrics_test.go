@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +80,64 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Shard-out gauges only appear with a ring configured.
 	if strings.Contains(body, "rqp_peer_up") {
 		t.Fatalf("single-replica server exposed rqp_peer_up:\n%s", body)
+	}
+}
+
+// A lazy workload with a snapshot directory reports how often a request
+// appended a delta, and how much: the three rqp_lazy_delta_* counters
+// agree with the snapshot file's growth, and a repeat of the same
+// request (nothing new settles) moves none of them.
+func TestMetricsLazyDeltaCounters(t *testing.T) {
+	cfg := lazyConfig(t)
+	cfg.SnapshotDir = t.TempDir()
+	cfg.OutcomeCacheBytes = -1 // the repeat must reach discovery
+	s := newTestServer(t, cfg)
+	snap := filepath.Join(cfg.SnapshotDir, "EQ.lazy.snap")
+	base, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	series := func() (appends, points, bytes int64) {
+		t.Helper()
+		_, page := getBody(t, s.Handler(), "/metrics")
+		for name, dst := range map[string]*int64{
+			"rqp_lazy_delta_appends_total": &appends,
+			"rqp_lazy_delta_points_total":  &points,
+			"rqp_lazy_delta_bytes_total":   &bytes,
+		} {
+			prefix := name + `{workload="EQ"} `
+			i := strings.Index(page, prefix)
+			if i < 0 {
+				t.Fatalf("metrics page missing %s:\n%s", name, page)
+			}
+			if _, err := fmt.Sscanf(page[i+len(prefix):], "%d", dst); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		return
+	}
+	if a, p, b := series(); a != 0 || p != 0 || b != 0 {
+		t.Fatalf("fresh server: delta counters (%d, %d, %d), want zeros", a, p, b)
+	}
+	req := DiscoverRequest{Workload: "EQ", Algorithm: "sb", QA: 9}
+	if rec, body := postJSON(t, s.Handler(), "/discover", req); rec.Code != http.StatusOK {
+		t.Fatalf("discover: status %d: %s", rec.Code, body)
+	}
+	grown, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, p, b := series()
+	if a < 1 || p < 1 || b != grown.Size()-base.Size() {
+		t.Fatalf("after one discovery: appends %d, points %d, bytes %d; file grew %d",
+			a, p, b, grown.Size()-base.Size())
+	}
+	if rec, body := postJSON(t, s.Handler(), "/discover", req); rec.Code != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", rec.Code, body)
+	}
+	if a2, p2, b2 := series(); a2 != a || p2 != p || b2 != b {
+		t.Fatalf("repeat appended: (%d, %d, %d) -> (%d, %d, %d)", a, p, b, a2, p2, b2)
 	}
 }
 
