@@ -305,11 +305,14 @@ func BenchmarkDiscoverSpillBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	qa := int32(space.Grid.Linear([]int{8, 6}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Discover(core.SpillBound, qa); err != nil {
+		if _, err := sess.NewRun().Discover(core.SpillBound, qa); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,14 +327,17 @@ func BenchmarkDiscoverAlignedBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	qa := int32(space.Grid.Linear([]int{8, 6}))
-	if _, err := sess.Discover(core.AlignedBound, qa); err != nil {
+	if _, err := sess.NewRun().Discover(core.AlignedBound, qa); err != nil {
 		b.Fatal(err) // prime the planner cache
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Discover(core.AlignedBound, qa); err != nil {
+		if _, err := sess.NewRun().Discover(core.AlignedBound, qa); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +352,10 @@ func BenchmarkMSOSweepSpillBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sess.MSO(core.SpillBound, mso.Options{})

@@ -94,14 +94,22 @@ func (c sweepCfg) config() ess.Config {
 	return ess.Config{Res: c.res, Exact: c.exact, Theta: c.theta, CoarseStep: c.coarse}
 }
 
-// source builds the spec's contour provider per -ess-mode: the eager
-// full-sweep Space, or the demand-driven LazySpace that materializes
-// contours as discovery climbs the budget ladder.
-func (c sweepCfg) source(spec workload.Spec, scale float64) (ess.ContourSource, error) {
-	if c.mode == "lazy" {
-		return spec.LazySpaceWith(scale, c.config())
+// source builds the named workload's contour provider per -ess-mode.
+func (c sweepCfg) source(name string, scale float64) (ess.ContourSource, error) {
+	spec, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return spec.SpaceWith(scale, c.config())
+	return spec.Source(c.mode, scale, c.config())
+}
+
+// compile builds the named workload's provider and compiles it.
+func (c sweepCfg) compile(name string, scale float64, opts core.CompileOptions) (*core.Compiled, error) {
+	src, err := c.source(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	return core.CompileSource(src, opts)
 }
 
 func run(args []string) error {
@@ -181,8 +189,8 @@ func run(args []string) error {
 		}()
 	}
 
-	if *essMode != "eager" && *essMode != "lazy" {
-		return fmt.Errorf("unknown -ess-mode %q (eager|lazy)", *essMode)
+	if err := workload.CheckMode(*essMode); err != nil {
+		return fmt.Errorf("-ess-mode: %w", err)
 	}
 	cfg := sweepCfg{res: *res, exact: *exact, theta: *theta, coarse: *coarse, mode: *essMode}
 	h := experiments.New(experiments.Options{
@@ -334,20 +342,13 @@ func deadlineCtx(deadline time.Duration) (context.Context, context.CancelFunc) {
 // msoSweep runs a full MSO/ASO sweep for one query and reports the
 // guarantee alongside the empirical result.
 func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, deadline time.Duration) error {
-	spec, err := workload.ByName(name)
+	c, err := cfg.compile(name, scale, core.CompileOptions{})
 	if err != nil {
 		return err
 	}
-	src, err := cfg.source(spec, scale)
-	if err != nil {
-		return err
-	}
+	src := c.Source
 	ctx, cancel := deadlineCtx(deadline)
 	defer cancel()
-	c, err := core.CompileSource(src, core.CompileOptions{})
-	if err != nil {
-		return err
-	}
 	res, err := mso.Sweep(src, func(qa int32) (*core.Outcome, error) {
 		r := c.NewRun()
 		if ctx != nil {
@@ -377,15 +378,7 @@ func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, dea
 // convention of the other experiments: exhaustive below 5 dimensions.
 func bakeoff(name, strategiesFlag string, scale float64, cfg sweepCfg,
 	chaosSeed uint64, chaosRate float64, stride int, experimentsFile string) error {
-	spec, err := workload.ByName(name)
-	if err != nil {
-		return err
-	}
-	src, err := cfg.source(spec, scale)
-	if err != nil {
-		return err
-	}
-	c, err := core.CompileSource(src, core.CompileOptions{PrimeAlignment: true})
+	c, err := cfg.compile(name, scale, core.CompileOptions{PrimeAlignment: true})
 	if err != nil {
 		return err
 	}
@@ -395,7 +388,7 @@ func bakeoff(name, strategiesFlag string, scale float64, cfg sweepCfg,
 			opts.Strategies = append(opts.Strategies, strings.TrimSpace(s))
 		}
 	}
-	if src.Geometry().D >= 5 {
+	if c.Source.Geometry().D >= 5 {
 		opts.Stride = stride
 	}
 	res, err := experiments.Bakeoff(c, name, opts)
@@ -403,7 +396,7 @@ func bakeoff(name, strategiesFlag string, scale float64, cfg sweepCfg,
 		return err
 	}
 	res.Report().Render(os.Stdout)
-	printSweepStats(src)
+	printSweepStats(c.Source)
 	if experimentsFile != "" {
 		if err := res.UpdateExperimentsFile(experimentsFile); err != nil {
 			return err
@@ -416,11 +409,7 @@ func bakeoff(name, strategiesFlag string, scale float64, cfg sweepCfg,
 // explain prints the optimal plan and its pipeline decomposition at the
 // given selectivities.
 func explain(name, qaFlag string, scale float64, cfg sweepCfg) error {
-	spec, err := workload.ByName(name)
-	if err != nil {
-		return err
-	}
-	src, err := cfg.source(spec, scale)
+	src, err := cfg.source(name, scale)
 	if err != nil {
 		return err
 	}
@@ -480,10 +469,6 @@ func parseQA(g *ess.Grid, qaFlag string) ([]int, error) {
 func throughput(name, algName string, scale float64, cfg sweepCfg, parallelFlag string,
 	runs int, execLatency time.Duration, chaosSeed uint64, chaosRate float64,
 	deadline time.Duration) error {
-	spec, err := workload.ByName(name)
-	if err != nil {
-		return err
-	}
 	var levels []int
 	for _, p := range strings.Split(parallelFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
@@ -492,11 +477,7 @@ func throughput(name, algName string, scale float64, cfg sweepCfg, parallelFlag 
 		}
 		levels = append(levels, n)
 	}
-	src, err := cfg.source(spec, scale)
-	if err != nil {
-		return err
-	}
-	compiled, err := core.CompileSource(src, core.CompileOptions{PrimeAlignment: true})
+	compiled, err := cfg.compile(name, scale, core.CompileOptions{PrimeAlignment: true})
 	if err != nil {
 		return err
 	}
@@ -603,25 +584,17 @@ func herd(name string, size int, scale float64, res int, chaosSeed uint64, chaos
 // seed's deterministic schedule, and the degradation/retry summary is
 // printed after the trace.
 func discover(name, algName, qaFlag string, scale float64, cfg sweepCfg, chaosSeed uint64, chaosRate float64, deadline time.Duration) error {
-	spec, err := workload.ByName(name)
+	c, err := cfg.compile(name, scale, core.CompileOptions{})
 	if err != nil {
 		return err
 	}
-	src, err := cfg.source(spec, scale)
-	if err != nil {
-		return err
-	}
+	src := c.Source
 	g := src.Geometry()
 	qaIdx, err := parseQA(g, qaFlag)
 	if err != nil {
 		return err
 	}
 	qa := int32(g.Linear(qaIdx))
-
-	c, err := core.CompileSource(src, core.CompileOptions{})
-	if err != nil {
-		return err
-	}
 	var chaos *faultinject.Injector
 	if chaosRate > 0 {
 		chaos = faultinject.NewUniform(chaosSeed, chaosRate)

@@ -22,7 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Per-contour alignment profile (Table 2's raw data).
 	prof := sess.Planner().Profile()
@@ -45,19 +48,21 @@ func main() {
 	// alignment, on the other hand, can retry with penalty-inflated
 	// budgets, so AB is not uniformly cheaper than SB per discovery.
 	fmt.Println("\nexecutions per discovery (SB vs AB) along the grid diagonal:")
+	maxPenalty := 0.0
 	for k := 0; k < space.Grid.Res; k += 2 {
 		qa := int32(space.Grid.Linear([]int{k, k, k}))
-		sb, err := sess.Discover(core.SpillBound, qa)
+		sb, err := sess.NewRun().Discover(core.SpillBound, qa)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ab, err := sess.Discover(core.AlignedBound, qa)
+		ab, err := sess.NewRun().Discover(core.AlignedBound, qa)
 		if err != nil {
 			log.Fatal(err)
 		}
+		maxPenalty = math.Max(maxPenalty, ab.AlignPenalty)
 		opt := space.PointCost[qa]
 		fmt.Printf("  sel=%.1e  SB: %2d execs (sub-opt %5.2f)   AB: %2d execs (sub-opt %5.2f)\n",
 			space.Grid.Vals[k], len(sb.Steps), sb.SubOpt(opt), len(ab.Steps), ab.SubOpt(opt))
 	}
-	fmt.Printf("\nmax partition penalty π* observed: %.2f (Table 4's metric)\n", sess.MaxPenalty())
+	fmt.Printf("\nmax partition penalty π* observed: %.2f (Table 4's metric)\n", maxPenalty)
 }

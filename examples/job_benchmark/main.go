@@ -25,7 +25,10 @@ func main() {
 	fmt.Printf("ESS: %d locations, %d POSP plans, %d contours\n\n",
 		space.Grid.NumPoints(), space.NumPlans(), len(space.Contours))
 
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	native := sess.NativeWorstCaseMSO(mso.Options{})
 	sb, err := sess.MSO(core.SpillBound, mso.Options{})
 	if err != nil {

@@ -26,7 +26,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess := core.NewSession(space)
+		sess, err := core.Compile(space, core.CompileOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		pbG, _ := sess.Guarantee(core.PlanBouquet)
 		sbG, _ := sess.Guarantee(core.SpillBound)
 		pb, err := sess.MSO(core.PlanBouquet, mso.Options{})

@@ -30,10 +30,13 @@ func main() {
 	fmt.Printf("2D_Q91: qa = (%.3g, %.3g), optimal cost %.4g\n\n",
 		space.Grid.Vals[xi], space.Grid.Vals[yi], space.PointCost[qa])
 
-	sess := core.NewSession(space)
+	sess, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The Fig. 7 trace, with the running location after every step.
-	out, err := sess.Discover(core.SpillBound, qa)
+	out, err := sess.NewRun().Discover(core.SpillBound, qa)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func main() {
 	// All approaches at this location.
 	fmt.Println("approach comparison at qa:")
 	for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
-		o, err := sess.Discover(alg, qa)
+		o, err := sess.NewRun().Discover(alg, qa)
 		if err != nil {
 			log.Fatal(err)
 		}

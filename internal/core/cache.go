@@ -1,157 +1,30 @@
 package core
 
-import (
-	"container/list"
-	"sync"
-)
-
 // ArtifactCache is a signature-keyed LRU cache of Compiled artifacts
-// with a byte-size budget — the serving tier's defense against paying
-// one compile per process per workload. Keys are query-signature
+// with a byte-size budget (see lru) — the serving tier's defense against
+// paying one compile per process per workload. Keys are query-signature
 // hashes (see query.Sign/Extend), values are immutable *Compiled
 // artifacts safe to share across any number of concurrent runs, so a
 // hit hands the caller the same pointer every other tenant of that
 // signature is using.
-//
-// Eviction is strict LRU by recency of Get/Put, driven by the byte
-// budget rather than an entry count: artifact sizes vary by orders of
-// magnitude across grid resolutions. The newest entry is always
-// retained even when it alone exceeds the budget — evicting the
-// artifact that was just compiled would turn an undersized budget into
-// a recompile storm, the exact failure mode the cache exists to absorb.
 type ArtifactCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[uint64]*list.Element
-
-	hits, misses, evictions, inserts int64
-}
-
-type cacheEntry struct {
-	key  uint64
-	art  *Compiled
-	size int64
-}
-
-// CacheStats is a point-in-time snapshot of cache activity.
-type CacheStats struct {
-	Hits, Misses, Evictions, Inserts int64
-	Entries                          int
-	Bytes, Budget                    int64
+	lru[uint64, *Compiled]
 }
 
 // NewArtifactCache creates a cache with the given byte budget. A
 // non-positive budget gets a 256 MiB default.
 func NewArtifactCache(budget int64) *ArtifactCache {
-	if budget <= 0 {
-		budget = 256 << 20
-	}
-	return &ArtifactCache{
-		budget: budget,
-		ll:     list.New(),
-		items:  make(map[uint64]*list.Element),
-	}
-}
-
-// Get returns the cached artifact for the signature key, marking it
-// most-recently-used.
-func (c *ArtifactCache) Get(key uint64) (*Compiled, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).art, true
-}
-
-// Peek returns the cached artifact without counting a hit or miss and
-// without touching recency. Observability paths (status endpoints,
-// snapshot streaming) use it so probes don't skew the cache statistics
-// or the eviction order the serving path depends on.
-func (c *ArtifactCache) Peek(key uint64) (*Compiled, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).art, true
+	c := &ArtifactCache{}
+	c.init(budget, 256<<20, nil)
+	return c
 }
 
 // Put inserts (or replaces) the artifact under the signature key with
-// the given size estimate, then evicts least-recently-used entries
-// until the cache is back within budget (never the entry just
-// inserted). It returns the number of entries evicted.
+// the given size estimate and returns the number of entries the byte
+// budget evicted to make room.
 func (c *ArtifactCache) Put(key uint64, art *Compiled, size int64) int {
-	if size < 0 {
-		size = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.bytes += size - e.size
-		e.art, e.size = art, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, art: art, size: size})
-		c.bytes += size
-		c.inserts++
-	}
-	evicted := 0
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		c.remove(oldest)
-		c.evictions++
-		evicted++
-	}
+	evicted, _ := c.put(key, art, size)
 	return evicted
-}
-
-// Evict removes the entry for the signature key, reporting whether one
-// existed. The serving tier's cache-evict fault site calls this to
-// simulate memory pressure deterministically.
-func (c *ArtifactCache) Evict(key uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.remove(el)
-	c.evictions++
-	return true
-}
-
-func (c *ArtifactCache) remove(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, e.key)
-	c.bytes -= e.size
-}
-
-// Len returns the number of cached artifacts.
-func (c *ArtifactCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats snapshots the cache counters and occupancy.
-func (c *ArtifactCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Inserts: c.inserts, Entries: c.ll.Len(),
-		Bytes: c.bytes, Budget: c.budget,
-	}
 }
 
 // EstimateArtifactBytes approximates the resident size of a compiled

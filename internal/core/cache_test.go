@@ -1,102 +1,29 @@
 package core
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // Cache behavior is independent of artifact contents; distinct empty
 // Compiled values stand in for real artifacts (identity is what the
-// cache hands out, and pointer identity is what the tests check).
-func art() *Compiled { return &Compiled{} }
-
-func TestArtifactCacheHitMissEvict(t *testing.T) {
-	c := NewArtifactCache(100)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("hit on empty cache")
-	}
-	a1, a2, a3 := art(), art(), art()
-	c.Put(1, a1, 40)
-	c.Put(2, a2, 40)
-	if got, ok := c.Get(1); !ok || got != a1 {
-		t.Fatal("lost entry 1")
-	}
-	// Entry 2 is now LRU; inserting 40 more bytes must evict it, not 1.
-	if n := c.Put(3, a3, 40); n != 1 {
-		t.Fatalf("Put evicted %d entries, want 1", n)
-	}
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU entry 2 survived eviction")
-	}
-	if got, ok := c.Get(1); !ok || got != a1 {
-		t.Fatal("recently used entry 1 was evicted")
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Evictions != 1 || st.Inserts != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Entries != 2 || st.Bytes != 80 || st.Budget != 100 {
-		t.Fatalf("occupancy = %+v", st)
+// cache hands out, and pointer identity is what the tests check), with
+// the id they were put under parked in Lambda.
+func artifactFace(budget int64) lruFace {
+	c := NewArtifactCache(budget)
+	return lruFace{
+		get:  func(id int) (any, bool) { return c.Get(uint64(id)) },
+		peek: func(id int) (any, bool) { return c.Peek(uint64(id)) },
+		put: func(id int, size int64) (any, int) {
+			a := &Compiled{Lambda: float64(id)}
+			return a, c.Put(uint64(id), a, size)
+		},
+		idOf:  func(v any) int { return int(v.(*Compiled).Lambda) },
+		evict: func(id int) bool { return c.Evict(uint64(id)) },
+		len:   c.Len,
+		stats: c.Stats,
 	}
 }
 
-func TestArtifactCacheKeepsNewestOversized(t *testing.T) {
-	c := NewArtifactCache(10)
-	big := art()
-	c.Put(1, art(), 5)
-	c.Put(2, big, 1000) // alone exceeds the budget
-	if got, ok := c.Get(2); !ok || got != big {
-		t.Fatal("oversized newest entry must be retained")
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("older entry should have been evicted to make room")
-	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
-	}
-}
-
-func TestArtifactCacheReplaceAndEvict(t *testing.T) {
-	c := NewArtifactCache(100)
-	a1, a2 := art(), art()
-	c.Put(7, a1, 30)
-	c.Put(7, a2, 50) // replace in place: no new insert, bytes re-accounted
-	st := c.Stats()
-	if st.Inserts != 1 || st.Entries != 1 || st.Bytes != 50 {
-		t.Fatalf("after replace: %+v", st)
-	}
-	if got, _ := c.Get(7); got != a2 {
-		t.Fatal("replace did not swap the artifact")
-	}
-	if !c.Evict(7) || c.Evict(7) {
-		t.Fatal("Evict should succeed once then report absent")
-	}
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 1 {
-		t.Fatalf("after evict: %+v", st)
-	}
-}
-
-func TestArtifactCacheConcurrent(t *testing.T) {
-	c := NewArtifactCache(1 << 10)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := uint64(i % 17)
-				if _, ok := c.Get(k); !ok {
-					c.Put(k, art(), 64)
-				}
-				if i%31 == 0 {
-					c.Evict(k)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Bytes < 0 || st.Bytes > st.Budget || st.Entries > 17 {
-		t.Fatalf("inconsistent occupancy after concurrent use: %+v", st)
-	}
-}
+func TestArtifactCacheHitMissEvict(t *testing.T)         { lruHitMissEvictOrder(t, artifactFace) }
+func TestArtifactCacheKeepsNewestOversized(t *testing.T) { lruNewestSurvivesOversized(t, artifactFace) }
+func TestArtifactCacheReplaceAndEvict(t *testing.T)      { lruReplaceInPlaceAndEvict(t, artifactFace) }
+func TestArtifactCachePeekIsNeutral(t *testing.T)        { lruPeekIsNeutral(t, artifactFace) }
+func TestArtifactCacheConcurrent(t *testing.T)           { lruConcurrent(t, artifactFace) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -17,7 +16,6 @@ import (
 // CompileOptions parameterizes Compile.
 type CompileOptions struct {
 	// Lambda is the anorexic-reduction threshold; 0 means DefaultLambda.
-	// (Use Session.SetLambda for an explicit λ = 0 reduction.)
 	Lambda float64
 	// PrimeAlignment additionally precomputes the alignment planner's
 	// root-slice decisions, so concurrent AlignedBound runs start from a
@@ -39,10 +37,8 @@ type CompileOptions struct {
 // overlay behind an atomic pointer and bumps its Epoch, which the
 // planner keys its decision cache by.
 type Compiled struct {
-	// Space is the underlying eager search space; nil when the artifact
-	// was compiled over a demand-driven source (use Source).
-	Space *ess.Space
-	// Source is the contour provider every run consumes.
+	// Source is the contour provider every run consumes: an eager
+	// *ess.Space or a demand-driven *ess.LazySpace.
 	Source ess.ContourSource
 	// Lambda is the anorexic-reduction threshold the artifact was
 	// compiled with.
@@ -57,14 +53,10 @@ type Compiled struct {
 	preps sync.Map
 }
 
-// Compile eagerly builds the compile-time artifact for the space.
+// Compile builds the compile-time artifact for an eager space; it is
+// CompileSource under the name eager callers have always used.
 func Compile(space *ess.Space, opts CompileOptions) (*Compiled, error) {
-	c, err := CompileSource(space, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Space = space
-	return c, nil
+	return CompileSource(space, opts)
 }
 
 // CompileSource builds the compile-time artifact over any contour
@@ -75,45 +67,15 @@ func CompileSource(src ess.ContourSource, opts CompileOptions) (*Compiled, error
 	if lambda == 0 {
 		lambda = DefaultLambda
 	}
-	c, err := newCompiled(src, lambda)
-	if err != nil {
-		return nil, err
+	// A threshold the reduction cannot honor is rejected up front.
+	if lambda < 0 || math.IsNaN(lambda) {
+		return nil, fmt.Errorf("core: invalid anorexic reduction threshold λ=%v", lambda)
 	}
+	c := &Compiled{Source: src, Lambda: lambda, planner: alignedbound.NewPlanner(src)}
 	if opts.PrimeAlignment {
 		c.planner.Prime()
 	}
 	return c, nil
-}
-
-// errSetLambdaAfterCompile reports the Session misuse that used to
-// panic: rethresholding after the reduction was built.
-var errSetLambdaAfterCompile = errors.New("core: SetLambda after the reduction was built")
-
-// validateLambda rejects thresholds the reduction cannot honor.
-func validateLambda(lambda float64) (float64, error) {
-	if lambda < 0 || math.IsNaN(lambda) {
-		return 0, fmt.Errorf("core: invalid anorexic reduction threshold λ=%v", lambda)
-	}
-	return lambda, nil
-}
-
-func newCompiled(src ess.ContourSource, lambda float64) (*Compiled, error) {
-	if _, err := validateLambda(lambda); err != nil {
-		return nil, err
-	}
-	if s, ok := src.(*ess.Space); ok {
-		return &Compiled{
-			Space:   s,
-			Source:  src,
-			Lambda:  lambda,
-			planner: alignedbound.NewPlanner(src),
-		}, nil
-	}
-	return &Compiled{
-		Source:  src,
-		Lambda:  lambda,
-		planner: alignedbound.NewPlanner(src),
-	}, nil
 }
 
 // Reduction returns the compiled anorexic reduction, building it on

@@ -1,15 +1,26 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/ess"
 	"repro/internal/mso"
 	"repro/internal/testutil"
 )
 
+// compileSpace compiles the test space with default options.
+func compileSpace(t *testing.T, s *ess.Space) *Compiled {
+	t.Helper()
+	c, err := Compile(s, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSessionGuarantees(t *testing.T) {
-	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
+	sess := compileSpace(t, testutil.Space2D(t, 10))
 	sb, err := sess.Guarantee(SpillBound)
 	if err != nil || sb != 10 {
 		t.Fatalf("SB guarantee = %v, %v", sb, err)
@@ -29,10 +40,10 @@ func TestSessionGuarantees(t *testing.T) {
 
 func TestSessionDiscoverAllAlgorithms(t *testing.T) {
 	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
+	sess := compileSpace(t, s)
 	qa := int32(s.Grid.Linear([]int{6, 5}))
 	for _, alg := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
-		out, err := sess.Discover(alg, qa)
+		out, err := sess.NewRun().Discover(alg, qa)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -44,14 +55,13 @@ func TestSessionDiscoverAllAlgorithms(t *testing.T) {
 			t.Errorf("%s: sub-opt %v far above guarantee %v", alg, so, g)
 		}
 	}
-	if _, err := sess.Discover("zzz", qa); err == nil {
+	if _, err := sess.NewRun().Discover("zzz", qa); err == nil {
 		t.Fatal("unknown algorithm should error")
 	}
 }
 
 func TestSessionMSOOrdering(t *testing.T) {
-	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
+	sess := compileSpace(t, testutil.Space2D(t, 10))
 	pb, err := sess.MSO(PlanBouquet, mso.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -74,36 +84,33 @@ func TestSessionMSOOrdering(t *testing.T) {
 	if ab.MSO <= 0 {
 		t.Error("AB MSOe must be positive")
 	}
-	if sess.MaxPenalty() < 1 {
-		t.Errorf("MaxPenalty = %v after AB sweep", sess.MaxPenalty())
+	if ab.MaxAlignPenalty < 1 {
+		t.Errorf("MaxAlignPenalty = %v after AB sweep", ab.MaxAlignPenalty)
 	}
 }
 
-func TestSetLambda(t *testing.T) {
+func TestCompileLambda(t *testing.T) {
 	s := testutil.Space2D(t, 8)
-	sess := NewSession(s)
-	if err := sess.SetLambda(0.5); err != nil {
+	c, err := Compile(s, CompileOptions{Lambda: 0.5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	red := sess.Reduction()
-	if red.Lambda != 0.5 {
-		t.Fatalf("lambda = %v", red.Lambda)
+	if red := c.Reduction(); red.Lambda != 0.5 || c.Lambda != 0.5 {
+		t.Fatalf("lambda = %v (artifact %v)", red.Lambda, c.Lambda)
 	}
-	if err := sess.SetLambda(0.1); err == nil {
-		t.Fatal("SetLambda after the reduction was built should error")
+	if c := compileSpace(t, s); c.Lambda != DefaultLambda {
+		t.Fatalf("zero Lambda compiled as %v, want DefaultLambda", c.Lambda)
 	}
-	if red2 := sess.Reduction(); red2.Lambda != 0.5 {
-		t.Fatalf("rejected SetLambda must not change the reduction (lambda = %v)", red2.Lambda)
-	}
-	if err := NewSession(s).SetLambda(-0.5); err == nil {
-		t.Fatal("negative lambda should error")
+	for _, bad := range []float64{-0.5, math.NaN()} {
+		if _, err := Compile(s, CompileOptions{Lambda: bad}); err == nil {
+			t.Fatalf("lambda %v should be rejected", bad)
+		}
 	}
 }
 
 func TestMaxPenaltyZeroBeforeABRuns(t *testing.T) {
-	s := testutil.Space2D(t, 8)
-	sess := NewSession(s)
-	if sess.MaxPenalty() != 0 {
+	r := compileSpace(t, testutil.Space2D(t, 8)).NewRun()
+	if r.MaxPenalty() != 0 {
 		t.Fatal("MaxPenalty should start at 0")
 	}
 }

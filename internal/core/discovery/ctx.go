@@ -66,7 +66,8 @@ func AbortOf(eng Engine) error {
 // zero-cost kills) and Aborted returns the typed abort. The algorithms'
 // pre-execution abort polls mean a guarded run stops cleanly with a
 // partial outcome; the guard's own check only matters for the race
-// where the context dies between the poll and the execution.
+// where the context dies between the poll and the execution. A nil
+// context never aborts (Latent embeds a Guard it may leave unbounded).
 type Guard struct {
 	ctx context.Context
 	eng Engine
@@ -86,7 +87,7 @@ func NewGuard(ctx context.Context, eng Engine) *Guard {
 func (g *Guard) Aborted() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.abort == nil {
+	if g.abort == nil && g.ctx != nil {
 		if err := g.ctx.Err(); err != nil {
 			g.abort = &AbortError{Err: err}
 		}

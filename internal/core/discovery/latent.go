@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -20,18 +19,14 @@ import (
 // exposed through Aborted — so a slow engine can never wedge a
 // deadline-bounded request.
 type Latent struct {
-	eng   Engine
+	Guard // the abort latch over ctx (nil = unbounded) and the wrapped engine
 	delay time.Duration
-	ctx   context.Context
-
-	mu    sync.Mutex
-	abort error
 }
 
 // NewLatent wraps the engine; every ExecFull/ExecSpill sleeps delay
 // before delegating. A zero or negative delay disables the sleep.
 func NewLatent(eng Engine, delay time.Duration) *Latent {
-	return &Latent{eng: eng, delay: delay}
+	return &Latent{Guard: Guard{eng: eng}, delay: delay}
 }
 
 // WithContext makes the per-execution waits interruptible by the
@@ -39,21 +34,6 @@ func NewLatent(eng Engine, delay time.Duration) *Latent {
 func (l *Latent) WithContext(ctx context.Context) *Latent {
 	l.ctx = ctx
 	return l
-}
-
-// Aborted implements Aborter, live-checking the context.
-func (l *Latent) Aborted() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.abort == nil && l.ctx != nil {
-		if err := l.ctx.Err(); err != nil {
-			l.abort = &AbortError{Err: err}
-		}
-	}
-	if l.abort != nil {
-		return l.abort
-	}
-	return AbortOf(l.eng)
 }
 
 // wait sleeps the engine latency; it reports false when the context

@@ -1,6 +1,12 @@
 package discovery
 
-import "repro/internal/ess"
+import (
+	"context"
+	"time"
+
+	"repro/internal/ess"
+	"repro/internal/faultinject"
+)
 
 // SimEngine is the cost-model-driven execution oracle: the true query
 // location is a grid point, and budgeted executions succeed exactly when
@@ -19,6 +25,33 @@ type SimEngine struct {
 // goroutine.
 func NewSimEngine(src ess.ContourSource, qa int32) *SimEngine {
 	return &SimEngine{src: src, qa: qa, ev: src.NewEvaluator()}
+}
+
+// NewSimStack assembles the cost-model-simulated engine stack for the
+// instance at qa — the one stack every simulated discovery runs on
+// (core.Run, the serving tier, the throughput harness), so all
+// strategies see identical plumbing and chaos runs replay bit for bit:
+// the bare sim; with an injector armed, the fault-injecting engine
+// behind the resilient retry driver; with a positive latency, the
+// per-execution delay of a remote engine (inside the retry driver, so
+// every retry pays it too); and with a non-nil ctx, the deadline guard
+// of whichever wrapper is outermost. A nil ctx leaves the run unbounded.
+func NewSimStack(ctx context.Context, src ess.ContourSource, qa int32, in *faultinject.Injector, latency time.Duration) Engine {
+	sim := NewSimEngine(src, qa)
+	if in != nil {
+		var eng FallibleEngine = NewFaultySim(sim, in)
+		if latency > 0 {
+			eng = NewLatentFallible(eng, latency).WithContext(ctx)
+		}
+		return NewResilient(eng, DefaultRetryPolicy).WithJitter(in.Jitter).WithContext(ctx)
+	}
+	if latency > 0 {
+		return NewLatent(sim, latency).WithContext(ctx)
+	}
+	if ctx != nil {
+		return NewGuard(ctx, sim)
+	}
+	return sim
 }
 
 // QA returns the true location the engine simulates.

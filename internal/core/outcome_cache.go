@@ -1,9 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"math"
-	"sync"
 
 	"repro/internal/core/discovery"
 	"repro/internal/query"
@@ -56,8 +54,8 @@ type OutcomeKey struct {
 // Hash folds the key into a single 64-bit cache key by extending the
 // artifact signature with the request coordinates — the same FNV-1a
 // construction query.Signature.Extend uses, so replicas derive
-// identical hashes. Collisions are guarded by full-key equality on
-// lookup, not by the hash alone.
+// identical hashes. The hash feeds the doorkeeper only; the cache
+// itself is keyed by the full OutcomeKey.
 func (k OutcomeKey) Hash() uint64 {
 	return query.Signature{Hash: k.SigHash}.
 		Extend(k.Workload, k.Strategy).
@@ -81,20 +79,15 @@ type CachedOutcome struct {
 	Body    []byte
 }
 
-// OutcomeCache is a byte-budgeted LRU over deterministic discovery
-// outcomes, sibling of ArtifactCache. Keys are OutcomeKey hashes with
-// full-key equality verification; values are immutable CachedOutcome
-// entries. Like the artifact cache it never evicts the entry just
-// inserted, so an undersized budget degrades to single-entry reuse
-// rather than thrash.
+// OutcomeCache is a byte-budgeted LRU (see lru) over deterministic
+// discovery outcomes, sibling of ArtifactCache. It is keyed by the full
+// OutcomeKey, so a hash collision between two keys can never serve a
+// wrong-key body; values are immutable CachedOutcome entries. Inserts
+// pass a doorkeeper first.
 type OutcomeCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[uint64]*list.Element
+	lru[OutcomeKey, *CachedOutcome]
 
-	// admit/admitPrev form the doorkeeper: a two-generation set of
+	// door/doorPrev form the doorkeeper: a two-generation set of
 	// key hashes that have missed recently. A key is admitted into the
 	// cache only on its second miss within the doorkeeper's window, so
 	// a stream of never-repeating requests retains nothing — an
@@ -102,53 +95,21 @@ type OutcomeCache struct {
 	// entries nobody will read. Each generation holds admitGen hashes
 	// (8 bytes each); when the current one fills it becomes the
 	// previous and a fresh one starts, bounding memory while keeping
-	// recent history.
-	admit, admitPrev map[uint64]struct{}
-
-	hits, misses, evictions, inserts int64
+	// recent history. Both are guarded by the lru's mutex.
+	door, doorPrev map[uint64]struct{}
 }
 
 // admitGen is the doorkeeper generation size: how many distinct missed
 // keys are remembered before the window slides.
 const admitGen = 1 << 14
 
-type outcomeEntry struct {
-	hash uint64
-	key  OutcomeKey
-	val  *CachedOutcome
-	size int64
-}
-
 // NewOutcomeCache creates a cache with the given byte budget. A
 // non-positive budget gets a 64 MiB default — outcome entries are far
 // smaller than compiled artifacts.
 func NewOutcomeCache(budget int64) *OutcomeCache {
-	if budget <= 0 {
-		budget = 64 << 20
-	}
-	return &OutcomeCache{
-		budget: budget,
-		ll:     list.New(),
-		items:  make(map[uint64]*list.Element),
-		admit:  make(map[uint64]struct{}),
-	}
-}
-
-// Get returns the cached outcome for the key, marking it most recently
-// used. A hash collision with a different full key counts as a miss —
-// determinism must never serve a wrong-key body.
-func (c *OutcomeCache) Get(key OutcomeKey) (*CachedOutcome, bool) {
-	h := key.Hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[h]
-	if !ok || el.Value.(*outcomeEntry).key != key {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*outcomeEntry).val, true
+	c := &OutcomeCache{door: make(map[uint64]struct{})}
+	c.init(budget, 64<<20, c.doorkeeper)
+	return c
 }
 
 // Put offers the outcome under the key. A key not seen by the
@@ -157,87 +118,26 @@ func (c *OutcomeCache) Get(key OutcomeKey) (*CachedOutcome, bool) {
 // entries until the cache is back within budget (never the entry just
 // inserted); a key already resident is always replaced in place.
 func (c *OutcomeCache) Put(key OutcomeKey, val *CachedOutcome) (evicted int, admitted bool) {
-	h := key.Hash()
-	size := EstimateOutcomeBytes(val)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[h]; ok {
-		e := el.Value.(*outcomeEntry)
-		c.bytes += size - e.size
-		e.key, e.val, e.size = key, val, size
-		c.ll.MoveToFront(el)
-	} else {
-		if !c.doorkeeper(h) {
-			return 0, false
-		}
-		c.items[h] = c.ll.PushFront(&outcomeEntry{hash: h, key: key, val: val, size: size})
-		c.bytes += size
-		c.inserts++
-	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		c.remove(c.ll.Back())
-		c.evictions++
-		evicted++
-	}
-	return evicted, true
+	return c.put(key, val, EstimateOutcomeBytes(val))
 }
 
-// doorkeeper reports whether the hash has missed recently (admit it),
-// recording it for next time when it has not. Caller holds c.mu.
-func (c *OutcomeCache) doorkeeper(h uint64) bool {
-	if _, ok := c.admit[h]; ok {
+// doorkeeper reports whether the key's hash has missed recently (admit
+// it), recording it for next time when it has not. It is the lru's
+// admission hook, so it runs under the cache mutex.
+func (c *OutcomeCache) doorkeeper(key OutcomeKey) bool {
+	h := key.Hash()
+	if _, ok := c.door[h]; ok {
 		return true
 	}
-	if _, ok := c.admitPrev[h]; ok {
+	if _, ok := c.doorPrev[h]; ok {
 		return true
 	}
-	if len(c.admit) >= admitGen {
-		c.admitPrev = c.admit
-		c.admit = make(map[uint64]struct{})
+	if len(c.door) >= admitGen {
+		c.doorPrev = c.door
+		c.door = make(map[uint64]struct{})
 	}
-	c.admit[h] = struct{}{}
+	c.door[h] = struct{}{}
 	return false
-}
-
-// Evict removes the entry for the key, reporting whether one existed.
-// The outcome.evict chaos site calls this to simulate memory pressure
-// deterministically.
-func (c *OutcomeCache) Evict(key OutcomeKey) bool {
-	h := key.Hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[h]
-	if !ok || el.Value.(*outcomeEntry).key != key {
-		return false
-	}
-	c.remove(el)
-	c.evictions++
-	return true
-}
-
-func (c *OutcomeCache) remove(el *list.Element) {
-	e := el.Value.(*outcomeEntry)
-	c.ll.Remove(el)
-	delete(c.items, e.hash)
-	c.bytes -= e.size
-}
-
-// Len returns the number of cached outcomes.
-func (c *OutcomeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats snapshots the cache counters and occupancy.
-func (c *OutcomeCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Inserts: c.inserts, Entries: c.ll.Len(),
-		Bytes: c.bytes, Budget: c.budget,
-	}
 }
 
 // EstimateOutcomeBytes approximates the resident size of a cached

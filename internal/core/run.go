@@ -109,25 +109,10 @@ func (r *Run) Context() context.Context { return r.ctx }
 func (r *Run) MaxPenalty() float64 { return r.maxPenalty }
 
 // simStack builds the run's cost-model-simulated execution engine for
-// the instance at qa: the bare sim, wrapped — when faults are armed —
-// in the fault-injecting engine plus the resilient retry driver, and —
-// when a context bounds the run — in the deadline guard. Every
-// discovery entry point (algorithm or strategy) shares this one stack,
-// so all six bake-off policies see identical plumbing.
+// the instance at qa (see discovery.NewSimStack). Every discovery entry
+// point (algorithm or strategy) shares this one stack.
 func (r *Run) simStack(qa int32) discovery.Engine {
-	sim := discovery.NewSimEngine(r.c.Source, qa)
-	if in := r.faults; in != nil {
-		res := discovery.NewResilient(discovery.NewFaultySim(sim, in), discovery.DefaultRetryPolicy).
-			WithJitter(in.Jitter)
-		if r.ctx != nil {
-			res.WithContext(r.ctx)
-		}
-		return res
-	}
-	if r.ctx != nil {
-		return discovery.NewGuard(r.ctx, sim)
-	}
-	return sim
+	return discovery.NewSimStack(r.ctx, r.c.Source, qa, r.faults, 0)
 }
 
 // Discover runs the algorithm for the query instance whose true

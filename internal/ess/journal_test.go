@@ -91,7 +91,7 @@ func newJournalHarness(t testing.TB) *journalHarness {
 }
 
 // saveAndPrime publishes the base frame to both files and primes both
-// consumers, as installLazy does after a build or a warm load.
+// consumers, as the server's install does after a build or a warm load.
 func (h *journalHarness) saveAndPrime() {
 	for _, p := range []string{h.jpath, h.rpath} {
 		if err := h.ls.SaveFile(p); err != nil {

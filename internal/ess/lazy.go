@@ -237,19 +237,9 @@ func BuildLazy(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config)
 		return nil, fmt.Errorf("ess: query %s has no epps", q.Name)
 	}
 	g := NewGrid(q.D(), cfg.Res, cfg.SelMin)
-	s := &Space{
-		Q:         q,
-		Grid:      g,
-		Model:     model,
-		BaseEnv:   baseEnv,
-		PointPlan: make([]int32, g.NumPoints()),
-		PointCost: make([]float64, g.NumPoints()),
-		CostRatio: cfg.CostRatio,
-		opt:       optimizer.New(q, model),
-		planSig:   make(map[string]int32),
-	}
-	empty := make([]*PlanInfo, 0)
-	s.plans.Store(&empty)
+	s := newSkeleton(q, baseEnv, model, g, cfg.CostRatio)
+	s.PointPlan = make([]int32, g.NumPoints())
+	s.PointCost = make([]float64, g.NumPoints())
 
 	ls := &LazySpace{
 		inner:     s,

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/faultinject"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -117,27 +116,33 @@ type spaceDTO struct {
 // re-optimizing the grid — the paper's offline contour enumeration for
 // canned queries (§7).
 func (s *Space) Save(w io.Writer) error {
+	dto := s.frameHeader()
+	dto.PointPlan, dto.PointCost = s.PointPlan, s.PointCost
+	dto.GridSig = s.gridSig(&dto)
+	return writeFrame(w, snapshotMagic, &dto)
+}
+
+// frameHeader starts a base frame, dense or sparse: the grid
+// parameters and the plan pool. The caller adds the point records.
+func (s *Space) frameHeader() spaceDTO {
 	dto := spaceDTO{
 		QueryName: s.Q.Name,
 		D:         s.Grid.D,
 		Res:       s.Grid.Res,
 		SelMin:    s.Grid.Vals[0],
 		CostRatio: s.CostRatio,
-		PointPlan: s.PointPlan,
-		PointCost: s.PointCost,
 	}
 	for _, p := range s.Plans() {
 		dto.PlanRoots = append(dto.PlanRoots, p.Root)
 	}
-	dto.GridSig = s.gridSig()
-	return writeFrame(w, snapshotMagic, &dto)
+	return dto
 }
 
 // gridSig recost-verifies every contour-member point against the
 // space's own environment and, only when verification passes, returns
 // the frame signature; 0 when any point fails, so a strict load of the
 // frame always takes the full recost path.
-func (s *Space) gridSig() uint64 {
+func (s *Space) gridSig(dto *spaceDTO) uint64 {
 	ev := s.NewEvaluator()
 	for ci := range s.Contours {
 		for _, pt := range s.Contours[ci].Points {
@@ -146,36 +151,38 @@ func (s *Space) gridSig() uint64 {
 			}
 		}
 	}
-	return frameSig(s.Q.Name, s.Grid.D, s.Grid.Res, s.Grid.Vals[0], s.CostRatio, s.denseProbes(ev))
+	return s.frameSig(dto, ev)
 }
 
-// denseProbes recosts the recorded plan at the three spot-check points;
-// the bit patterns feed frameSig, so any environment or model drift
-// that moves a probe by one ULP already invalidates the signature.
-func (s *Space) denseProbes(ev *Evaluator) []float64 {
-	g := s.Grid
-	probes := make([]float64, 0, 3)
-	for _, pt := range []int32{int32(g.Origin()), int32(g.Terminus()), int32(g.NumPoints() / 2)} {
-		probes = append(probes, ev.PlanCost(s.PointPlan[pt], pt))
+// spotPoints are a frame's recost spot-check points: the origin and
+// terminus, always settled, plus the grid midpoint of a dense frame (a
+// sparse frame has no guaranteed midpoint).
+func (s *Space) spotPoints(sparse bool) []int32 {
+	pts := []int32{int32(s.Grid.Origin()), int32(s.Grid.Terminus())}
+	if !sparse {
+		pts = append(pts, int32(s.Grid.NumPoints()/2))
 	}
-	return probes
+	return pts
 }
 
-// frameSig hashes the grid parameters together with bit-exact probe
-// recosts into the save-time verification signature. A zero digest is
-// remapped to 1 so 0 stays reserved for "unverified".
-func frameSig(name string, d, res int, selMin, ratio float64, probes []float64) uint64 {
+// frameSig hashes the frame's grid parameters together with bit-exact
+// recosts of the recorded plans at its spot points into the save-time
+// verification signature, so any environment or model drift that moves
+// a probe by one ULP already invalidates it. A zero digest is remapped
+// to 1 so 0 stays reserved for "unverified".
+func (s *Space) frameSig(dto *spaceDTO, ev *Evaluator) uint64 {
 	h := fnv.New64a()
-	io.WriteString(h, name)
+	io.WriteString(h, dto.QueryName)
 	var b [8]byte
 	put := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	put(uint64(d))
-	put(uint64(res))
-	put(math.Float64bits(selMin))
-	put(math.Float64bits(ratio))
-	put(uint64(len(probes)))
-	for _, p := range probes {
-		put(math.Float64bits(p))
+	put(uint64(dto.D))
+	put(uint64(dto.Res))
+	put(math.Float64bits(dto.SelMin))
+	put(math.Float64bits(dto.CostRatio))
+	pts := s.spotPoints(dto.Sparse)
+	put(uint64(len(pts)))
+	for _, pt := range pts {
+		put(math.Float64bits(ev.PlanCost(s.PointPlan[pt], pt)))
 	}
 	sig := h.Sum64()
 	if sig == 0 {
@@ -307,15 +314,11 @@ func Load(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model) (*S
 // was built with; invariants (name, dimensionality, plan validity,
 // recosted costs) are verified per opt and violations reported.
 func LoadWith(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model, opt LoadOptions) (*Space, error) {
-	payload, err := readFrame(r)
+	dto, err := readBaseFrame(r)
 	if err != nil {
 		return nil, err
 	}
-	var dto spaceDTO
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
-	}
-	return buildFromDTO(&dto, q, baseEnv, model, opt)
+	return buildFromDTO(dto, q, baseEnv, model, opt)
 }
 
 // LoadFile loads the snapshot at path via LoadWith.
@@ -334,26 +337,33 @@ func LoadFile(path string, q *query.Query, baseEnv *cost.Env, model *cost.Model,
 // reject a truncated or corrupt peer transfer before attempting the
 // (much more expensive) strict load.
 func VerifyFrame(r io.Reader) error {
-	_, err := readFrame(r)
+	_, err := readFrame(r, snapshotMagic, false)
 	return err
 }
 
-// readFrame verifies the snapshot header and returns the CRC-checked
-// payload bytes.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame is the one frame reader: it verifies a header carrying the
+// given magic and returns the CRC-checked payload bytes. With eofOK, a
+// stream that ends cleanly before the first header byte returns io.EOF
+// (the end of a delta sequence); anything else short of a whole,
+// intact frame — a torn header included — wraps ErrCorrupt, and a
+// foreign format version wraps ErrVersion.
+func readFrame(r io.Reader, magic string, eofOK bool) ([]byte, error) {
 	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
+		if eofOK && err == io.EOF {
+			return nil, io.EOF
+		}
 		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
 	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+	if string(hdr[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	off := len(snapshotMagic)
+	off := len(magic)
 	version := binary.LittleEndian.Uint32(hdr[off:])
 	length := binary.LittleEndian.Uint64(hdr[off+4:])
 	sum := binary.LittleEndian.Uint32(hdr[off+12:])
 	if version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrVersion, version, SnapshotVersion)
+		return nil, fmt.Errorf("%w: frame is v%d, this build reads v%d", ErrVersion, version, SnapshotVersion)
 	}
 	if length > maxSnapshotBytes {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, length)
@@ -371,6 +381,45 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	return payload, nil
+}
+
+// readBaseFrame reads and decodes a snapshot's base frame (dense or
+// sparse; the loaders tell them apart).
+func readBaseFrame(r io.Reader) (*spaceDTO, error) {
+	payload, err := readFrame(r, snapshotMagic, false)
+	if err != nil {
+		return nil, err
+	}
+	var dto spaceDTO
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dto); err != nil {
+		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
+	}
+	return &dto, nil
+}
+
+// validCost reports whether a recorded cost is a positive finite
+// number (rejecting NaN, ±Inf, zero and negatives).
+func validCost(c float64) bool { return c > 0 && !math.IsInf(c, 1) }
+
+// costsAgree is the recost tolerance every snapshot check shares: the
+// recosted value within 1e-6 of the recorded one, relative to it.
+func costsAgree(got, want float64) bool {
+	diff := got - want
+	return !(diff > 1e-6*want || diff < -1e-6*want)
+}
+
+// checkPlanTable validates a frame's plan table — every root present
+// and structurally valid — before any of it reaches the pool.
+func checkPlanTable(what string, roots []*plan.Node) error {
+	for i, root := range roots {
+		if root == nil {
+			return fmt.Errorf("%w: %s plan %d is nil", ErrCorrupt, what, i)
+		}
+		if err := root.Validate(); err != nil {
+			return fmt.Errorf("%w: %s plan %d invalid: %v", ErrCorrupt, what, i, err)
+		}
+	}
+	return nil
 }
 
 // validateGridHeader bounds-checks the frame's grid parameters —
@@ -417,7 +466,7 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 		return nil, fmt.Errorf("%w: empty plan pool", ErrCorrupt)
 	}
 	for i, c := range dto.PointCost {
-		if !(c > 0) || math.IsInf(c, 1) { // rejects NaN, ±Inf, and non-positive
+		if !validCost(c) {
 			return nil, fmt.Errorf("%w: point %d cost %v not a positive finite number", ErrCorrupt, i, c)
 		}
 	}
@@ -428,25 +477,13 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 		return nil, fmt.Errorf("ess: saved dimensionality %d != query D %d", dto.D, q.D())
 	}
 	g := NewGrid(dto.D, dto.Res, dto.SelMin)
-	s := &Space{
-		Q:         q,
-		Grid:      g,
-		Model:     model,
-		BaseEnv:   baseEnv,
-		PointPlan: dto.PointPlan,
-		PointCost: dto.PointCost,
-		CostRatio: dto.CostRatio,
-		opt:       optimizer.New(q, model),
-		planSig:   make(map[string]int32),
+	s := newSkeleton(q, baseEnv, model, g, dto.CostRatio)
+	s.PointPlan, s.PointCost = dto.PointPlan, dto.PointCost
+	if err := checkPlanTable("saved", dto.PlanRoots); err != nil {
+		return nil, err
 	}
 	pool := make([]*PlanInfo, 0, len(dto.PlanRoots))
 	for i, root := range dto.PlanRoots {
-		if root == nil {
-			return nil, fmt.Errorf("%w: saved plan %d is nil", ErrCorrupt, i)
-		}
-		if err := root.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: saved plan %d invalid: %v", ErrCorrupt, i, err)
-		}
 		pool = append(pool, &PlanInfo{ID: i, Root: root, Sig: root.Signature()})
 	}
 	s.publishPlans(pool)
@@ -472,8 +509,7 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 	// failed (sig 0).
 	ev := s.NewEvaluator()
 	strictFull := opt.Strict
-	if strictFull && dto.GridSig != 0 &&
-		frameSig(dto.QueryName, dto.D, dto.Res, dto.SelMin, dto.CostRatio, s.denseProbes(ev)) == dto.GridSig {
+	if strictFull && dto.GridSig != 0 && s.frameSig(dto, ev) == dto.GridSig {
 		strictFull = false
 	}
 	if strictFull {
@@ -485,7 +521,7 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 			}
 		}
 	} else {
-		for _, pt := range []int32{int32(g.Origin()), int32(g.Terminus()), int32(g.NumPoints() / 2)} {
+		for _, pt := range s.spotPoints(false) {
 			if err := checkPoint(ev, s, pt); err != nil {
 				return nil, err
 			}
@@ -497,9 +533,7 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 // checkPoint recosts the recorded plan at pt and compares it with the
 // recorded optimal cost.
 func checkPoint(ev *Evaluator, s *Space, pt int32) error {
-	got := ev.PlanCost(s.PointPlan[pt], pt)
-	want := s.PointCost[pt]
-	if diff := got - want; diff > 1e-6*want || diff < -1e-6*want {
+	if got, want := ev.PlanCost(s.PointPlan[pt], pt), s.PointCost[pt]; !costsAgree(got, want) {
 		return fmt.Errorf("ess: saved costs disagree with environment at point %d (%v vs %v)", pt, got, want)
 	}
 	return nil
@@ -590,25 +624,14 @@ func (ls *LazySpace) DeltaSince(mark map[int32]bool) *Delta {
 // Save serializes the lazy space's settled points as a sparse base
 // frame. Reload with LoadLazy (the dense Load rejects sparse frames).
 func (ls *LazySpace) Save(w io.Writer) error {
-	s := ls.inner
 	pts := ls.SettledPoints()
-	dto := spaceDTO{
-		QueryName:    s.Q.Name,
-		D:            s.Grid.D,
-		Res:          s.Grid.Res,
-		SelMin:       s.Grid.Vals[0],
-		CostRatio:    s.CostRatio,
-		Sparse:       true,
-		SolvedPoints: pts,
-		SolvedExact:  make([]bool, len(pts)),
-		PointPlan:    make([]int32, len(pts)),
-		PointCost:    make([]float64, len(pts)),
-	}
+	dto := ls.inner.frameHeader()
+	dto.Sparse, dto.SolvedPoints = true, pts
+	dto.SolvedExact = make([]bool, len(pts))
+	dto.PointPlan = make([]int32, len(pts))
+	dto.PointCost = make([]float64, len(pts))
 	for i, pt := range pts {
 		dto.PointCost[i], dto.PointPlan[i], dto.SolvedExact[i] = ls.ValueAt(pt)
-	}
-	for _, p := range s.Plans() {
-		dto.PlanRoots = append(dto.PlanRoots, p.Root)
 	}
 	dto.GridSig = ls.gridSig(&dto)
 	return writeFrame(w, snapshotMagic, &dto)
@@ -620,25 +643,11 @@ func (ls *LazySpace) Save(w io.Writer) error {
 func (ls *LazySpace) gridSig(dto *spaceDTO) uint64 {
 	ev := ls.inner.NewEvaluator()
 	for i, pt := range dto.SolvedPoints {
-		got := ev.PlanCost(dto.PointPlan[i], pt)
-		want := dto.PointCost[i]
-		if diff := got - want; diff > 1e-6*want || diff < -1e-6*want {
+		if !costsAgree(ev.PlanCost(dto.PointPlan[i], pt), dto.PointCost[i]) {
 			return 0
 		}
 	}
-	return frameSig(dto.QueryName, dto.D, dto.Res, dto.SelMin, dto.CostRatio, ls.sparseProbes(ev))
-}
-
-// sparseProbes recosts the recorded plan at the two always-settled
-// anchors of a lazy space (origin and terminus; a sparse frame has no
-// guaranteed midpoint).
-func (ls *LazySpace) sparseProbes(ev *Evaluator) []float64 {
-	g := ls.inner.Grid
-	probes := make([]float64, 0, 2)
-	for _, pt := range []int32{int32(g.Origin()), int32(g.Terminus())} {
-		probes = append(probes, ev.PlanCost(ls.inner.PointPlan[pt], pt))
-	}
-	return probes
+	return ls.inner.frameSig(dto, ev)
 }
 
 // SaveFile atomically persists the sparse base frame to path (see
@@ -735,20 +744,16 @@ func LoadLazy(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model,
 // path as the dense loader. Integrity violations — including a torn
 // delta tail from a crashed append — return errors wrapping ErrCorrupt.
 func LoadLazyWith(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config, opt LoadOptions) (*LazySpace, error) {
-	payload, err := readFrame(r)
+	dto, err := readBaseFrame(r)
 	if err != nil {
 		return nil, err
 	}
-	var dto spaceDTO
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
-	}
-	ls, err := lazyFromDTO(&dto, q, baseEnv, model, cfg, opt)
+	ls, err := lazyFromDTO(dto, q, baseEnv, model, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		dp, err := readDeltaFrame(r)
+		dp, err := readFrame(r, deltaMagic, true)
 		if err == io.EOF {
 			break
 		}
@@ -801,7 +806,7 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 		if i > 0 && pt <= dto.SolvedPoints[i-1] {
 			return nil, fmt.Errorf("%w: settled points not strictly ascending at %d", ErrCorrupt, i)
 		}
-		if c := dto.PointCost[i]; !(c > 0) || math.IsInf(c, 1) {
+		if c := dto.PointCost[i]; !validCost(c) {
 			return nil, fmt.Errorf("%w: point %d cost %v not a positive finite number", ErrCorrupt, pt, c)
 		}
 		if pid := dto.PointPlan[i]; pid < 0 || int(pid) >= len(dto.PlanRoots) {
@@ -822,15 +827,9 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int32, len(dto.PlanRoots))
-	for i, root := range dto.PlanRoots {
-		if root == nil {
-			return nil, fmt.Errorf("%w: saved plan %d is nil", ErrCorrupt, i)
-		}
-		if err := root.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: saved plan %d invalid: %v", ErrCorrupt, i, err)
-		}
-		ids[i] = ls.AddPlan(root)
+	ids, err := ls.internPlanTable("saved", dto.PlanRoots)
+	if err != nil {
+		return nil, err
 	}
 	g := ls.Geometry()
 	origin, terminus := int32(g.Origin()), int32(g.Terminus())
@@ -840,8 +839,7 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 			// Already solved exactly by BuildLazy: the fresh value is
 			// authoritative, the recorded one must agree with this
 			// environment.
-			got, want := ls.inner.PointCost[pt], dto.PointCost[i]
-			if diff := got - want; diff > 1e-6*want || diff < -1e-6*want {
+			if got, want := ls.inner.PointCost[pt], dto.PointCost[i]; !costsAgree(got, want) {
 				return nil, fmt.Errorf("ess: saved costs disagree with environment at point %d (%v vs %v)", pt, want, got)
 			}
 			seenOrigin = seenOrigin || pt == origin
@@ -855,11 +853,9 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 	}
 	if opt.Strict {
 		ev := ls.inner.NewEvaluator()
-		if dto.GridSig == 0 ||
-			frameSig(dto.QueryName, dto.D, dto.Res, dto.SelMin, dto.CostRatio, ls.sparseProbes(ev)) != dto.GridSig {
+		if dto.GridSig == 0 || ls.inner.frameSig(dto, ev) != dto.GridSig {
 			for i, pt := range dto.SolvedPoints {
-				got, want := ev.PlanCost(ids[dto.PointPlan[i]], pt), dto.PointCost[i]
-				if diff := got - want; diff > 1e-6*want || diff < -1e-6*want {
+				if got, want := ev.PlanCost(ids[dto.PointPlan[i]], pt), dto.PointCost[i]; !costsAgree(got, want) {
 					return nil, fmt.Errorf("ess: saved costs disagree with environment at point %d (%v vs %v)", pt, got, want)
 				}
 			}
@@ -868,40 +864,18 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 	return ls, nil
 }
 
-// readDeltaFrame reads one framed delta record, returning io.EOF at a
-// clean end of stream and an ErrCorrupt-wrapped error for a torn tail.
-func readDeltaFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: reading delta header: %v", ErrCorrupt, err)
+// internPlanTable validates a frame's plan table and interns it into
+// the pool, returning the pool ID of each table entry. Nothing is
+// interned unless the whole table is valid.
+func (ls *LazySpace) internPlanTable(what string, roots []*plan.Node) ([]int32, error) {
+	if err := checkPlanTable(what, roots); err != nil {
+		return nil, err
 	}
-	if string(hdr[:len(deltaMagic)]) != deltaMagic {
-		return nil, fmt.Errorf("%w: bad delta magic", ErrCorrupt)
+	ids := make([]int32, len(roots))
+	for i, root := range roots {
+		ids[i] = ls.AddPlan(root)
 	}
-	off := len(deltaMagic)
-	version := binary.LittleEndian.Uint32(hdr[off:])
-	length := binary.LittleEndian.Uint64(hdr[off+4:])
-	sum := binary.LittleEndian.Uint32(hdr[off+12:])
-	if version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: delta is v%d, this build reads v%d", ErrVersion, version, SnapshotVersion)
-	}
-	if length > maxSnapshotBytes {
-		return nil, fmt.Errorf("%w: delta length %d exceeds limit", ErrCorrupt, length)
-	}
-	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading delta payload: %v", ErrCorrupt, err)
-	}
-	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("%w: delta truncated (%d of %d bytes)", ErrCorrupt, len(payload), length)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: delta CRC mismatch", ErrCorrupt)
-	}
-	return payload, nil
+	return ids, nil
 }
 
 // applyDeltaPayload decodes one delta record and installs its values,
@@ -917,22 +891,16 @@ func (ls *LazySpace) applyDeltaPayload(payload []byte) error {
 		return fmt.Errorf("%w: delta arrays (%d, %d, %d, %d) inconsistent",
 			ErrCorrupt, n, len(d.Costs), len(d.PlanIdx), len(d.Exact))
 	}
-	ids := make([]int32, len(d.PlanRoots))
-	for i, root := range d.PlanRoots {
-		if root == nil {
-			return fmt.Errorf("%w: delta plan %d is nil", ErrCorrupt, i)
-		}
-		if err := root.Validate(); err != nil {
-			return fmt.Errorf("%w: delta plan %d invalid: %v", ErrCorrupt, i, err)
-		}
-		ids[i] = ls.AddPlan(root)
+	ids, err := ls.internPlanTable("delta", d.PlanRoots)
+	if err != nil {
+		return err
 	}
 	np := ls.Geometry().NumPoints()
 	for i, pt := range d.Points {
 		if pt < 0 || int(pt) >= np {
 			return fmt.Errorf("%w: delta point %d outside grid", ErrCorrupt, pt)
 		}
-		if c := d.Costs[i]; !(c > 0) || math.IsInf(c, 1) {
+		if c := d.Costs[i]; !validCost(c) {
 			return fmt.Errorf("%w: delta point %d cost %v not a positive finite number", ErrCorrupt, pt, c)
 		}
 		li := d.PlanIdx[i]

@@ -2,7 +2,6 @@ package ess
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -261,9 +260,10 @@ func TestDenseStrictLoadFastPathIsSigned(t *testing.T) {
 // decodeFramePayload decodes the base frame's DTO out of raw snapshot
 // bytes (test helper for signature assertions).
 func decodeFramePayload(raw []byte, dto *spaceDTO) error {
-	payload, err := readFrame(bytes.NewReader(raw))
+	got, err := readBaseFrame(bytes.NewReader(raw))
 	if err != nil {
 		return err
 	}
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(dto)
+	*dto = *got
+	return nil
 }

@@ -156,6 +156,25 @@ type Space struct {
 	loaded bool
 }
 
+// newSkeleton is the empty space every constructor starts from — Build,
+// BuildLazy and the snapshot loader: the query bound to its grid, model
+// and environment, an optimizer, and an empty copy-on-write plan pool.
+// The caller supplies the point arrays.
+func newSkeleton(q *query.Query, baseEnv *cost.Env, model *cost.Model, g *Grid, ratio float64) *Space {
+	s := &Space{
+		Q:         q,
+		Grid:      g,
+		Model:     model,
+		BaseEnv:   baseEnv,
+		CostRatio: ratio,
+		opt:       optimizer.New(q, model),
+		planSig:   make(map[string]int32),
+	}
+	empty := make([]*PlanInfo, 0)
+	s.plans.Store(&empty)
+	return s
+}
+
 // Build optimizes every grid location and assembles the space.
 func Build(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config) (*Space, error) {
 	cfg = cfg.withDefaults()
@@ -163,19 +182,9 @@ func Build(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config) (*S
 		return nil, fmt.Errorf("ess: query %s has no epps", q.Name)
 	}
 	g := NewGrid(q.D(), cfg.Res, cfg.SelMin)
-	s := &Space{
-		Q:         q,
-		Grid:      g,
-		Model:     model,
-		BaseEnv:   baseEnv,
-		PointPlan: make([]int32, g.NumPoints()),
-		PointCost: make([]float64, g.NumPoints()),
-		CostRatio: cfg.CostRatio,
-		opt:       optimizer.New(q, model),
-		planSig:   make(map[string]int32),
-	}
-	empty := make([]*PlanInfo, 0)
-	s.plans.Store(&empty)
+	s := newSkeleton(q, baseEnv, model, g, cfg.CostRatio)
+	s.PointPlan = make([]int32, g.NumPoints())
+	s.PointCost = make([]float64, g.NumPoints())
 	if err := s.sweep(cfg); err != nil {
 		return nil, err
 	}

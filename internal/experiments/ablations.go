@@ -7,28 +7,10 @@ import (
 	"repro/internal/core/bouquet"
 	"repro/internal/core/discovery"
 	"repro/internal/core/spillbound"
-	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/mso"
-	"repro/internal/optimizer"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// ablationSpace builds a space for the spec with a custom contour cost
-// ratio.
-func ablationSpace(spec workload.Spec, scale float64, res int, ratio float64) (*ess.Space, error) {
-	q, err := spec.Load(scale)
-	if err != nil {
-		return nil, err
-	}
-	if res <= 0 {
-		res = spec.Res
-	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	return ess.Build(q, env, cost.NewModel(cost.DefaultParams()),
-		ess.Config{Res: res, CostRatio: ratio})
-}
 
 // AblationCostRatio studies the contour cost ratio (the paper's remark
 // after Theorem 4.5: doubling is not ideal for SpillBound; e.g. 1.8
@@ -43,7 +25,7 @@ func (h *Harness) AblationCostRatio() (*Report, error) {
 		Header: []string{"ratio", "contours", "SB MSOe", "SB ASO"},
 	}
 	for _, ratio := range []float64{1.5, 1.8, 2.0, 2.5, 3.0} {
-		s, err := ablationSpace(spec, h.Opts.Scale, h.Opts.Res, ratio)
+		s, err := spec.SpaceWith(h.Opts.Scale, ess.Config{Res: h.Opts.Res, CostRatio: ratio})
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +83,7 @@ func (h *Harness) AblationGridResolution() (*Report, error) {
 		Header: []string{"res/dim", "locations", "plans", "SB MSOe", "SB ASO"},
 	}
 	for _, res := range []int{8, 12, 16, 24, 32} {
-		s, err := ablationSpace(spec, h.Opts.Scale, res, 2.0)
+		s, err := spec.SpaceWith(h.Opts.Scale, ess.Config{Res: res, CostRatio: 2.0})
 		if err != nil {
 			return nil, err
 		}

@@ -320,14 +320,14 @@ func TestHarnessCachesSpaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = a
-	n := len(h.spaces)
+	n := len(h.sources)
 	if _, err := h.Fig9Dimensionality(); err != nil {
 		t.Fatal(err)
 	}
 	// Fig9 shares 4D_Q91/6D_Q91 with the suite; cache must have grown by
 	// at most the new family members.
-	if len(h.spaces) > n+4 {
-		t.Errorf("cache grew from %d to %d; sharing broken", n, len(h.spaces))
+	if len(h.sources) > n+4 {
+		t.Errorf("cache grew from %d to %d; sharing broken", n, len(h.sources))
 	}
 }
 

@@ -58,7 +58,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Harness caches built search spaces and compiled artifacts across
+// Harness caches built contour sources and compiled artifacts across
 // experiments so that running the full battery builds and compiles each
 // query's ESS only once; every experiment's per-location discoveries
 // then fan out over a worker pool sharing that one Compiled.
@@ -67,7 +67,7 @@ type Harness struct {
 	Opts Options
 
 	mu        sync.Mutex
-	spaces    map[string]*ess.Space
+	sources   map[string]ess.ContourSource // keyed mode/spec name
 	artifacts map[string]*core.Compiled
 }
 
@@ -75,55 +75,44 @@ type Harness struct {
 func New(opts Options) *Harness {
 	return &Harness{
 		Opts:      opts.withDefaults(),
-		spaces:    make(map[string]*ess.Space),
+		sources:   make(map[string]ess.ContourSource),
 		artifacts: make(map[string]*core.Compiled),
 	}
 }
 
-// space returns the (cached) search space of a workload spec.
-func (h *Harness) space(spec workload.Spec) (*ess.Space, error) {
+// source returns the (cached) contour provider of a workload spec in
+// the given ESS mode.
+func (h *Harness) source(spec workload.Spec, mode string) (ess.ContourSource, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if s, ok := h.spaces[spec.Name]; ok {
-		return s, nil
+	key := mode + "/" + spec.Name
+	if src, ok := h.sources[key]; ok {
+		return src, nil
 	}
-	s, err := spec.SpaceWith(h.Opts.Scale, ess.Config{
+	src, err := spec.Source(mode, h.Opts.Scale, ess.Config{
 		Res: h.Opts.Res, Exact: h.Opts.Exact, Theta: h.Opts.Theta,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building %s: %w", spec.Name, err)
+		return nil, fmt.Errorf("experiments: building %s (%s): %w", spec.Name, mode, err)
 	}
-	h.spaces[spec.Name] = s
-	return s, nil
+	h.sources[key] = src
+	return src, nil
+}
+
+// space returns the (cached) eager search space of a workload spec, for
+// the experiments that read the dense cost surface directly.
+func (h *Harness) space(spec workload.Spec) (*ess.Space, error) {
+	src, err := h.source(spec, "eager")
+	if err != nil {
+		return nil, err
+	}
+	return src.(*ess.Space), nil
 }
 
 // compiled returns the (cached) compiled artifact of a workload spec,
 // backed by the Options.EssMode contour provider.
 func (h *Harness) compiled(spec workload.Spec) (*core.Compiled, error) {
-	switch h.Opts.EssMode {
-	case "eager":
-	case "lazy":
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if c, ok := h.artifacts[spec.Name]; ok {
-			return c, nil
-		}
-		ls, err := spec.LazySpaceWith(h.Opts.Scale, ess.Config{
-			Res: h.Opts.Res, Exact: h.Opts.Exact, Theta: h.Opts.Theta,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: building %s (lazy): %w", spec.Name, err)
-		}
-		c, err := core.CompileSource(ls, core.CompileOptions{Lambda: h.Opts.Lambda})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: compiling %s: %w", spec.Name, err)
-		}
-		h.artifacts[spec.Name] = c
-		return c, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown EssMode %q (eager|lazy)", h.Opts.EssMode)
-	}
-	s, err := h.space(spec)
+	src, err := h.source(spec, h.Opts.EssMode)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +121,7 @@ func (h *Harness) compiled(spec workload.Spec) (*core.Compiled, error) {
 	if c, ok := h.artifacts[spec.Name]; ok {
 		return c, nil
 	}
-	c, err := core.Compile(s, core.CompileOptions{Lambda: h.Opts.Lambda})
+	c, err := core.CompileSource(src, core.CompileOptions{Lambda: h.Opts.Lambda})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: compiling %s: %w", spec.Name, err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
@@ -153,5 +154,47 @@ func TestDifferentialLazyESSConcurrent(t *testing.T) {
 			t.Fatalf("qa=%d: %v", qa, errs[qa])
 		}
 		p.compareLazyOutcomes(t, "concurrent", baseline[qa], outs[qa])
+	}
+}
+
+// The bake-off and throughput drivers read the compiled artifact's grid
+// through its ContourSource, so an artifact compiled over a demand-
+// driven LazySpace runs them like an eager one (both used to dereference
+// an eager-only field and crash on a lazy artifact).
+func TestLazyArtifactDrivesBakeoffAndThroughput(t *testing.T) {
+	spec, err := workload.ByName("2D_Q91")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := spec.LazySpaceWith(1.0, ess.Config{Res: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.CompileSource(ls, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bake, err := Bakeoff(c, spec.Name, BakeoffOptions{Strategies: []string{"spillbound", "planbouquet"}})
+	if err != nil {
+		t.Fatalf("lazy bake-off: %v", err)
+	}
+	if bake.D != 2 || bake.Res != 6 || bake.Points != 36 || len(bake.Rows) != 2 {
+		t.Fatalf("lazy bake-off swept D=%d res=%d points=%d rows=%d", bake.D, bake.Res, bake.Points, len(bake.Rows))
+	}
+	for _, row := range bake.Rows {
+		if !row.HasGuarantee || row.MSOe < 1 || row.MSOe > row.Guarantee {
+			t.Errorf("%s over the lazy source: MSOe %v outside [1, guarantee %v]", row.Strategy, row.MSOe, row.Guarantee)
+		}
+	}
+
+	for _, latency := range []time.Duration{0, 50 * time.Microsecond} {
+		res, err := Throughput(c, ThroughputOptions{Runs: 8, Parallel: 2, ExecLatency: latency})
+		if err != nil {
+			t.Fatalf("lazy throughput (latency %v): %v", latency, err)
+		}
+		if res.Runs != 8 || res.TotalSteps == 0 {
+			t.Fatalf("lazy throughput (latency %v): implausible result %+v", latency, res)
+		}
 	}
 }

@@ -113,7 +113,7 @@ type ThroughputResult struct {
 // mix regardless of parallelism.
 func Throughput(c *core.Compiled, opts ThroughputOptions) (*ThroughputResult, error) {
 	opts = opts.withDefaults()
-	n := c.Space.Grid.NumPoints()
+	n := c.Source.Geometry().NumPoints()
 	lats := make([]time.Duration, opts.Runs)
 	steps := make([]int, opts.Runs)
 	retries := make([]int, opts.Runs)
@@ -191,30 +191,12 @@ func Throughput(c *core.Compiled, opts ThroughputOptions) (*ThroughputResult, er
 	return res, nil
 }
 
-// discoverLatent is Run.Discover with the simulated engine behind a
-// discovery.Latent delay (and, with faults armed, behind the faulty
-// engine plus the resilient driver, as in Run.Discover). A non-empty
-// strategy name routes through the strategy registry instead of the
-// algorithm dispatch, on the identical engine stack.
+// discoverLatent is Run.Discover on the shared sim stack with the
+// per-execution engine latency added (discovery.NewSimStack). A
+// non-empty strategy name routes through the strategy registry instead
+// of the algorithm dispatch, on the identical engine stack.
 func discoverLatent(r *core.Run, alg core.Algorithm, strategy string, qa int32, delay time.Duration) (*core.Outcome, error) {
-	sim := discovery.NewSimEngine(r.Compiled().Space, qa)
-	ctx := r.Context()
-	var eng discovery.Engine
-	if in := r.Faults(); in != nil {
-		lat := discovery.NewLatentFallible(discovery.NewFaultySim(sim, in), delay)
-		res := discovery.NewResilient(lat, discovery.DefaultRetryPolicy).WithJitter(in.Jitter)
-		if ctx != nil {
-			lat.WithContext(ctx)
-			res.WithContext(ctx)
-		}
-		eng = res
-	} else {
-		lat := discovery.NewLatent(sim, delay)
-		if ctx != nil {
-			lat.WithContext(ctx)
-		}
-		eng = lat
-	}
+	eng := discovery.NewSimStack(r.Context(), r.Compiled().Source, qa, r.Faults(), delay)
 	if strategy != "" {
 		return r.DiscoverStrategyWith(strategy, eng)
 	}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/ess"
 )
 
 // metrics holds the server's observability counters, exposed on GET
@@ -125,159 +127,135 @@ func breakerGauge(state string) int {
 	}
 }
 
-// handleMetrics serves the Prometheus text format (version 0.0.4).
+// sample is one exposition line of a metric family: an optional
+// pre-rendered label pair (see label) and the value.
+type sample struct {
+	labels string
+	value  int64
+}
+
+// val is an unlabelled sample.
+func val[T int | int64 | uint64](v T) sample { return sample{value: int64(v)} }
+
+// label renders one escaped label pair for a sample.
+func label(key, value string) string { return key + `="` + sanitizeLabel(value) + `"` }
+
+// writeFamily emits one metric family in the text exposition format:
+// its HELP and TYPE lines, then every sample, as the single contiguous
+// group the format requires of all lines for a given metric.
+func writeFamily(w io.Writer, name, help, typ string, samples ...sample) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, sm := range samples {
+		if sm.labels == "" {
+			fmt.Fprintf(w, "%s %d\n", name, sm.value)
+		} else {
+			fmt.Fprintf(w, "%s{%s} %d\n", name, sm.labels, sm.value)
+		}
+	}
+}
+
+// handleMetrics serves the Prometheus text format (version 0.0.4),
+// family by family.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	fmt.Fprintln(w, "# HELP rqp_queue_depth Requests waiting in the bounded admission queue.")
-	fmt.Fprintln(w, "# TYPE rqp_queue_depth gauge")
-	fmt.Fprintf(w, "rqp_queue_depth %d\n", s.queued.Load())
-
-	fmt.Fprintln(w, "# HELP rqp_inflight Discovery and MSO requests currently executing.")
-	fmt.Fprintln(w, "# TYPE rqp_inflight gauge")
-	fmt.Fprintf(w, "rqp_inflight %d\n", s.metrics.inflight.Load())
-
-	fmt.Fprintln(w, "# HELP rqp_exec_workers Intra-query exec workers reserved by in-flight discoveries.")
-	fmt.Fprintln(w, "# TYPE rqp_exec_workers gauge")
-	fmt.Fprintf(w, "rqp_exec_workers %d\n", s.metrics.execWorkers.Load())
-
-	fmt.Fprintln(w, "# HELP rqp_exec_workers_max Per-request exec_workers cap (Config.MaxExecWorkers).")
-	fmt.Fprintln(w, "# TYPE rqp_exec_workers_max gauge")
-	fmt.Fprintf(w, "rqp_exec_workers_max %d\n", s.cfg.MaxExecWorkers)
-
-	fmt.Fprintln(w, "# HELP rqp_breaker_state Circuit breaker state per workload (0=closed, 1=open, 2=half-open).")
-	fmt.Fprintln(w, "# TYPE rqp_breaker_state gauge")
+	m := s.metrics
 	states := s.snapshotWorkloads()
-	for _, ws := range states {
-		fmt.Fprintf(w, "rqp_breaker_state{workload=\"%s\"} %d\n",
-			sanitizeLabel(ws.name), breakerGauge(ws.breaker.State()))
+
+	writeFamily(w, "rqp_queue_depth", "Requests waiting in the bounded admission queue.", "gauge", val(s.queued.Load()))
+	writeFamily(w, "rqp_inflight", "Discovery and MSO requests currently executing.", "gauge", val(m.inflight.Load()))
+	writeFamily(w, "rqp_exec_workers", "Intra-query exec workers reserved by in-flight discoveries.", "gauge", val(m.execWorkers.Load()))
+	writeFamily(w, "rqp_exec_workers_max", "Per-request exec_workers cap (Config.MaxExecWorkers).", "gauge", val(s.cfg.MaxExecWorkers))
+
+	breakers := make([]sample, len(states))
+	for i, ws := range states {
+		breakers[i] = sample{label("workload", ws.name), int64(breakerGauge(ws.breaker.State()))}
 	}
+	writeFamily(w, "rqp_breaker_state", "Circuit breaker state per workload (0=closed, 1=open, 2=half-open).", "gauge", breakers...)
 
-	cs := s.cache.Stats()
-	fmt.Fprintln(w, "# HELP rqp_cache_entries Artifacts resident in the signature-keyed compile cache.")
-	fmt.Fprintln(w, "# TYPE rqp_cache_entries gauge")
-	fmt.Fprintf(w, "rqp_cache_entries %d\n", cs.Entries)
-	fmt.Fprintln(w, "# HELP rqp_cache_bytes Estimated bytes resident in the compile cache.")
-	fmt.Fprintln(w, "# TYPE rqp_cache_bytes gauge")
-	fmt.Fprintf(w, "rqp_cache_bytes %d\n", cs.Bytes)
-	fmt.Fprintln(w, "# HELP rqp_cache_budget_bytes Compile cache byte budget.")
-	fmt.Fprintln(w, "# TYPE rqp_cache_budget_bytes gauge")
-	fmt.Fprintf(w, "rqp_cache_budget_bytes %d\n", cs.Budget)
-	fmt.Fprintln(w, "# HELP rqp_cache_hits_total Compile cache hits.")
-	fmt.Fprintln(w, "# TYPE rqp_cache_hits_total counter")
-	fmt.Fprintf(w, "rqp_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintln(w, "# HELP rqp_cache_misses_total Compile cache misses.")
-	fmt.Fprintln(w, "# TYPE rqp_cache_misses_total counter")
-	fmt.Fprintf(w, "rqp_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintln(w, "# HELP rqp_cache_evictions_total Compile cache evictions (budget pressure and injected).")
-	fmt.Fprintln(w, "# TYPE rqp_cache_evictions_total counter")
-	fmt.Fprintf(w, "rqp_cache_evictions_total %d\n", cs.Evictions)
-
+	// Both caches are one LRU type with one stats type: one block each.
+	type cacheBlock struct {
+		prefix, noun string
+		stats        core.CacheStats
+	}
+	caches := []cacheBlock{{"rqp_cache", "compile", s.cache.Stats()}}
 	if s.outcomes != nil {
-		os := s.outcomes.Stats()
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_entries Outcomes resident in the deterministic outcome cache.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_entries gauge")
-		fmt.Fprintf(w, "rqp_outcome_cache_entries %d\n", os.Entries)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_bytes Estimated bytes resident in the outcome cache.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_bytes gauge")
-		fmt.Fprintf(w, "rqp_outcome_cache_bytes %d\n", os.Bytes)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_budget_bytes Outcome cache byte budget.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_budget_bytes gauge")
-		fmt.Fprintf(w, "rqp_outcome_cache_budget_bytes %d\n", os.Budget)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_hits_total Discover requests served from cached outcome bytes.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_hits_total counter")
-		fmt.Fprintf(w, "rqp_outcome_cache_hits_total %d\n", os.Hits)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_misses_total Discover requests that executed because no cached outcome matched.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_misses_total counter")
-		fmt.Fprintf(w, "rqp_outcome_cache_misses_total %d\n", os.Misses)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_evictions_total Outcome cache evictions (budget pressure, epoch churn, and injected).")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_evictions_total counter")
-		fmt.Fprintf(w, "rqp_outcome_cache_evictions_total %d\n", os.Evictions)
-		fmt.Fprintln(w, "# HELP rqp_outcome_cache_inserts_total Outcomes installed in the cache.")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_cache_inserts_total counter")
-		fmt.Fprintf(w, "rqp_outcome_cache_inserts_total %d\n", os.Inserts)
-		fmt.Fprintln(w, "# HELP rqp_outcome_chaos_evicts_total Injected outcome-cache evictions (outcome.evict site).")
-		fmt.Fprintln(w, "# TYPE rqp_outcome_chaos_evicts_total counter")
-		fmt.Fprintf(w, "rqp_outcome_chaos_evicts_total %d\n", s.metrics.outcomeChaosEvicts.Load())
+		caches = append(caches, cacheBlock{"rqp_outcome_cache", "outcome", s.outcomes.Stats()})
+	}
+	for _, c := range caches {
+		st := c.stats
+		writeFamily(w, c.prefix+"_entries", "Entries resident in the "+c.noun+" cache.", "gauge", val(st.Entries))
+		writeFamily(w, c.prefix+"_bytes", "Estimated bytes resident in the "+c.noun+" cache.", "gauge", val(st.Bytes))
+		writeFamily(w, c.prefix+"_budget_bytes", "Byte budget of the "+c.noun+" cache.", "gauge", val(st.Budget))
+		writeFamily(w, c.prefix+"_hits_total", "Lookups the "+c.noun+" cache served.", "counter", val(st.Hits))
+		writeFamily(w, c.prefix+"_misses_total", "Lookups the "+c.noun+" cache missed.", "counter", val(st.Misses))
+		writeFamily(w, c.prefix+"_evictions_total", "Evictions from the "+c.noun+" cache (budget pressure and injected).", "counter", val(st.Evictions))
+		writeFamily(w, c.prefix+"_inserts_total", "Entries installed in the "+c.noun+" cache.", "counter", val(st.Inserts))
+	}
+	if s.outcomes != nil {
+		writeFamily(w, "rqp_outcome_chaos_evicts_total", "Injected outcome-cache evictions (outcome.evict site).", "counter", val(m.outcomeChaosEvicts.Load()))
 	}
 
-	fmt.Fprintln(w, "# HELP rqp_encode_errors_total Response encode/write failures (previously discarded silently).")
-	fmt.Fprintln(w, "# TYPE rqp_encode_errors_total counter")
-	fmt.Fprintf(w, "rqp_encode_errors_total %d\n", s.metrics.encodeErrors.Load())
-
-	fmt.Fprintln(w, "# HELP rqp_compiles_total On-demand artifact compiles completed.")
-	fmt.Fprintln(w, "# TYPE rqp_compiles_total counter")
-	fmt.Fprintf(w, "rqp_compiles_total %d\n", s.metrics.compiles.Load())
-	fmt.Fprintln(w, "# HELP rqp_coalesce_waits_total Requests that joined an in-flight compile instead of starting one.")
-	fmt.Fprintln(w, "# TYPE rqp_coalesce_waits_total counter")
-	fmt.Fprintf(w, "rqp_coalesce_waits_total %d\n", s.metrics.coalesceWaits.Load())
-	fmt.Fprintln(w, "# HELP rqp_coalesce_leader_faults_total Injected compile-flight leader faults.")
-	fmt.Fprintln(w, "# TYPE rqp_coalesce_leader_faults_total counter")
-	fmt.Fprintf(w, "rqp_coalesce_leader_faults_total %d\n", s.metrics.leaderFaults.Load())
+	writeFamily(w, "rqp_encode_errors_total", "Response encode/write failures (previously discarded silently).", "counter", val(m.encodeErrors.Load()))
+	writeFamily(w, "rqp_compiles_total", "On-demand artifact compiles completed.", "counter", val(m.compiles.Load()))
+	writeFamily(w, "rqp_coalesce_waits_total", "Requests that joined an in-flight compile instead of starting one.", "counter", val(m.coalesceWaits.Load()))
+	writeFamily(w, "rqp_coalesce_leader_faults_total", "Injected compile-flight leader faults.", "counter", val(m.leaderFaults.Load()))
 
 	if s.ring != nil {
-		fmt.Fprintln(w, "# HELP rqp_peer_up Last known liveness per shard-out peer (1=up).")
-		fmt.Fprintln(w, "# TYPE rqp_peer_up gauge")
 		up := s.peers.snapshotUp(s.ring.peers)
-		for _, peer := range s.ring.peers {
-			v := 0
+		peers := make([]sample, len(s.ring.peers))
+		for i, peer := range s.ring.peers {
+			peers[i] = sample{labels: label("peer", peer)}
 			if up[peer] {
-				v = 1
+				peers[i].value = 1
 			}
-			fmt.Fprintf(w, "rqp_peer_up{peer=\"%s\"} %d\n", sanitizeLabel(peer), v)
 		}
-		fmt.Fprintln(w, "# HELP rqp_forwards_total Requests proxied to their signature's owner replica.")
-		fmt.Fprintln(w, "# TYPE rqp_forwards_total counter")
-		fmt.Fprintf(w, "rqp_forwards_total %d\n", s.metrics.forwards.Load())
-		fmt.Fprintln(w, "# HELP rqp_failovers_total Owner replicas skipped as down during request routing.")
-		fmt.Fprintln(w, "# TYPE rqp_failovers_total counter")
-		fmt.Fprintf(w, "rqp_failovers_total %d\n", s.metrics.failovers.Load())
+		writeFamily(w, "rqp_peer_up", "Last known liveness per shard-out peer (1=up).", "gauge", peers...)
+		writeFamily(w, "rqp_forwards_total", "Requests proxied to their signature's owner replica.", "counter", val(m.forwards.Load()))
+		writeFamily(w, "rqp_failovers_total", "Owner replicas skipped as down during request routing.", "counter", val(m.failovers.Load()))
 	}
 
-	fmt.Fprintln(w, "# HELP rqp_refine_observations_total Spill selectivity observations fed into lazy ESS surfaces.")
-	fmt.Fprintln(w, "# TYPE rqp_refine_observations_total counter")
-	fmt.Fprintf(w, "rqp_refine_observations_total %d\n", s.metrics.refineObs.Load())
-
-	fmt.Fprintln(w, "# HELP rqp_refined_points_total Lazy ESS point values changed by online refinement.")
-	fmt.Fprintln(w, "# TYPE rqp_refined_points_total counter")
-	fmt.Fprintf(w, "rqp_refined_points_total %d\n", s.metrics.refinedPoints.Load())
+	writeFamily(w, "rqp_refine_observations_total", "Spill selectivity observations fed into lazy ESS surfaces.", "counter", val(m.refineObs.Load()))
+	writeFamily(w, "rqp_refined_points_total", "Lazy ESS point values changed by online refinement.", "counter", val(m.refinedPoints.Load()))
 
 	// Demand-driven sources expose their work profile per workload; the
 	// section is empty when every workload is eager.
-	lazyHeader := false
+	var lazyLabels []string
+	var lazyProfs []ess.BuildProfile
 	for _, ws := range states {
 		ws.mu.RLock()
 		lz := ws.lazy
 		ws.mu.RUnlock()
-		if lz == nil {
-			continue
+		if lz != nil {
+			lazyLabels = append(lazyLabels, label("workload", ws.name))
+			lazyProfs = append(lazyProfs, lz.Profile())
 		}
-		if !lazyHeader {
-			lazyHeader = true
-			fmt.Fprintln(w, "# HELP rqp_lazy_settled_points Grid points settled by the demand-driven ESS, per workload.")
-			fmt.Fprintln(w, "# TYPE rqp_lazy_settled_points gauge")
+	}
+	if len(lazyProfs) > 0 {
+		per := func(get func(ess.BuildProfile) int64) []sample {
+			samples := make([]sample, len(lazyProfs))
+			for i, p := range lazyProfs {
+				samples[i] = sample{lazyLabels[i], get(p)}
+			}
+			return samples
 		}
-		name := sanitizeLabel(ws.name)
-		prof := lz.Profile()
-		fmt.Fprintf(w, "rqp_lazy_settled_points{workload=\"%s\"} %d\n", name, prof.Settled)
-		fmt.Fprintf(w, "rqp_lazy_contour_hits_total{workload=\"%s\"} %d\n", name, prof.Hits)
-		fmt.Fprintf(w, "rqp_lazy_contour_misses_total{workload=\"%s\"} %d\n", name, prof.Misses)
-		fmt.Fprintf(w, "rqp_lazy_refinement_rounds_total{workload=\"%s\"} %d\n", name, prof.Refinements)
-		fmt.Fprintf(w, "rqp_lazy_epoch{workload=\"%s\"} %d\n", name, prof.Epoch)
-		fmt.Fprintf(w, "rqp_lazy_delta_appends_total{workload=\"%s\"} %d\n", name, prof.DeltaAppends)
-		fmt.Fprintf(w, "rqp_lazy_delta_points_total{workload=\"%s\"} %d\n", name, prof.DeltaPoints)
-		fmt.Fprintf(w, "rqp_lazy_delta_bytes_total{workload=\"%s\"} %d\n", name, prof.DeltaBytes)
+		writeFamily(w, "rqp_lazy_settled_points", "Grid points settled by the demand-driven ESS, per workload.", "gauge", per(func(p ess.BuildProfile) int64 { return int64(p.Settled) })...)
+		writeFamily(w, "rqp_lazy_contour_hits_total", "Settled-point cache hits on the lazy ESS point accessors.", "counter", per(func(p ess.BuildProfile) int64 { return p.Hits })...)
+		writeFamily(w, "rqp_lazy_contour_misses_total", "Points the lazy ESS settled on first touch.", "counter", per(func(p ess.BuildProfile) int64 { return p.Misses })...)
+		writeFamily(w, "rqp_lazy_refinement_rounds_total", "Online refinement rounds applied to the lazy ESS surface.", "counter", per(func(p ess.BuildProfile) int64 { return p.Refinements })...)
+		writeFamily(w, "rqp_lazy_epoch", "Current refinement epoch of the lazy ESS surface.", "gauge", per(func(p ess.BuildProfile) int64 { return int64(p.Epoch) })...)
+		writeFamily(w, "rqp_lazy_delta_appends_total", "Refinement deltas durably appended to the lazy snapshot.", "counter", per(func(p ess.BuildProfile) int64 { return p.DeltaAppends })...)
+		writeFamily(w, "rqp_lazy_delta_points_total", "Point values carried by appended refinement deltas.", "counter", per(func(p ess.BuildProfile) int64 { return p.DeltaPoints })...)
+		writeFamily(w, "rqp_lazy_delta_bytes_total", "Framed bytes of appended refinement deltas.", "counter", per(func(p ess.BuildProfile) int64 { return p.DeltaBytes })...)
 	}
 
-	fmt.Fprintln(w, "# HELP rqp_requests_total Discovery and MSO requests routed, per strategy.")
-	fmt.Fprintln(w, "# TYPE rqp_requests_total counter")
-	names := make([]string, 0, len(s.metrics.byStrategy))
-	for name := range s.metrics.byStrategy {
+	names := make([]string, 0, len(m.byStrategy))
+	for name := range m.byStrategy {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "rqp_requests_total{strategy=\"%s\"} %d\n",
-			sanitizeLabel(name), s.metrics.byStrategy[name].Load())
+	requests := make([]sample, len(names))
+	for i, name := range names {
+		requests[i] = sample{label("strategy", name), m.byStrategy[name].Load()}
 	}
+	writeFamily(w, "rqp_requests_total", "Discovery and MSO requests routed, per strategy.", "counter", requests...)
 }

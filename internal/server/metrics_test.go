@@ -141,6 +141,50 @@ func TestMetricsLazyDeltaCounters(t *testing.T) {
 	}
 }
 
+// The text exposition format wants all lines of one metric in a single
+// group, announced by its TYPE line. With two lazy workloads a
+// per-workload loop over the rqp_lazy_* series interleaves the families
+// and leaves most of them untyped; every sample on the page must follow
+// its own family's TYPE line with no other family in between, and no
+// family may appear twice.
+func TestMetricsExpositionWellFormed(t *testing.T) {
+	cfg := lazyConfig(t)
+	cfg.Workloads = []string{"EQ", "2D_Q91"}
+	s := newTestServer(t, cfg)
+	_, page := getBody(t, s.Handler(), "/metrics")
+
+	current := ""
+	closed := map[string]bool{} // families whose group has ended
+	perFamily := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(page), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			if closed[name] || name == current {
+				t.Fatalf("family %s announced twice:\n%s", name, page)
+			}
+			closed[current], current = true, name
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if name != current {
+			t.Fatalf("sample %q is outside its family's group (current TYPE: %q):\n%s", line, current, page)
+		}
+		perFamily[name]++
+	}
+	for _, name := range []string{
+		"rqp_lazy_settled_points", "rqp_lazy_contour_hits_total", "rqp_lazy_contour_misses_total",
+		"rqp_lazy_refinement_rounds_total", "rqp_lazy_epoch", "rqp_lazy_delta_appends_total",
+		"rqp_lazy_delta_points_total", "rqp_lazy_delta_bytes_total",
+	} {
+		if perFamily[name] != 2 {
+			t.Errorf("%s has %d samples, want one per lazy workload", name, perFamily[name])
+		}
+	}
+}
+
 // sanitizeLabel escapes exactly the three characters the Prometheus
 // text exposition format defines escapes for — backslash, double
 // quote, newline — and passes everything else (tabs included) through
@@ -153,9 +197,9 @@ func TestSanitizeLabel(t *testing.T) {
 		{`back\slash`, `back\\slash`},
 		{`quo"te`, `quo\"te`},
 		{"new\nline", `new\nline`},
-		{"tab\there", "tab\there"},         // tab is legal in a label value
-		{"utf8-ключ", "utf8-ключ"},         // multibyte passes through
-		{"\\\"\n", `\\\"` + `\n`},          // all three escapes adjacent
+		{"tab\there", "tab\there"}, // tab is legal in a label value
+		{"utf8-ключ", "utf8-ключ"}, // multibyte passes through
+		{"\\\"\n", `\\\"` + `\n`},  // all three escapes adjacent
 		{`a\b"c` + "\nd", `a\\b\"c` + `\nd`},
 	}
 	for _, tc := range cases {

@@ -11,11 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/faultinject"
-	"repro/internal/optimizer"
-	"repro/internal/stats"
 )
 
 // This file is the shard-out arm of the server: with -peers configured,
@@ -255,29 +252,22 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0)
 		return
 	}
-	ws.mu.RLock()
-	lazy := ws.lazy
-	compiled := ws.compiled
-	ws.mu.RUnlock()
+	compiled, _ := ws.artifact()
 	if compiled == nil && ws.onDemand {
-		if art, ok := s.cache.Peek(ws.sigKey); ok {
-			compiled = art
-		}
+		compiled, _ = s.cache.Peek(ws.sigKey)
 	}
-	switch {
-	case lazy != nil:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := lazy.Save(w); err != nil {
-			s.cfg.Logf("server: streaming %s lazy snapshot: %v", name, err)
-		}
-	case compiled != nil && compiled.Space != nil:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := compiled.Space.Save(w); err != nil {
-			s.cfg.Logf("server: streaming %s snapshot: %v", name, err)
-		}
-	default:
+	var sn snapshotter
+	if compiled != nil {
+		sn, _ = compiled.Source.(snapshotter)
+	}
+	if sn == nil {
 		s.writeError(w, http.StatusServiceUnavailable, KindBuilding,
 			fmt.Sprintf("workload %s has no resident snapshot", name), time.Second)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := sn.Save(w); err != nil {
+		s.cfg.Logf("server: streaming %s snapshot: %v", name, err)
 	}
 }
 
@@ -288,12 +278,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // serving path. Returns nil when no peer could supply a usable
 // snapshot (the caller builds cold).
 func (s *Server) fetchPeerSnapshot(ws *workloadState) *ess.Space {
-	q, err := ws.spec.Load(s.cfg.Scale)
+	q, env, model, err := ws.spec.Bind(s.cfg.Scale)
 	if err != nil {
 		return nil
 	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	model := cost.NewModel(cost.DefaultParams())
 	wantRes := s.cfg.Res
 	if wantRes <= 0 {
 		wantRes = ws.spec.Res

@@ -29,13 +29,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
-	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/mso"
-	"repro/internal/optimizer"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -248,18 +245,19 @@ func (ws *workloadState) isLazy() bool {
 	return ws.lazy != nil
 }
 
-// epoch returns the workload's ESS refinement epoch: the lazy surface's
-// current epoch, or 0 — the frozen forever value — for eager workloads.
+// epoch returns the workload's ESS refinement epoch: the source's
+// current epoch — 0, the frozen forever value, for eager spaces and for
+// on-demand tenants, whose (always eager) artifact lives in the cache.
 // Outcome-cache keys carry it so online refinement invalidates every
 // outcome computed against the older contour surface.
 func (ws *workloadState) epoch() uint64 {
 	ws.mu.RLock()
-	lz := ws.lazy
+	c := ws.compiled
 	ws.mu.RUnlock()
-	if lz == nil {
+	if c == nil {
 		return 0
 	}
-	return lz.Epoch()
+	return c.Source.Epoch()
 }
 
 func (ws *workloadState) status() string {
@@ -340,8 +338,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.OutcomeCacheBytes >= 0 {
 		s.outcomes = core.NewOutcomeCache(cfg.OutcomeCacheBytes)
 	}
-	if cfg.ESSMode != "eager" && cfg.ESSMode != "lazy" {
-		return nil, fmt.Errorf("server: unknown ESS mode %q (want eager or lazy)", cfg.ESSMode)
+	if err := workload.CheckMode(cfg.ESSMode); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.FaultRate > 0 {
 		s.faults = faultinject.NewUniform(cfg.FaultSeed, cfg.FaultRate)
@@ -397,139 +395,94 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildWorkload warm-loads the workload's snapshot if one exists (and
-// verifies it strictly), quarantining and rebuilding on any corruption,
-// then persists fresh builds atomically. In lazy mode the snapshot is
-// the sparse base frame plus refinement deltas; a torn delta tail from
-// a crashed append quarantines and rebuilds exactly like a corrupt
-// base.
-func (s *Server) buildWorkload(ws *workloadState) {
-	defer close(ws.ready)
-	if s.cfg.ESSMode == "lazy" {
-		s.buildLazyWorkload(ws)
-		return
-	}
-	var snapPath string
-	if s.cfg.SnapshotDir != "" {
-		snapPath = filepath.Join(s.cfg.SnapshotDir, ws.name+".snap")
-		if sp, ok := s.warmLoad(ws, snapPath); ok {
-			s.install(ws, sp, true)
-			return
-		}
-	}
-	// Shard-out warm fan-out: a restarted replica rebuilds from its
-	// peers' snapshot streams before paying a cold build.
-	if s.ring != nil {
-		if sp := s.fetchPeerSnapshot(ws); sp != nil {
-			if snapPath != "" {
-				if err := sp.SaveFileWith(snapPath, s.faults); err != nil {
-					s.cfg.Logf("server: persisting %s fan-out snapshot: %v", ws.name, err)
-				}
-			}
-			s.install(ws, sp, true)
-			return
-		}
-	}
-	sp, err := ws.spec.SpaceWith(s.cfg.Scale, ess.Config{Res: s.cfg.Res})
-	if err != nil {
-		ws.mu.Lock()
-		ws.buildErr = err
-		ws.mu.Unlock()
-		s.cfg.Logf("server: building %s: %v", ws.name, err)
-		return
-	}
-	if snapPath != "" {
-		if err := sp.SaveFileWith(snapPath, s.faults); err != nil {
-			s.cfg.Logf("server: persisting %s snapshot: %v (serving from memory)", ws.name, err)
-		}
-	}
-	s.install(ws, sp, false)
+// snapshotter is the persistence half both contour providers implement
+// beside ess.ContourSource: the framed snapshot stream and its atomic
+// publish to a file.
+type snapshotter interface {
+	Save(w io.Writer) error
+	SaveFileWith(path string, in *faultinject.Injector) error
 }
 
-// buildLazyWorkload is buildWorkload's demand-driven arm. Lazy
-// snapshots live beside the eager ones under a distinct suffix, so
-// flipping -ess-mode never quarantines the other mode's valid artifact.
-func (s *Server) buildLazyWorkload(ws *workloadState) {
+// buildWorkload is the one path from a spec to a published artifact,
+// whatever the ESS mode: warm-load the workload's snapshot if one exists
+// (strictly verified; anything corrupt is quarantined aside), else — in
+// shard-out mode — warm from a peer, else build cold and persist the
+// fresh build atomically; then compile and publish. Lazy snapshots (a
+// sparse base frame plus refinement deltas) live beside the eager ones
+// under a distinct suffix, so flipping -ess-mode never quarantines the
+// other mode's valid artifact.
+func (s *Server) buildWorkload(ws *workloadState) {
+	defer close(ws.ready)
+	mode := s.cfg.ESSMode
 	var snapPath string
 	if s.cfg.SnapshotDir != "" {
-		snapPath = filepath.Join(s.cfg.SnapshotDir, ws.name+".lazy.snap")
-		if ls, ok := s.warmLoadLazy(ws, snapPath); ok {
-			s.installLazy(ws, ls, snapPath, true)
+		suffix := ".snap"
+		if mode == "lazy" {
+			suffix = ".lazy.snap"
+		}
+		snapPath = filepath.Join(s.cfg.SnapshotDir, ws.name+suffix)
+		if src, ok := s.warmLoad(ws, snapPath); ok {
+			s.install(ws, src, snapPath, true)
 			return
 		}
 	}
-	ls, err := ws.spec.LazySpaceWith(s.cfg.Scale, ess.Config{Res: s.cfg.Res})
-	if err != nil {
-		ws.mu.Lock()
-		ws.buildErr = err
-		ws.mu.Unlock()
-		s.cfg.Logf("server: building %s (lazy): %v", ws.name, err)
-		return
+	var src ess.ContourSource
+	warm := false
+	// Shard-out warm fan-out: a restarted replica rebuilds from its
+	// peers' snapshot streams before paying a cold build. Peers stream
+	// dense frames to dense loaders only; a lazy replica builds its own
+	// (cheap) skeleton.
+	if s.ring != nil && mode != "lazy" {
+		if sp := s.fetchPeerSnapshot(ws); sp != nil {
+			src, warm = sp, true
+		}
 	}
-	if snapPath != "" {
-		if err := ls.SaveFileWith(snapPath, s.faults); err != nil {
-			s.cfg.Logf("server: persisting %s lazy snapshot: %v (serving from memory)", ws.name, err)
+	if src == nil {
+		var err error
+		if src, err = ws.spec.Source(mode, s.cfg.Scale, ess.Config{Res: s.cfg.Res}); err != nil {
+			ws.mu.Lock()
+			ws.buildErr = err
+			ws.mu.Unlock()
+			s.cfg.Logf("server: building %s (%s): %v", ws.name, mode, err)
+			return
+		}
+	}
+	if sn, ok := src.(snapshotter); ok && snapPath != "" {
+		if err := sn.SaveFileWith(snapPath, s.faults); err != nil {
+			s.cfg.Logf("server: persisting %s %s snapshot: %v (serving from memory)", ws.name, mode, err)
 			snapPath = "" // no base on disk: delta appends would be orphaned
 		}
 	}
-	s.installLazy(ws, ls, snapPath, false)
+	s.install(ws, src, snapPath, warm)
 }
 
-// warmLoadLazy mirrors warmLoad for sparse snapshots: strict
-// verification, a clean miss on absence or a res mismatch, and
-// quarantine-and-rebuild on anything else — including the ErrCorrupt a
-// torn refinement-delta tail produces.
-func (s *Server) warmLoadLazy(ws *workloadState, path string) (*ess.LazySpace, bool) {
-	q, err := ws.spec.Load(s.cfg.Scale)
+// warmLoad tries the snapshot at path with strict verification, through
+// the loader of the server's ESS mode. A missing file is a clean miss,
+// as is a structurally valid snapshot built at a different grid
+// resolution than the one configured (a stale artifact from before a
+// -res change — the rebuild overwrites it); anything else — including
+// the ErrCorrupt a torn refinement-delta tail produces — quarantines the
+// file aside (rename, preserving the evidence) and reports a miss so the
+// caller rebuilds.
+func (s *Server) warmLoad(ws *workloadState, path string) (ess.ContourSource, bool) {
+	q, env, model, err := ws.spec.Bind(s.cfg.Scale)
 	if err != nil {
 		return nil, false
 	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	model := cost.NewModel(cost.DefaultParams())
-	ls, err := ess.LoadLazyFile(path, q, env, model,
-		ess.Config{Res: s.cfg.Res}, ess.LoadOptions{Strict: true})
-	if err == nil {
-		wantRes := s.cfg.Res
-		if wantRes <= 0 {
-			wantRes = ws.spec.Res
+	mode := s.cfg.ESSMode
+	strict := ess.LoadOptions{Strict: true}
+	var src ess.ContourSource // stays nil on error: no typed nil pointer inside
+	if mode == "lazy" {
+		var ls *ess.LazySpace
+		if ls, err = ess.LoadLazyFile(path, q, env, model, ess.Config{Res: s.cfg.Res}, strict); err == nil {
+			src = ls
 		}
-		if ls.Geometry().Res != wantRes {
-			s.cfg.Logf("server: %s lazy snapshot has res %d, config wants %d; rebuilding",
-				ws.name, ls.Geometry().Res, wantRes)
-			return nil, false
+	} else {
+		var sp *ess.Space
+		if sp, err = ess.LoadFile(path, q, env, model, strict); err == nil {
+			src = sp
 		}
-		s.cfg.Logf("server: %s warm-loaded (lazy, %d settled) from %s",
-			ws.name, ls.Profile().Settled, path)
-		return ls, true
 	}
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false
-	}
-	qpath := path + ".quarantined"
-	if rerr := os.Rename(path, qpath); rerr != nil {
-		qpath = ""
-	}
-	ws.mu.Lock()
-	ws.quarantined = qpath
-	ws.mu.Unlock()
-	s.cfg.Logf("server: %s lazy snapshot rejected (%v); quarantined to %q, rebuilding", ws.name, err, qpath)
-	return nil, false
-}
-
-// warmLoad tries the snapshot at path with strict verification. A
-// missing file is a clean miss, as is a structurally valid snapshot
-// built at a different grid resolution than the one configured (a stale
-// artifact from before a -res change — the rebuild overwrites it);
-// anything else quarantines the file aside (rename, preserving the
-// evidence) and reports a miss so the caller rebuilds.
-func (s *Server) warmLoad(ws *workloadState, path string) (*ess.Space, bool) {
-	q, err := ws.spec.Load(s.cfg.Scale)
-	if err != nil {
-		return nil, false
-	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	model := cost.NewModel(cost.DefaultParams())
-	sp, err := ess.LoadFile(path, q, env, model, ess.LoadOptions{Strict: true})
 	if err == nil {
 		// Strict recosting already pins the snapshot to this scale's
 		// catalog; the grid resolution must also match what we would
@@ -538,13 +491,14 @@ func (s *Server) warmLoad(ws *workloadState, path string) (*ess.Space, bool) {
 		if wantRes <= 0 {
 			wantRes = ws.spec.Res
 		}
-		if sp.Grid.Res != wantRes {
-			s.cfg.Logf("server: %s snapshot has res %d, config wants %d; rebuilding",
-				ws.name, sp.Grid.Res, wantRes)
+		if got := src.Geometry().Res; got != wantRes {
+			s.cfg.Logf("server: %s %s snapshot has res %d, config wants %d; rebuilding",
+				ws.name, mode, got, wantRes)
 			return nil, false
 		}
-		s.cfg.Logf("server: %s warm-loaded from %s", ws.name, path)
-		return sp, true
+		s.cfg.Logf("server: %s warm-loaded (%s, %d settled) from %s",
+			ws.name, mode, src.Profile().Settled, path)
+		return src, true
 	}
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false
@@ -556,13 +510,16 @@ func (s *Server) warmLoad(ws *workloadState, path string) (*ess.Space, bool) {
 	ws.mu.Lock()
 	ws.quarantined = qpath
 	ws.mu.Unlock()
-	s.cfg.Logf("server: %s snapshot rejected (%v); quarantined to %q, rebuilding", ws.name, err, qpath)
+	s.cfg.Logf("server: %s %s snapshot rejected (%v); quarantined to %q, rebuilding", ws.name, mode, err, qpath)
 	return nil, false
 }
 
-// install compiles the space and publishes the artifact.
-func (s *Server) install(ws *workloadState, sp *ess.Space, warm bool) {
-	c, err := core.Compile(sp, core.CompileOptions{})
+// install compiles over the source and publishes the artifact. What is
+// genuinely lazy-only hangs off the one type assertion here: the
+// refinement feed's handle and the delta-persistence watermark (primed
+// to what the base frame on disk already holds).
+func (s *Server) install(ws *workloadState, src ess.ContourSource, snapPath string, warm bool) {
+	c, err := core.CompileSource(src, core.CompileOptions{})
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if err != nil {
@@ -571,26 +528,13 @@ func (s *Server) install(ws *workloadState, sp *ess.Space, warm bool) {
 	}
 	ws.compiled = c
 	ws.warmLoaded = warm
-}
-
-// installLazy compiles over the demand-driven source and publishes the
-// artifact plus the delta-persistence watermark (primed to what the
-// base frame on disk already holds).
-func (s *Server) installLazy(ws *workloadState, ls *ess.LazySpace, snapPath string, warm bool) {
-	c, err := core.CompileSource(ls, core.CompileOptions{})
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if err != nil {
-		ws.buildErr = err
-		return
-	}
-	ws.compiled = c
-	ws.warmLoaded = warm
-	ws.lazy = ls
-	ws.snapPath = snapPath
-	if snapPath != "" {
-		ws.persistMark = make(map[int32]bool)
-		ls.DeltaSince(ws.persistMark) // the base frame holds these already
+	if ls, ok := src.(*ess.LazySpace); ok {
+		ws.lazy = ls
+		ws.snapPath = snapPath
+		if snapPath != "" {
+			ws.persistMark = make(map[int32]bool)
+			ls.DeltaSince(ws.persistMark) // the base frame holds these already
+		}
 	}
 }
 
@@ -1081,6 +1025,46 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), d)
 }
 
+// rejectDraining writes the typed 503 of a draining server, reporting
+// whether it did; both request handlers check it before reading a byte.
+func (s *Server) rejectDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.writeError(w, http.StatusServiceUnavailable, KindDraining, "server draining", time.Second)
+	return true
+}
+
+// enter is the admission prologue /discover and /mso share once a
+// request has resolved its workload: the breaker's Allow, the
+// per-request deadline context, and the bounded admission queue. With
+// ok false the typed rejection is already written — 503 breaker-open,
+// 429 shed, or 504 for a deadline that expired while queued — and a
+// breaker slot taken by Allow is already returned with Cancel. With ok
+// true the caller owns one breaker Report-or-Cancel and must call
+// release, which frees the execution slot and cancels the context.
+func (s *Server) enter(w http.ResponseWriter, r *http.Request, ws *workloadState, label string, timeoutMS int64) (ctx context.Context, release func(), ok bool) {
+	if allowed, wait := ws.breaker.Allow(); !allowed {
+		s.writeError(w, http.StatusServiceUnavailable, KindBreakerOpen,
+			fmt.Sprintf("workload %s circuit open", label), wait)
+		return nil, nil, false
+	}
+	ctx, cancel := s.requestCtx(r, timeoutMS)
+	free, shed, err := s.admit(ctx)
+	if free != nil {
+		return ctx, func() { free(); cancel() }, true
+	}
+	cancel()
+	ws.breaker.Cancel()
+	if shed {
+		s.writeError(w, http.StatusTooManyRequests, KindShed, "admission queue full", time.Second)
+	} else { // deadline expired while queued
+		s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
+			"deadline expired waiting for an execution slot: "+err.Error(), 0)
+	}
+	return nil, nil, false
+}
+
 // requestInjector builds the deterministic per-request fault substream:
 // a pure function of (server seed, request seed), so any request can be
 // replayed bit for bit by re-sending the same fault_seed. Request-
@@ -1214,8 +1198,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	defer s.metrics.track()()
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, KindDraining, "server draining", time.Second)
+	if s.rejectDraining(w) {
 		return
 	}
 	rb, err := readRequestBody(r)
@@ -1339,29 +1322,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.countRequest(name)
 
-	if allowed, wait := ws.breaker.Allow(); !allowed {
-		s.writeError(w, http.StatusServiceUnavailable, KindBreakerOpen,
-			fmt.Sprintf("workload %s circuit open", req.Workload), wait)
-		return
-	}
-	// Past this point the breaker was told a request is in flight (it
-	// may be the half-open probe): every path below must end in exactly
-	// one Report or Cancel.
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	release, shed, aerr := s.admit(ctx)
-	if shed {
-		ws.breaker.Cancel()
-		s.writeError(w, http.StatusTooManyRequests, KindShed,
-			"admission queue full", time.Second)
-		return
-	}
-	if aerr != nil { // deadline expired while queued
-		ws.breaker.Cancel()
-		s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
-			"deadline expired waiting for an execution slot: "+aerr.Error(), 0)
+	// Past a successful enter the breaker was told a request is in
+	// flight (it may be the half-open probe): every path below must end
+	// in exactly one Report or Cancel.
+	ctx, release, ok := s.enter(w, r, ws, req.Workload, req.TimeoutMS)
+	if !ok {
 		return
 	}
 	defer release()
@@ -1471,32 +1436,22 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	releaseJSONBuf(jb)
 }
 
-// discover runs one deadline-bounded discovery of the named strategy,
-// with the simulated engine behind the configured latency and, when
-// chaos is armed, the fault-injecting engine plus the resilient retry
-// driver (capped exponential backoff with deterministic jitter).
+// discover runs one deadline-bounded discovery of the named strategy on
+// the shared sim stack (discovery.NewSimStack): the simulated engine
+// behind the configured latency and, when chaos is armed, the
+// fault-injecting engine plus the resilient retry driver (capped
+// exponential backoff with deterministic jitter).
 func (s *Server) discover(ctx context.Context, c *core.Compiled, name string, qa int32, in *faultinject.Injector, workers int) (*core.Outcome, error) {
 	r := c.AcquireRun().WithFaults(in).WithContext(ctx).WithExecWorkers(workers)
 	defer core.ReleaseRun(r)
-	if s.cfg.ExecLatency <= 0 {
-		return r.DiscoverStrategy(name, qa)
-	}
-	sim := discovery.NewSimEngine(c.Source, qa)
-	if in != nil {
-		eng := discovery.NewResilient(
-			discovery.NewLatentFallible(discovery.NewFaultySim(sim, in), s.cfg.ExecLatency).WithContext(ctx),
-			discovery.DefaultRetryPolicy).WithJitter(in.Jitter).WithContext(ctx)
-		return r.DiscoverStrategyWith(name, eng)
-	}
-	return r.DiscoverStrategyWith(name, discovery.NewLatent(sim, s.cfg.ExecLatency).WithContext(ctx))
+	return r.DiscoverStrategyWith(name, discovery.NewSimStack(ctx, c.Source, qa, in, s.cfg.ExecLatency))
 }
 
 func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	defer s.metrics.track()()
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, KindDraining, "server draining", time.Second)
+	if s.rejectDraining(w) {
 		return
 	}
 	var req MSORequest
@@ -1524,24 +1479,8 @@ func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.countRequest(string(alg))
-	if allowed, wait := ws.breaker.Allow(); !allowed {
-		s.writeError(w, http.StatusServiceUnavailable, KindBreakerOpen,
-			fmt.Sprintf("workload %s circuit open", req.Workload), wait)
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	release, shed, aerr := s.admit(ctx)
-	if shed {
-		ws.breaker.Cancel()
-		s.writeError(w, http.StatusTooManyRequests, KindShed, "admission queue full", time.Second)
-		return
-	}
-	if aerr != nil {
-		ws.breaker.Cancel()
-		s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
-			"deadline expired waiting for an execution slot: "+aerr.Error(), 0)
+	ctx, release, ok := s.enter(w, r, ws, req.Workload, req.TimeoutMS)
+	if !ok {
 		return
 	}
 	defer release()

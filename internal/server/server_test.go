@@ -218,21 +218,102 @@ func TestAdmissionQueueSheds(t *testing.T) {
 		t.Fatalf("full queue must shed (release=%v shed=%v err=%v)", release != nil, shed, err)
 	}
 
-	// The HTTP surface translates the shed into 429 + Retry-After.
-	rec, body := postJSON(t, s.Handler(), "/discover",
-		DiscoverRequest{Workload: "EQ", Algorithm: "sb", QA: 1})
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("shed status %d: %s", rec.Code, body)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Kind != KindShed {
-		t.Fatalf("shed response untyped: %s", body)
+	// The HTTP surface translates the shed into 429 + Retry-After, on
+	// both admitted endpoints, and hands back what the request took on
+	// its way in: with the circuit half-open each request is the probe,
+	// so a shed that forgot its Cancel would wedge the breaker.
+	ws := halfOpen(s, "EQ")
+	for _, ep := range admittedEndpoints {
+		rec, body := postJSON(t, s.Handler(), ep.path, ep.body(0))
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s: shed status %d: %s", ep.path, rec.Code, body)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s: shed response missing Retry-After", ep.path)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Kind != KindShed {
+			t.Fatalf("%s: shed response untyped: %s", ep.path, body)
+		}
+		assertNothingHeld(t, s, ws, ep.path, 1) // the out-of-band waiter
 	}
 	cancelQueued()
 	<-s.sem // release the out-of-band slot
+}
+
+// admittedEndpoints are the two handlers behind the shared admission
+// prologue, each with a valid request for the EQ workload.
+var admittedEndpoints = []struct {
+	path string
+	body func(timeoutMS int64) any
+}{
+	{"/discover", func(ms int64) any {
+		return DiscoverRequest{Workload: "EQ", Algorithm: "sb", QA: 1, TimeoutMS: ms}
+	}},
+	{"/mso", func(ms int64) any {
+		return MSORequest{Workload: "EQ", Algorithm: "sb", TimeoutMS: ms}
+	}},
+}
+
+// halfOpen puts the workload's breaker one Allow away from half-open
+// (open, cooldown long past), so the next admitted request is the probe.
+func halfOpen(s *Server, name string) *workloadState {
+	ws := s.workloads[name]
+	ws.breaker.mu.Lock()
+	ws.breaker.state, ws.breaker.openedAt, ws.breaker.probing = breakerOpen, time.Time{}, false
+	ws.breaker.mu.Unlock()
+	return ws
+}
+
+// assertNothingHeld checks that a rejected request returned everything
+// the prologue handed it: no in-flight count, no queue seat beyond the
+// waiters the test parked itself, and no breaker probe slot.
+func assertNothingHeld(t *testing.T, s *Server, ws *workloadState, path string, parked int64) {
+	t.Helper()
+	if n := s.metrics.inflight.Load(); n != 0 {
+		t.Fatalf("%s: %d requests still counted in flight", path, n)
+	}
+	if n := s.queued.Load(); n != parked {
+		t.Fatalf("%s: queue depth %d, want %d", path, n, parked)
+	}
+	ws.breaker.mu.Lock()
+	state, probing := ws.breaker.state, ws.breaker.probing
+	ws.breaker.mu.Unlock()
+	if state != breakerHalfOpen || probing {
+		t.Fatalf("%s: breaker %v probing=%v, want half-open with the probe slot returned", path, state, probing)
+	}
+}
+
+// A deadline that expires while the request waits for an execution slot
+// is a typed 504 on both admitted endpoints, and returns the queue seat
+// and the breaker probe slot it held.
+func TestQueuedDeadlineReleasesEverything(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxConcurrent = 1
+	cfg.MaxQueue = 4
+	s := newTestServer(t, cfg)
+	s.sem <- struct{}{} // occupy the only slot out-of-band
+	ws := halfOpen(s, "EQ")
+	for _, ep := range admittedEndpoints {
+		rec, body := postJSON(t, s.Handler(), ep.path, ep.body(5))
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: queued-deadline status %d: %s", ep.path, rec.Code, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Kind != KindDeadline {
+			t.Fatalf("%s: queued-deadline response untyped: %s", ep.path, body)
+		}
+		assertNothingHeld(t, s, ws, ep.path, 0)
+	}
+	<-s.sem
+	// The slot and the probe are both free: the next request runs, and
+	// as the half-open probe it closes the circuit.
+	if rec, body := postJSON(t, s.Handler(), "/discover", admittedEndpoints[0].body(0)); rec.Code != http.StatusOK {
+		t.Fatalf("after release: status %d: %s", rec.Code, body)
+	}
+	if got := ws.breaker.State(); got != "closed" {
+		t.Fatalf("breaker %s after a successful probe, want closed", got)
+	}
 }
 
 func TestDeadlineReturnsPartialOutcome(t *testing.T) {
@@ -364,7 +445,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	cfg.SnapshotDir = dir
 
 	s1 := newTestServer(t, cfg)
-	if got := s1.workloads["EQ"].compiled.Space.Grid.Res; got != cfg.Res {
+	if got := s1.workloads["EQ"].compiled.Source.Geometry().Res; got != cfg.Res {
 		t.Fatalf("first boot res %d, want %d", got, cfg.Res)
 	}
 
@@ -380,7 +461,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	if quarantined != "" {
 		t.Fatal("resolution mismatch is a config change, not corruption; no quarantine expected")
 	}
-	if got := ws.compiled.Space.Grid.Res; got != 5 {
+	if got := ws.compiled.Source.Geometry().Res; got != 5 {
 		t.Fatalf("rebuild served res %d, want 5", got)
 	}
 	// The rebuild overwrote the snapshot at the new resolution: the next
@@ -389,7 +470,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	if !s3.workloads["EQ"].warmLoaded {
 		t.Fatal("rebuilt snapshot should warm-load at the new resolution")
 	}
-	if got := s3.workloads["EQ"].compiled.Space.Grid.Res; got != 5 {
+	if got := s3.workloads["EQ"].compiled.Source.Geometry().Res; got != 5 {
 		t.Fatalf("warm-loaded res %d, want 5", got)
 	}
 }

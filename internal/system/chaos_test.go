@@ -65,7 +65,7 @@ var chaosAlgs = []core.Algorithm{core.PlanBouquet, core.SpillBound, core.Aligned
 // execution trace, cost ledger, and degradation record — run to run.
 func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 	s := buildRandomSpace(t, 3, 4, 2, 6)
-	sess := core.NewSession(s)
+	sess := compile(t, s)
 	for _, alg := range chaosAlgs {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 7 {
 			type run struct {
@@ -76,8 +76,7 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 			var runs [2]run
 			for i := range runs {
 				in := faultinject.New(chaosConfig(2016))
-				sess.SetFaults(in)
-				out, err := sess.Discover(alg, qa)
+				out, err := sess.NewRun().WithFaults(in).Discover(alg, qa)
 				runs[i] = run{out: out, err: err, fired: in.Fired()}
 			}
 			a, b := runs[0], runs[1]
@@ -102,7 +101,6 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 			}
 		}
 	}
-	sess.SetFaults(nil)
 }
 
 // Transient faults must be invisible in the discovery result: the trace
@@ -111,17 +109,16 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 // fault-free bill — robustness is paid for, not free.
 func TestChaosTransientFaultsPreserveResults(t *testing.T) {
 	s := buildRandomSpace(t, 5, 4, 2, 6)
-	clean := core.NewSession(s)
-	chaotic := core.NewSession(s)
+	clean := compile(t, s)
+	chaotic := compile(t, s)
 	for _, alg := range chaosAlgs {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 5 {
-			want, err := clean.Discover(alg, qa)
+			want, err := clean.NewRun().Discover(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d fault-free: %v", alg, qa, err)
 			}
 			in := faultinject.New(chaosConfig(uint64(qa)*1000 + 1))
-			chaotic.SetFaults(in)
-			got, err := chaotic.Discover(alg, qa)
+			got, err := chaotic.NewRun().WithFaults(in).Discover(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d chaos: %v (faults %d)", alg, qa, err, in.Count())
 			}
@@ -153,14 +150,13 @@ func TestChaosTransientFaultsPreserveResults(t *testing.T) {
 // fallback is stamped on the Outcome, and the run still completes.
 func TestChaosAlignmentFallback(t *testing.T) {
 	s := buildRandomSpace(t, 3, 4, 2, 6)
-	sess := core.NewSession(s)
-	sess.SetFaults(faultinject.New(faultinject.Config{
+	in := faultinject.New(faultinject.Config{
 		Seed:           9,
 		Rates:          map[faultinject.Site]float64{faultinject.SiteAlignPlanner: 1},
 		PersistentFrac: 1,
-	}))
+	})
 	qa := int32(s.Grid.NumPoints() / 2)
-	out, err := sess.Discover(core.AlignedBound, qa)
+	out, err := compile(t, s).NewRun().WithFaults(in).Discover(core.AlignedBound, qa)
 	if err != nil {
 		t.Fatalf("fallback run failed: %v", err)
 	}
@@ -177,7 +173,7 @@ func TestChaosAlignmentFallback(t *testing.T) {
 		t.Fatalf("alignment-fallback not recorded: %+v", out.Degradations)
 	}
 	// The degraded run matches plain SpillBound's trace on this instance.
-	want, err := core.NewSession(s).Discover(core.SpillBound, qa)
+	want, err := compile(t, s).NewRun().Discover(core.SpillBound, qa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +250,10 @@ func TestChaosRealExecutorNoEscapedPanics(t *testing.T) {
 // while strictly inflating cost on runs where the latency site fired.
 func TestChaosDriftNeverChangesDecisions(t *testing.T) {
 	s := buildRandomSpace(t, 7, 4, 2, 6)
-	clean := core.NewSession(s)
-	chaotic := core.NewSession(s)
+	clean := compile(t, s)
+	chaotic := compile(t, s)
 	for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 3 {
-		want, err := clean.Discover(core.SpillBound, qa)
+		want, err := clean.NewRun().Discover(core.SpillBound, qa)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +261,7 @@ func TestChaosDriftNeverChangesDecisions(t *testing.T) {
 			Seed:  uint64(qa) + 99,
 			Rates: map[faultinject.Site]float64{faultinject.SiteLatency: 0.5},
 		})
-		chaotic.SetFaults(in)
-		got, err := chaotic.Discover(core.SpillBound, qa)
+		got, err := chaotic.NewRun().WithFaults(in).Discover(core.SpillBound, qa)
 		if err != nil {
 			t.Fatal(err)
 		}

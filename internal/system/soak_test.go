@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -110,22 +111,22 @@ func TestConcurrentSoak(t *testing.T) {
 	}
 }
 
-// TestConcurrentSoakSharedSession is the compat-wrapper variant: many
-// goroutines hammer one Session (which guards its lazy Compiled and
-// penalty ledger with a mutex) without chaos, and the MaxPenalty fold
-// must equal the maximum per-run penalty observed.
+// TestConcurrentSoakSharedSession is the one-artifact variant: many
+// goroutines, each on its own Run, hammer one shared Compiled without
+// chaos, and the largest Run.MaxPenalty any of them reports must equal
+// the maximum per-outcome penalty of the sequential reference.
 func TestConcurrentSoakSharedSession(t *testing.T) {
 	s := buildRandomSpace(t, 13, 4, 2, 6)
-	sess := core.NewSession(s)
-	ref := core.NewSession(s)
+	sess := compile(t, s)
+	ref := compile(t, s)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
-	maxPen := 0.0
+	maxPen, runPen := 0.0, 0.0
 	var penMu sync.Mutex
 	for _, alg := range chaosAlgs {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 5 {
-			want, err := ref.Discover(alg, qa)
+			want, err := ref.NewRun().Discover(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d reference: %v", alg, qa, err)
 			}
@@ -137,11 +138,15 @@ func TestConcurrentSoakSharedSession(t *testing.T) {
 			wg.Add(1)
 			go func(alg core.Algorithm, qa int32, want *discovery.Outcome) {
 				defer wg.Done()
-				got, err := sess.Discover(alg, qa)
+				r := sess.NewRun()
+				got, err := r.Discover(alg, qa)
 				if err != nil {
 					errc <- err
 					return
 				}
+				penMu.Lock()
+				runPen = math.Max(runPen, r.MaxPenalty())
+				penMu.Unlock()
 				if !reflect.DeepEqual(got, want) {
 					errc <- &soakDivergence{alg: alg, qa: qa}
 				}
@@ -153,8 +158,8 @@ func TestConcurrentSoakSharedSession(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if sess.MaxPenalty() != maxPen {
-		t.Fatalf("session MaxPenalty %v, want %v", sess.MaxPenalty(), maxPen)
+	if runPen != maxPen {
+		t.Fatalf("largest Run.MaxPenalty %v, want %v", runPen, maxPen)
 	}
 }
 
@@ -164,5 +169,5 @@ type soakDivergence struct {
 }
 
 func (d *soakDivergence) Error() string {
-	return string(d.alg) + ": concurrent Session outcome diverges from sequential"
+	return string(d.alg) + ": concurrent outcome over a shared artifact diverges from sequential"
 }

@@ -25,6 +25,16 @@ import (
 )
 
 // buildRandomSpace makes a small ESS for a random query.
+// compile compiles the space with default options.
+func compile(t testing.TB, s *ess.Space) *core.Compiled {
+	t.Helper()
+	c, err := core.Compile(s, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func buildRandomSpace(t *testing.T, seed uint64, nRels, d, res int) *ess.Space {
 	t.Helper()
 	cat, err := catalog.TPCDS(0.2)
@@ -66,7 +76,7 @@ func TestRandomQueriesSpillBoundWithinBound(t *testing.T) {
 func TestRandomQueriesAllAlgorithmsComplete(t *testing.T) {
 	for seed := uint64(20); seed <= 26; seed++ {
 		s := buildRandomSpace(t, seed, 4+int(seed%2), 3, 5)
-		sess := core.NewSession(s)
+		sess := compile(t, s)
 		for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
 			res, err := sess.MSO(alg, mso.Options{Stride: 2})
 			if err != nil {
@@ -77,7 +87,7 @@ func TestRandomQueriesAllAlgorithmsComplete(t *testing.T) {
 			if alg == core.AlignedBound {
 				// AB's bound holds modulo the bounded induced-alignment
 				// penalty (§5.3 / [14]); allow that slack.
-				limit = g * math.Max(1, sess.MaxPenalty())
+				limit = g * math.Max(1, res.MaxAlignPenalty)
 			}
 			if res.MSO > limit+1e-9 {
 				t.Fatalf("seed %d %s: MSOe %v > limit %v (%s)", seed, alg, res.MSO, limit, s.Q)

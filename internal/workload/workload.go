@@ -76,34 +76,78 @@ func (s Spec) Space(scale float64, res int) (*ess.Space, error) {
 	return s.SpaceWith(scale, ess.Config{Res: res})
 }
 
+// Bind loads the spec at the given scale and pairs the query with the
+// costing environment (analytic statistics from the catalog) and the
+// default-parameter cost model — the triple every ESS build and every
+// snapshot load of the spec takes, so a loaded snapshot is verified
+// against exactly what a fresh build would have used.
+func (s Spec) Bind(scale float64) (*query.Query, *cost.Env, *cost.Model, error) {
+	q, err := s.Load(scale)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return q, optimizer.BuildEnv(q, stats.FromCatalog(q.Cat)), cost.NewModel(cost.DefaultParams()), nil
+}
+
 // SpaceWith is Space with full control over the ESS build configuration
 // (sweep mode, θ, coarse stride, workers). A non-positive Res falls back
 // to the spec's default resolution.
 func (s Spec) SpaceWith(scale float64, cfg ess.Config) (*ess.Space, error) {
-	q, err := s.Load(scale)
+	q, env, model, err := s.Bind(scale)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Res <= 0 {
 		cfg.Res = s.Res
 	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	return ess.Build(q, env, cost.NewModel(cost.DefaultParams()), cfg)
+	return ess.Build(q, env, model, cfg)
 }
 
 // LazySpaceWith builds the demand-driven ESS source for the spec: only
 // the grid corners are optimized up front, everything else settles as
 // discovery touches it. Configuration mirrors SpaceWith.
 func (s Spec) LazySpaceWith(scale float64, cfg ess.Config) (*ess.LazySpace, error) {
-	q, err := s.Load(scale)
+	q, env, model, err := s.Bind(scale)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Res <= 0 {
 		cfg.Res = s.Res
 	}
-	env := optimizer.BuildEnv(q, stats.FromCatalog(q.Cat))
-	return ess.BuildLazy(q, env, cost.NewModel(cost.DefaultParams()), cfg)
+	return ess.BuildLazy(q, env, model, cfg)
+}
+
+// CheckMode rejects anything but the two ESS provider modes Source
+// builds ("eager" and "lazy", the -ess-mode flag values), so a caller
+// can refuse a bad configuration before it starts building.
+func CheckMode(mode string) error {
+	if mode != "eager" && mode != "lazy" {
+		return fmt.Errorf("workload: unknown ESS mode %q (want eager or lazy)", mode)
+	}
+	return nil
+}
+
+// Source builds the spec's contour provider for the given mode: the
+// eager full-sweep Space, or the demand-driven LazySpace that
+// materializes contours as discovery climbs the budget ladder. It is
+// the one place a mode name turns into a provider; the CLI, the
+// experiment harness and the serving tier all come through here.
+func (s Spec) Source(mode string, scale float64, cfg ess.Config) (ess.ContourSource, error) {
+	if err := CheckMode(mode); err != nil {
+		return nil, err
+	}
+	if mode == "lazy" {
+		ls, err := s.LazySpaceWith(scale, cfg)
+		if err != nil {
+			return nil, err // not ls: a nil *LazySpace is a non-nil ContourSource
+		}
+		return ls, nil
+	}
+	sp, err := s.SpaceWith(scale, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sp, nil
 }
 
 // q91SQL is the shared 7-relation Q91 body (call-center returns join).
