@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -153,6 +154,48 @@ func BenchmarkParallelExec(b *testing.B) {
 		}
 		if !res.Completed {
 			b.Fatal("unbudgeted run should complete")
+		}
+	}
+}
+
+// TestRepeatRunAllocsBoundedByInput guards what a warm executor
+// allocates per run: a hash join whose build side is the 50 000-row fact
+// filtered to 2% reuses its pooled table, slab and arenas, so a
+// completed run and a run killed at 1% of its budget each allocate a
+// few kilobytes — not a table sized by the unfiltered fact (≈3 MB
+// when tables were presized from the largest base relation below the
+// build).
+func TestRepeatRunAllocsBoundedByInput(t *testing.T) {
+	const bound = 16 << 10 // bytes per run
+	f := newBenchFixture(t)
+	q := f.parse(t, `SELECT * FROM dim d, fact f WHERE d.d_id = f.f_dim AND f.f_val <= 2`)
+	p := plan.NewJoin(plan.HashJoin, []int{0},
+		plan.NewScan(q.RelIndex("d"), plan.SeqScan),
+		plan.NewScan(q.RelIndex("f"), plan.SeqScan))
+	e := New(q, f.store, cost.DefaultParams())
+	full, err := e.Run(p, 0)
+	if err != nil || !full.Completed {
+		t.Fatalf("full run: %v %+v", err, full)
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+	}{{"completed", 0}, {"killed", 0.01 * full.Cost}} {
+		const runs = 20
+		e.Run(p, c.budget) // warm the pool for this shape
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			res, err := e.Run(p, c.budget)
+			if err != nil || res.Completed != (c.budget == 0) {
+				t.Fatalf("%s: %v %+v", c.name, err, res)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes allocated per run", c.name, per)
+		if per > bound {
+			t.Errorf("%s: %d bytes allocated per run, bound %d", c.name, per, bound)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -252,10 +253,74 @@ type Executor struct {
 	// execution regardless, preserving bit-for-bit chaos replay.
 	workers int
 
-	// pool recycles selection vectors, output arenas, and fetch scratch
-	// across batches and runs, so the columnar scan path allocates
-	// near-zero per execution.
+	// pool recycles selection vectors, output arenas, fetch scratch,
+	// hash-build tables and row slabs across batches and runs, so a
+	// warm executor allocates near-zero per execution.
 	pool bufPool
+
+	// schemas and joinCols hold the query's relation schemas and
+	// qualified join-column names, resolved once (see resolveNames).
+	namesOnce sync.Once
+	schemas   []*schema
+	joinCols  [][2]string
+
+	// inner memoizes index-NL inner cardinalities (see innerCount).
+	innerMu sync.Mutex
+	inner   map[int]innerMemo
+}
+
+// innerMemo is one memoized filtered cardinality, valid only for the
+// relation object and row count it was counted over.
+type innerMemo struct {
+	rel  *storage.Relation
+	rows int
+	n    int64
+}
+
+// innerCount returns how many rows of the query relation relIdx — stored
+// as rel — pass filters: the inner cardinality of an index-NL join's
+// selectivity observation. It is counted at most once per executor and
+// relation. A Store.Add replacement (another *Relation) or an Append
+// (another row count) misses the memo; the query fixes the filters.
+func (e *Executor) innerCount(relIdx int, rel *storage.Relation, filters []boundFilter) int64 {
+	e.innerMu.Lock()
+	defer e.innerMu.Unlock()
+	if m, ok := e.inner[relIdx]; ok && m.rel == rel && m.rows == rel.NumRows() {
+		return m.n
+	}
+	n := countMatching(rel, filters)
+	if e.inner == nil {
+		e.inner = make(map[int]innerMemo)
+	}
+	e.inner[relIdx] = innerMemo{rel: rel, rows: rel.NumRows(), n: n}
+	return n
+}
+
+// countMatching counts rel's rows passing every filter, through the
+// relation's column kernels when they are built.
+func countMatching(rel *storage.Relation, filters []boundFilter) int64 {
+	if len(filters) == 0 {
+		return int64(rel.NumRows())
+	}
+	var n int64
+	if ks := compileKernels(rel, filters); ks != nil {
+		sel := make([]int32, DefaultBatchSize)
+		for pos := 0; pos < rel.NumRows(); pos += DefaultBatchSize {
+			end := min(pos+DefaultBatchSize, rel.NumRows())
+			s := ks[0].fill(pos, end, sel)
+			for i := 1; i < len(ks) && len(s) > 0; i++ {
+				s = ks[i].refine(pos, s)
+			}
+			n += int64(len(s))
+		}
+		return n
+	}
+	for _, row := range rel.Rows {
+		if matchAll(filters, row) {
+			n++
+		}
+	}
+	return n
 }
 
 // MaxWorkers caps the intra-query parallelism degree.
@@ -547,14 +612,40 @@ func (e *Executor) build(n *plan.Node, meter *Meter, res *Result) (operator, *sc
 	return e.buildJoin(n, meter, res)
 }
 
+// relSchema returns the full schema of query relation rel. It is
+// shared across runs and must not be modified.
 func (e *Executor) relSchema(rel int) *schema {
-	r := &e.q.Relations[rel]
-	tab := e.q.Cat.MustTable(r.Table)
-	s := &schema{cols: make([]string, len(tab.Columns))}
-	for i := range tab.Columns {
-		s.cols[i] = r.Alias + "." + tab.Columns[i].Name
+	e.namesOnce.Do(e.resolveNames)
+	return e.schemas[rel]
+}
+
+// keyNames returns the qualified column names of join predicate id's
+// left and right sides.
+func (e *Executor) keyNames(id int) [2]string {
+	e.namesOnce.Do(e.resolveNames)
+	return e.joinCols[id]
+}
+
+// resolveNames builds every relation schema and join-column name of the
+// query once, so building a plan allocates no names.
+func (e *Executor) resolveNames() {
+	e.schemas = make([]*schema, len(e.q.Relations))
+	for rel := range e.q.Relations {
+		r := &e.q.Relations[rel]
+		tab := e.q.Cat.MustTable(r.Table)
+		s := &schema{cols: make([]string, len(tab.Columns))}
+		for i := range tab.Columns {
+			s.cols[i] = r.Alias + "." + tab.Columns[i].Name
+		}
+		e.schemas[rel] = s
 	}
-	return s
+	e.joinCols = make([][2]string, len(e.q.Joins))
+	for i, j := range e.q.Joins {
+		e.joinCols[i] = [2]string{
+			e.q.Relations[j.LeftRel].Alias + "." + j.LeftCol,
+			e.q.Relations[j.RightRel].Alias + "." + j.RightCol,
+		}
+	}
 }
 
 // compileFilters binds the relation's filter predicates to positions.

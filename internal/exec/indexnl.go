@@ -12,6 +12,7 @@ import (
 // serves the join key only).
 type indexNLJoin struct {
 	joinBase
+	relIdx  int // the inner's query relation index
 	rel     *storage.Relation
 	filters []boundFilter
 	// clsDescend carries the whole per-outer-row descent charge
@@ -23,23 +24,16 @@ type indexNLJoin struct {
 	matches []int32
 	mi      int
 	have    bool
-	// innerFiltered is the inner relation's filtered cardinality,
-	// counted once for the selectivity observation (a statistics lookup,
-	// not execution work — hence uncharged).
-	innerFiltered int64
 }
 
-func (j *indexNLJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
+func (j *indexNLJoin) Open() error { return j.left.Open() }
+
+// observations implements joinObserver; see vecIndexNLJoin.observations.
+func (j *indexNLJoin) observations(into map[int]float64) {
+	if j.exact {
+		j.obs.RightRows = j.e.innerCount(j.relIdx, j.rel, j.filters)
 	}
-	for _, row := range j.rel.Rows {
-		if matchAll(j.filters, row) {
-			j.innerFiltered++
-		}
-	}
-	j.obs.RightRows = j.innerFiltered
-	return nil
+	j.joinBase.observations(into)
 }
 
 func (j *indexNLJoin) Next() (expr.Row, error) {

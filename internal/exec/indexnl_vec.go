@@ -15,6 +15,7 @@ import (
 // for bit.
 type vecIndexNLJoin struct {
 	vecJoinBase
+	relIdx  int // the inner's query relation index
 	rel     *storage.Relation
 	filters []boundFilter
 	// clsDescend carries the whole per-outer-row descent charge
@@ -30,27 +31,26 @@ type vecIndexNLJoin struct {
 	mi      int
 	have    bool
 	done    bool
-	// innerFiltered is the inner relation's filtered cardinality,
-	// counted once for the selectivity observation (a statistics lookup,
-	// not execution work — hence uncharged).
-	innerFiltered int64
 }
 
 func (j *vecIndexNLJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.innerFiltered = 0
-	for _, row := range j.rel.Rows {
-		if matchAll(j.filters, row) {
-			j.innerFiltered++
-		}
-	}
-	j.obs.RightRows = j.innerFiltered
 	j.pb, j.pi = nil, 0
 	j.have = false
 	j.done = false
 	return nil
+}
+
+// observations implements joinObserver. The inner's filtered
+// cardinality is counted only here, for an exact observation — a
+// statistics lookup, not execution work, hence uncharged.
+func (j *vecIndexNLJoin) observations(into map[int]float64) {
+	if j.exact {
+		j.obs.RightRows = j.e.innerCount(j.relIdx, j.rel, j.filters)
+	}
+	j.vecJoinBase.observations(into)
 }
 
 func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {

@@ -21,9 +21,8 @@ type joinCols struct {
 func (e *Executor) resolveJoinCols(n *plan.Node, ls, rs *schema) (*joinCols, error) {
 	jc := &joinCols{}
 	for _, id := range n.Join.JoinIDs {
-		j := e.q.Joins[id]
-		lName := e.q.Relations[j.LeftRel].Alias + "." + j.LeftCol
-		rName := e.q.Relations[j.RightRel].Alias + "." + j.RightCol
+		names := e.keyNames(id)
+		lName, rName := names[0], names[1]
 		lp, rp := ls.indexOf(lName), rs.indexOf(rName)
 		if lp < 0 || rp < 0 {
 			// The predicate may be oriented the other way round.
@@ -69,7 +68,6 @@ func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator,
 		case plan.HashJoin:
 			return &hashJoin{
 				joinBase: base(e, meter, jc, lop, rop),
-				hint:     e.cardHint(n.Right),
 				clsBuild: meter.Class(e.params.HashBuild),
 				clsProbe: meter.Class(e.params.HashProbe),
 				clsOut:   meter.Class(e.params.Tuple),
@@ -106,6 +104,7 @@ func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator,
 		}
 		op := &indexNLJoin{
 			joinBase:   base(e, meter, jc, lop, nil),
+			relIdx:     rel,
 			rel:        relation,
 			filters:    e.compileFilters(rel, -1),
 			clsDescend: meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
@@ -116,28 +115,6 @@ func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator,
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown join method")
 	}
-}
-
-// cardHint estimates a subtree's output cardinality for hash-table
-// preallocation: the largest base-relation cardinality under the
-// subtree (joins in this workload never expand beyond their larger
-// input by much, and over-reserving a map is cheap relative to
-// rehashing during build).
-func (e *Executor) cardHint(n *plan.Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsScan() {
-		if rel := e.store.Relation(e.q.Relations[n.Scan.Rel].Table); rel != nil {
-			return rel.NumRows()
-		}
-		return 0
-	}
-	l, r := e.cardHint(n.Left), e.cardHint(n.Right)
-	if l > r {
-		return l
-	}
-	return r
 }
 
 // joinBase holds shared join operator state including the selectivity
@@ -181,7 +158,6 @@ func joinRows(l, r expr.Row) expr.Row {
 // hashJoin builds on the right child, probes with the left.
 type hashJoin struct {
 	joinBase
-	hint                       int
 	clsBuild, clsProbe, clsOut int
 	table                      map[int64][]expr.Row
 	cur                        expr.Row
@@ -196,7 +172,7 @@ func (h *hashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	h.table = make(map[int64][]expr.Row, h.hint)
+	h.table = make(map[int64][]expr.Row)
 	for {
 		row, err := h.right.Next()
 		if err == io.EOF {

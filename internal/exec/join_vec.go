@@ -16,9 +16,16 @@ import (
 // hashing/bucket walk, keeps each partition's entries contiguous, and
 // preserves per-key insertion order through chain links — so match
 // emission order is identical to the map-append build.
+//
+// A table starts small and grows with what is inserted (grow re-probes
+// only chain heads, so chains and their order survive), and the
+// executor's bufPool recycles it across runs: a build pays for the rows
+// it meters, not for the size of the base tables beneath it.
 const (
 	gracePartBits = 3
 	graceParts    = 1 << gracePartBits
+	// graceMinSlots is a fresh partition's directory size.
+	graceMinSlots = 16
 )
 
 type graceTable struct {
@@ -43,23 +50,47 @@ type gracePart struct {
 // across both the top (partition) and low (slot) bits.
 func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
 
-func newGraceTable(hint int) *graceTable {
+func newGraceTable() *graceTable {
 	t := &graceTable{}
-	per := hint / graceParts
 	for i := range t.parts {
 		p := &t.parts[i]
-		n := 4
-		for n < 2*per {
-			n <<= 1
-		}
-		p.slots = make([]int32, n)
-		p.tails = make([]int32, n)
-		p.mask = uint64(n - 1)
-		p.keys = make([]int64, 0, per)
-		p.next = make([]int32, 0, per)
-		p.rows = make([]expr.Row, 0, per)
+		p.slots = make([]int32, graceMinSlots)
+		p.tails = make([]int32, graceMinSlots)
+		p.mask = graceMinSlots - 1
 	}
 	return t
+}
+
+// reset empties the table for reuse, keeping its grown arrays. A
+// directory much larger than its entry count (grown by an earlier, larger
+// build) is cleared slot by slot through the entries' own probe
+// positions, so emptying costs what was inserted, not what was reserved.
+func (t *graceTable) reset() {
+	for i := range t.parts {
+		p := &t.parts[i]
+		if len(p.keys) == 0 {
+			continue
+		}
+		if 8*len(p.keys) >= len(p.slots) {
+			clear(p.slots)
+		} else {
+			// Find every entry's chain-head slot before zeroing any, since
+			// zeroing breaks the probe sequences of later keys; next is
+			// dead after the run and holds the slot positions meanwhile.
+			for e, k := range p.keys {
+				s := hashKey(k) & p.mask
+				for p.keys[p.slots[s]-1] != k {
+					s = (s + 1) & p.mask
+				}
+				p.next[e] = int32(s)
+			}
+			for _, s := range p.next {
+				p.slots[s] = 0
+			}
+		}
+		clear(p.rows)
+		p.keys, p.next, p.rows = p.keys[:0], p.next[:0], p.rows[:0]
+	}
 }
 
 func (t *graceTable) insert(k int64, row expr.Row) {
@@ -153,17 +184,19 @@ func buildKeyCol(b *rowBatch, pos int) *storage.Column {
 // degenerates to the tuple engine's exact per-row charge order.
 type vecHashJoin struct {
 	vecJoinBase
-	hint                       int
 	clsBuild, clsProbe, clsOut int
 	out                        *outBuf
 	table                      *graceTable
-	pb                         *rowBatch
-	pi                         int
-	cur                        expr.Row
-	mp                         *gracePart
-	me                         int32
-	outPending                 int64
-	done                       bool
+	// slab holds the build rows copied out of unstable batches.
+	slab       *valSlab
+	pb         *rowBatch
+	pkc        *storage.Column // pb's clean int key vector, if any
+	pi         int
+	cur        expr.Row
+	mp         *gracePart
+	me         int32
+	outPending int64
+	done       bool
 }
 
 func (h *vecHashJoin) Open() error {
@@ -173,7 +206,7 @@ func (h *vecHashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	h.table = newGraceTable(h.hint)
+	h.table = h.e.pool.getTable()
 	kpos := h.jc.rightPos[0]
 	for {
 		b, err := h.right.NextBatch()
@@ -191,7 +224,7 @@ func (h *vecHashJoin) Open() error {
 		if kc := buildKeyCol(b, kpos); kc != nil {
 			// Columnar build: keys come straight off the typed vector at
 			// the batch's absolute offsets; scan batches are stable, so
-			// rows are referenced without cloning.
+			// rows are referenced without copying.
 			if b.sel == nil {
 				for i := 0; i < n; i++ {
 					h.table.insert(kc.Ints[b.off+i], b.base[i])
@@ -210,12 +243,15 @@ func (h *vecHashJoin) Open() error {
 				continue
 			}
 			if !b.stable {
-				row = cloneRow(row)
+				if h.slab == nil {
+					h.slab = h.e.pool.getSlab()
+				}
+				row = h.slab.copyRow(row)
 			}
 			h.table.insert(k.I, row)
 		}
 	}
-	h.pb, h.pi = nil, 0
+	h.pb, h.pkc, h.pi = nil, nil, 0
 	h.mp, h.me = nil, -1
 	h.outPending = 0
 	h.done = false
@@ -304,26 +340,39 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			}
 			h.obs.LeftRows += int64(b.n())
 			h.pb, h.pi = b, 0
+			h.pkc = buildKeyCol(b, h.jc.leftPos[0])
 			// Count-only fast probe: when the root arena discards rows and
 			// the join has no residual predicates, matches only need to be
 			// counted — the whole probe batch runs as one tight loop over
 			// the columnar key vector with no row fetches or emits.
-			if h.out.discard && len(h.jc.ids) == 1 {
-				if kc := buildKeyCol(b, h.jc.leftPos[0]); kc != nil {
-					m := h.fastProbe(b, kc)
-					h.outPending += m
-					h.obs.OutRows += m
-					h.out.count += int(m)
-					h.pi = b.n()
-					if h.out.full() {
-						if err := h.flushOut(); err != nil {
-							return nil, err
-						}
-						return h.out.take(), nil
+			if h.pkc != nil && h.out.discard && len(h.jc.ids) == 1 {
+				m := h.fastProbe(b, h.pkc)
+				h.outPending += m
+				h.obs.OutRows += m
+				h.out.count += int(m)
+				h.pi = b.n()
+				if h.out.full() {
+					if err := h.flushOut(); err != nil {
+						return nil, err
 					}
-					continue
+					return h.out.take(), nil
 				}
+				continue
 			}
+		}
+		if h.pkc != nil {
+			// The probe batch aliases a scan with a clean key column: read
+			// the key off the vector and fetch the row only on a match.
+			ord := h.pi
+			if h.pb.sel != nil {
+				ord = int(h.pb.sel[ord])
+			}
+			h.pi++
+			h.mp, h.me = h.table.lookup(h.pkc.Ints[h.pb.off+ord])
+			if h.me >= 0 {
+				h.cur = h.pb.base[ord]
+			}
+			continue
 		}
 		row := h.pb.row(h.pi)
 		h.pi++
@@ -344,6 +393,11 @@ func (h *vecHashJoin) Close() error {
 		return err
 	}
 	if h.right != nil {
+		// A morsel-worker clone shares the built table (right == nil marks
+		// the clone); only the owner recycles it and its slab.
+		h.e.pool.putTable(h.table)
+		h.e.pool.putSlab(h.slab)
+		h.table, h.slab = nil, nil
 		return h.right.Close()
 	}
 	return nil
@@ -358,11 +412,13 @@ type vecMergeJoin struct {
 	clsMerge, clsOut int
 	out              *outBuf
 	lrows, rrows     []expr.Row
-	li, ri           int
-	group            []expr.Row
-	gi               int
-	cur              expr.Row
-	done             bool
+	// slab holds the input rows copied out of unstable batches.
+	slab   *valSlab
+	li, ri int
+	group  []expr.Row
+	gi     int
+	cur    expr.Row
+	done   bool
 }
 
 func (m *vecMergeJoin) Open() error {
@@ -391,7 +447,7 @@ func (m *vecMergeJoin) Open() error {
 }
 
 func (m *vecMergeJoin) drainAndSort(op batchOperator, key int) ([]expr.Row, error) {
-	var rows []expr.Row
+	rows := m.e.pool.getRows(0)
 	for {
 		b, err := op.NextBatch()
 		if err == io.EOF {
@@ -404,7 +460,10 @@ func (m *vecMergeJoin) drainAndSort(op batchOperator, key int) ([]expr.Row, erro
 		for i := 0; i < n; i++ {
 			row := b.row(i)
 			if !b.stable {
-				row = cloneRow(row)
+				if m.slab == nil {
+					m.slab = m.e.pool.getSlab()
+				}
+				row = m.slab.copyRow(row)
 			}
 			rows = append(rows, row)
 		}
@@ -485,7 +544,10 @@ func (m *vecMergeJoin) NextBatch() (*rowBatch, error) {
 
 func (m *vecMergeJoin) Close() error {
 	m.e.pool.putOut(m.out)
-	m.out = nil
+	m.e.pool.putRows(m.lrows)
+	m.e.pool.putRows(m.rrows)
+	m.e.pool.putSlab(m.slab)
+	m.out, m.lrows, m.rrows, m.slab = nil, nil, nil, nil
 	if err := m.left.Close(); err != nil {
 		return err
 	}
@@ -501,12 +563,14 @@ type vecNLJoin struct {
 	clsMat, clsPair, clsOut int
 	out                     *outBuf
 	inner                   []expr.Row
-	pb                      *rowBatch
-	pi                      int
-	cur                     expr.Row
-	ii                      int
-	have                    bool
-	done                    bool
+	// slab holds the inner rows copied out of unstable batches.
+	slab *valSlab
+	pb   *rowBatch
+	pi   int
+	cur  expr.Row
+	ii   int
+	have bool
+	done bool
 }
 
 func (n *vecNLJoin) Open() error {
@@ -535,7 +599,10 @@ func (n *vecNLJoin) Open() error {
 		for i := 0; i < cnt; i++ {
 			row := b.row(i)
 			if !b.stable {
-				row = cloneRow(row)
+				if n.slab == nil {
+					n.slab = n.e.pool.getSlab()
+				}
+				row = n.slab.copyRow(row)
 			}
 			n.inner = append(n.inner, row)
 		}
@@ -617,9 +684,10 @@ func (n *vecNLJoin) Close() error {
 	if n.right != nil {
 		// A morsel-worker clone shares the materialized inner with the
 		// original operator (right == nil marks the clone); only the
-		// owner recycles it.
+		// owner recycles it and its slab.
 		n.e.pool.putRows(n.inner)
-		n.inner = nil
+		n.e.pool.putSlab(n.slab)
+		n.inner, n.slab = nil, nil
 		return n.right.Close()
 	}
 	return nil

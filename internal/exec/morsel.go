@@ -175,11 +175,12 @@ func morselScanOf(op batchOperator) *vecSeqScan {
 }
 
 // cloneChain clones the root pipeline for one worker: probe state and
-// output arenas are fresh, the blocking structures built at Open (hash
-// tables, materialized inners) and all read-only compilation products
-// (join cols, filters, kernels) are shared, and every meter reference
-// points at the worker's lane. A clone's right child is nil — Close
-// knows not to double-close or recycle shared state.
+// output arenas (with the original's projection) are fresh, the
+// blocking structures built at Open (hash tables, materialized inners)
+// and all read-only compilation products (join cols, filters, kernels)
+// are shared, and every meter reference points at the worker's lane. A
+// clone's right child is nil — Close knows not to double-close or
+// recycle shared state.
 func cloneChain(op batchOperator, wm *Meter) batchOperator {
 	switch o := op.(type) {
 	case *vecSeqScan:
@@ -198,7 +199,7 @@ func cloneChain(op batchOperator, wm *Meter) batchOperator {
 			clsBuild:    o.clsBuild,
 			clsProbe:    o.clsProbe,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
 			table:       o.table,
 			me:          -1,
 		}
@@ -210,7 +211,7 @@ func cloneChain(op batchOperator, wm *Meter) batchOperator {
 			clsMat:      o.clsMat,
 			clsPair:     o.clsPair,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
 			inner:       o.inner,
 		}
 		c.out.discard = o.out.discard
@@ -218,12 +219,13 @@ func cloneChain(op batchOperator, wm *Meter) batchOperator {
 	case *vecIndexNLJoin:
 		c := &vecIndexNLJoin{
 			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
+			relIdx:      o.relIdx,
 			rel:         o.rel,
 			filters:     o.filters,
 			clsDescend:  o.clsDescend,
 			clsFetch:    o.clsFetch,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
 		}
 		c.out.discard = o.out.discard
 		return c
@@ -248,8 +250,9 @@ func chainBase(op batchOperator) *vecJoinBase {
 }
 
 // mergeWorkerObs folds a worker clone's probe-side observations into
-// the original chain. RightRows was observed once during the sequential
-// build phase and stays on the original.
+// the original chain. RightRows stays on the original: observed once
+// during the sequential build phase, or (index-NL) counted when the
+// observation is collected.
 func mergeWorkerObs(orig, clone batchOperator) {
 	for {
 		ob, cb := chainBase(orig), chainBase(clone)

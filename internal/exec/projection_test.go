@@ -1,0 +1,298 @@
+package exec
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/datagen"
+	"repro/internal/expr"
+	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// joinParts exposes a built vectorized join's base and output arena;
+// ok is false when op is not a join.
+func joinParts(op batchOperator) (*vecJoinBase, *outBuf, bool) {
+	switch o := op.(type) {
+	case *vecHashJoin:
+		return &o.vecJoinBase, o.out, true
+	case *vecMergeJoin:
+		return &o.vecJoinBase, o.out, true
+	case *vecNLJoin:
+		return &o.vecJoinBase, o.out, true
+	case *vecIndexNLJoin:
+		return &o.vecJoinBase, o.out, true
+	}
+	return nil, nil, false
+}
+
+// joinColName is the qualified name of one side of a join predicate.
+func joinColName(q *query.Query, id int, left bool) string {
+	j := q.Joins[id]
+	if left {
+		return q.Relations[j.LeftRel].Alias + "." + j.LeftCol
+	}
+	return q.Relations[j.RightRel].Alias + "." + j.RightCol
+}
+
+// checkProjection walks a built vectorized tree beside its plan. above
+// lists the join IDs of the node's ancestors; the columns those
+// predicates name on relations under n are exactly what n's output must
+// carry. It returns n's output schema as the walk derived it: the full
+// relation schema for a scan, the checked projection for a join.
+func checkProjection(t *testing.T, e *Executor, tag string, n *plan.Node, op batchOperator, above []int) []string {
+	t.Helper()
+	if n.IsScan() {
+		return e.relSchema(n.Scan.Rel).cols
+	}
+	b, out, ok := joinParts(op)
+	if !ok {
+		t.Fatalf("%s: join node built as %T", tag, op)
+	}
+	below := append(slices.Clip(above), n.Join.JoinIDs...)
+	ls := checkProjection(t, e, tag, n.Left, b.left, below)
+	var rs []string
+	if b.right != nil {
+		rs = checkProjection(t, e, tag, n.Right, b.right, below)
+	} else {
+		rs = e.relSchema(n.Right.Scan.Rel).cols
+	}
+	// Key and residual positions resolve against the pruned schemas.
+	for k, id := range b.jc.ids {
+		l, r := ls[b.jc.leftPos[k]], rs[b.jc.rightPos[k]]
+		a, z := joinColName(e.q, id, true), joinColName(e.q, id, false)
+		if !(l == a && r == z) && !(l == z && r == a) {
+			t.Fatalf("%s: join %d resolved to %s = %s", tag, id, l, r)
+		}
+	}
+	var got []string
+	for _, c := range out.proj.l {
+		got = append(got, ls[c])
+	}
+	for _, c := range out.proj.r {
+		got = append(got, rs[c])
+	}
+	want := map[string]bool{}
+	for _, id := range above {
+		j := e.q.Joins[id]
+		for _, side := range []struct {
+			rel int
+			col string
+		}{{j.LeftRel, j.LeftCol}, {j.RightRel, j.RightCol}} {
+			if n.Rels>>uint(side.rel)&1 != 0 {
+				want[e.q.Relations[side.rel].Alias+"."+side.col] = true
+			}
+		}
+	}
+	if wantList := slices.Sorted(maps.Keys(want)); !slices.Equal(slices.Sorted(slices.Values(got)), wantList) {
+		t.Fatalf("%s: join %v outputs %v, ancestors read %v", tag, n.Join.JoinIDs, got, wantList)
+	}
+	if out.proj.width() != len(got) || (len(above) == 0) != (len(got) == 0) {
+		t.Fatalf("%s: join %v output width %d", tag, n.Join.JoinIDs, out.proj.width())
+	}
+	return got
+}
+
+// TestJoinOutputCarriesOnlyNeededColumns builds every plan of the
+// 4D_Q91 and 5D_Q19 plan pools — whole and as every spill subtree — and
+// checks each join's output schema is exactly the columns its ancestors'
+// predicates read, with keys and residuals resolved against the pruned
+// child schemas, and that the root and spill roots are count-only.
+func TestJoinOutputCarriesOnlyNeededColumns(t *testing.T) {
+	for _, name := range []string{"4D_Q91", "5D_Q19"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, err := spec.Space(0.02, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := datagen.Populate(space.Q.Cat, datagen.Options{Seed: 1, BuildIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(space.Q, store, cost.DefaultParams())
+		for id, pi := range space.Plans() {
+			roots := map[string]*plan.Node{"full": pi.Root}
+			for _, epp := range space.Q.EPPs {
+				if sub := plan.SpillSubtree(pi.Root, epp); sub != nil {
+					roots[fmt.Sprintf("spill%d", epp)] = sub
+				}
+			}
+			for kind, root := range roots {
+				tag := fmt.Sprintf("%s/P%d/%s", name, id, kind)
+				op, _, err := e.buildVec(root, &Meter{}, &Result{}, DefaultBatchSize, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				checkProjection(t, e, tag, root, op, nil)
+				markDiscardRoot(op)
+				if _, out, ok := joinParts(op); ok && !out.discard {
+					t.Fatalf("%s: root is not count-only", tag)
+				}
+				if err := op.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestResidualOnBottomJoinColumn runs a 3-relation plan whose top join
+// has a residual predicate on a column that only the bottom join's
+// output can supply (d.d_attr = e.e_attr above ff ⋈ d): the bottom
+// join must carry that column, and every top-join method must agree
+// with the tuple engine bit for bit, in full and under budget kills.
+func TestResidualOnBottomJoinColumn(t *testing.T) {
+	f := newFixture(t)
+	q := &query.Query{
+		Name: "resid3",
+		Cat:  f.cat,
+		Relations: []query.Relation{
+			{Table: "fact", Alias: "ff"},
+			{Table: "dim", Alias: "d"},
+			{Table: "dim2", Alias: "e"},
+		},
+		Joins: []query.Join{
+			{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "f_dim", RightCol: "d_id"},
+			{ID: 1, LeftRel: 0, RightRel: 2, LeftCol: "f_dim2", RightCol: "e_id"},
+			{ID: 2, LeftRel: 1, RightRel: 2, LeftCol: "d_attr", RightCol: "e_attr"},
+		},
+	}
+	for name, m := range map[string]plan.JoinMethod{
+		"hash": plan.HashJoin, "merge": plan.MergeJoin, "nl": plan.NLJoin, "inl": plan.IndexNLJoin,
+	} {
+		bottom := plan.NewJoin(plan.HashJoin, []int{0}, plan.NewScan(0, plan.SeqScan), plan.NewScan(1, plan.SeqScan))
+		c := diffCase{name: "resid3/" + name, q: q,
+			p: plan.NewJoin(m, []int{1, 2}, bottom, plan.NewScan(2, plan.SeqScan))}
+		e := New(q, f.store, cost.DefaultParams())
+		op, _, err := e.buildVec(c.p, &Meter{}, &Result{}, DefaultBatchSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkProjection(t, e, c.name, c.p, op, nil)
+		b, _, _ := joinParts(op)
+		if _, out, _ := joinParts(b.left); out.proj.width() != 2 {
+			t.Fatalf("%s: bottom join carries %d columns, want ff.f_dim2 and d.d_attr", c.name, out.proj.width())
+		}
+		op.Close()
+		full := runEngine(f, c, false, 0, 0, nil, -1)
+		if full.err != nil {
+			t.Fatal(full.err)
+		}
+		if full.res.Rows == 0 || len(full.res.JoinSel) != 3 {
+			t.Fatalf("%s: degenerate reference run: %+v", c.name, full.res)
+		}
+		for _, frac := range []float64{0, 0.3, 0.9} {
+			for _, batch := range []int{1, 7, 0} {
+				budget := frac * full.res.Cost
+				tup := runEngine(f, c, false, 0, budget, nil, -1)
+				vec := runEngine(f, c, true, batch, budget, nil, -1)
+				compareRuns(t, fmt.Sprintf("%s/batch=%d/budget=%.1f", c.name, batch, frac),
+					tup, vec, tup.res.Completed || batch == 1)
+			}
+		}
+	}
+}
+
+// TestINLInnerCountFollowsStore pins the index-NL inner-count memo: on
+// one reused executor, the observed selectivity tracks an Append (with
+// indexes and columns rebuilt) and a Store.Add replacement with the
+// same row count, always equal to a fresh tuple-engine run's.
+func TestINLInnerCountFollowsStore(t *testing.T) {
+	f := newFixture(t)
+	q := f.parse(t, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id AND d.d_attr <= 2`)
+	p := plan.NewJoin(plan.IndexNLJoin, []int{0},
+		plan.NewScan(q.RelIndex("f"), plan.SeqScan),
+		plan.NewScan(q.RelIndex("d"), plan.SeqScan))
+	reused := New(q, f.store, cost.DefaultParams())
+	check := func(stage string) {
+		t.Helper()
+		got, err := reused.Run(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(q, f.store, cost.DefaultParams()).Vectorized(false).Run(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.JoinSel) != 1 || got.JoinSel[0] != want.JoinSel[0] {
+			t.Fatalf("%s: reused executor observed %v, fresh tuple run %v", stage, got.JoinSel, want.JoinSel)
+		}
+	}
+	check("initial")
+	check("repeat")
+
+	// Append dim rows that pass the filter and that fact rows reference.
+	dim := f.store.MustRelation("dim")
+	for i := 0; i < 10; i++ {
+		dim.Append(expr.Row{expr.Int(int64(i + 1)), expr.Int(1)})
+	}
+	rebuild := func(r *storage.Relation) {
+		r.BuildHashIndex(0)
+		r.BuildSortedIndex(0)
+		r.BuildColumns()
+	}
+	rebuild(dim)
+	check("after Append")
+
+	// Replace dim with a relation of the same row count whose filter
+	// column now passes everywhere.
+	repl := storage.NewRelation(dim.Name, dim.Cols)
+	for _, row := range dim.Rows {
+		repl.Append(expr.Row{row[0], expr.Int(1)})
+	}
+	rebuild(repl)
+	f.store.Add(repl)
+	check("after Store.Add")
+}
+
+// TestWorkersReusePooledState runs every differential plan shape twice
+// over, at worker counts 1–8, on one executor per query: pooled hash
+// tables, row slabs and projected arenas pass between plans of different
+// widths and between sequential and morsel runs (where clones share the
+// owner's table read-only). Every run must still match a fresh
+// tuple-engine run, and every kill must bill exactly its budget.
+func TestWorkersReusePooledState(t *testing.T) {
+	f := newFixture(t)
+	cases := diffCases(t, f)
+	type key struct {
+		c      int
+		budget float64
+	}
+	ref := map[key]engineRun{}
+	for i, c := range cases {
+		full := runEngine(f, c, false, 0, 0, nil, -1)
+		for _, frac := range []float64{0, 0.3, 1.5} {
+			ref[key{i, frac}] = runEngine(f, c, false, 0, frac*full.res.Cost, nil, -1)
+		}
+	}
+	for workers := 1; workers <= 8; workers++ {
+		execs := map[*query.Query]*Executor{}
+		for pass := 0; pass < 2; pass++ {
+			for i, c := range cases {
+				e := execs[c.q]
+				if e == nil {
+					e = New(c.q, f.store, cost.DefaultParams()).WithWorkers(workers)
+					execs[c.q] = e
+				}
+				for _, frac := range []float64{0, 0.3, 1.5} {
+					tup := ref[key{i, frac}]
+					budget := frac * ref[key{i, 0}].res.Cost
+					res, err := e.Run(c.p, budget)
+					tag := fmt.Sprintf("%s/workers=%d/pass=%d/budget=%.1f", c.name, workers, pass, frac)
+					compareRuns(t, tag, tup, engineRun{res: res, err: err}, tup.res.Completed)
+					if !res.Completed && res.Cost != budget {
+						t.Fatalf("%s: killed run billed %.17g, want %.17g", tag, res.Cost, budget)
+					}
+				}
+			}
+		}
+	}
+}

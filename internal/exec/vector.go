@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/expr"
@@ -25,7 +26,7 @@ const DefaultBatchSize = 1024
 // NextBatch calls on the producer (true for scans, whose rows alias the
 // immutable storage arrays; false for join outputs, which live in a
 // reused arena). Consumers that retain rows across batches (hash build,
-// sort, NL materialization) must clone unstable rows.
+// sort, NL materialization) must copy unstable rows into a valSlab.
 type rowBatch struct {
 	base   []expr.Row
 	sel    []int32
@@ -63,20 +64,63 @@ func (b *rowBatch) row(i int) expr.Row {
 	return b.base[i]
 }
 
-// cloneRow copies a row out of an unstable batch.
-func cloneRow(r expr.Row) expr.Row { return append(expr.Row(nil), r...) }
+// slabChunk is the value capacity of one valSlab chunk.
+const slabChunk = 4096
 
-// outBuf is a join operator's reusable output arena: concatenated
-// output rows are appended into one flat value slab, so a batch of
-// joined rows costs two slice appends per row instead of one allocation
-// each. The arena is recycled on every NextBatch call, which is why
-// batches built from it are unstable.
+// valSlab is an append-only arena for the rows an operator retains from
+// unstable batches (hash build, sort input, NL inner): each copy lands
+// in the current fixed-size chunk instead of its own allocation. Rows
+// never span chunks and chunks never move, so a copied row stays valid
+// until the slab is reset; pooled slabs keep their chunks across runs.
+type valSlab struct {
+	chunks [][]expr.Value
+	cur    int
+}
+
+// copyRow copies r into the slab and returns the copy.
+func (s *valSlab) copyRow(r expr.Row) expr.Row {
+	for {
+		if s.cur == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]expr.Value, 0, max(slabChunk, len(r))))
+		}
+		c := s.chunks[s.cur]
+		if at := len(c); at+len(r) <= cap(c) {
+			c = append(c, r...)
+			s.chunks[s.cur] = c
+			return c[at:len(c):len(c)]
+		}
+		s.cur++
+	}
+}
+
+// reset empties every chunk and rewinds to the first.
+func (s *valSlab) reset() {
+	for i := range s.chunks {
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	s.cur = 0
+}
+
+// proj is a join output's projection: the positions of the left (probe,
+// outer) row's columns it keeps, then the right (build, inner) row's.
+// A join emits only the columns some ancestor reads (see buildVec), so
+// an output row is len(l)+len(r) values wide, not the children's
+// concatenated width.
+type proj struct{ l, r []int }
+
+func (p proj) width() int { return len(p.l) + len(p.r) }
+
+// outBuf is a join operator's reusable output arena: projected output
+// rows are appended into one flat value slab, so a batch of joined rows
+// costs a few value copies per row instead of one allocation each. The
+// arena is recycled on every NextBatch call, which is why batches built
+// from it are unstable.
 type outBuf struct {
-	width int
-	cap   int
-	vals  []expr.Value
-	rows  []expr.Row
-	b     rowBatch
+	proj proj
+	cap  int
+	vals []expr.Value
+	rows []expr.Row
+	b    rowBatch
 
 	// discard turns the arena into a pure counter: the plan root's rows
 	// are never read (the drive loop only counts them — §3.1 discards
@@ -86,30 +130,25 @@ type outBuf struct {
 	count   int
 }
 
-func newOutBuf(width, cap int) *outBuf {
-	return &outBuf{
-		width: width,
-		cap:   cap,
-		vals:  make([]expr.Value, 0, width*cap),
-		rows:  make([]expr.Row, 0, cap),
-	}
-}
-
 func (o *outBuf) reset() {
 	o.vals = o.vals[:0]
 	o.rows = o.rows[:0]
 	o.count = 0
 }
 
-// emit appends the concatenation of l and r as one output row.
+// emit appends the projection of l and r as one output row.
 func (o *outBuf) emit(l, r expr.Row) {
 	if o.discard {
 		o.count++
 		return
 	}
 	s := len(o.vals)
-	o.vals = append(o.vals, l...)
-	o.vals = append(o.vals, r...)
+	for _, c := range o.proj.l {
+		o.vals = append(o.vals, l[c])
+	}
+	for _, c := range o.proj.r {
+		o.vals = append(o.vals, r[c])
+	}
 	o.rows = append(o.rows, o.vals[s:len(o.vals):len(o.vals)])
 }
 
@@ -133,97 +172,125 @@ func (o *outBuf) take() *rowBatch {
 }
 
 // bufPool recycles the vectorized engine's per-run scratch buffers
-// across driveVec attempts: selection vectors, join output arenas, and
-// index-scan fetch slabs. A plain mutex-guarded freelist beats
-// sync.Pool here — buffers are checked out a handful of times per
+// across driveVec attempts: selection vectors, join output arenas,
+// index-scan fetch slabs, hash-build tables, and the value slabs that
+// hold retained copies of unstable rows. A plain mutex-guarded freelist
+// beats sync.Pool here — buffers are checked out a handful of times per
 // query, never concurrently contended on the sequential path, and the
 // typed slices avoid interface boxing on every get/put.
 type bufPool struct {
-	mu   sync.Mutex
-	sels [][]int32
-	outs []*outBuf
-	rows [][]expr.Row
+	mu     sync.Mutex
+	sels   [][]int32
+	outs   []*outBuf
+	rows   [][]expr.Row
+	tables []*graceTable
+	slabs  []*valSlab
+}
+
+// poolCap bounds each freelist.
+const poolCap = 64
+
+// take removes and returns the most recently returned entry of list
+// that fits, or reports false.
+func take[T any](p *bufPool, list *[]T, fits func(T) bool) (T, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := *list
+	for i := len(l) - 1; i >= 0; i-- {
+		if v := l[i]; fits(v) {
+			*list = append(l[:i], l[i+1:]...)
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// give returns v to list unless the list is full.
+func give[T any](p *bufPool, list *[]T, v T) {
+	p.mu.Lock()
+	if len(*list) < poolCap {
+		*list = append(*list, v)
+	}
+	p.mu.Unlock()
 }
 
 func (p *bufPool) getSel(capacity int) []int32 {
-	p.mu.Lock()
-	for i := len(p.sels) - 1; i >= 0; i-- {
-		if cap(p.sels[i]) >= capacity {
-			s := p.sels[i]
-			p.sels = append(p.sels[:i], p.sels[i+1:]...)
-			p.mu.Unlock()
-			return s[:0]
-		}
+	if s, ok := take(p, &p.sels, func(s []int32) bool { return cap(s) >= capacity }); ok {
+		return s[:0]
 	}
-	p.mu.Unlock()
 	return make([]int32, 0, capacity)
 }
 
 func (p *bufPool) putSel(s []int32) {
-	if s == nil {
-		return
+	if s != nil {
+		give(p, &p.sels, s[:0])
 	}
-	p.mu.Lock()
-	if len(p.sels) < 64 {
-		p.sels = append(p.sels, s[:0])
-	}
-	p.mu.Unlock()
 }
 
-func (p *bufPool) getOut(width, capacity int) *outBuf {
-	p.mu.Lock()
-	for i := len(p.outs) - 1; i >= 0; i-- {
-		o := p.outs[i]
-		if o.width == width && o.cap >= capacity {
-			p.outs = append(p.outs[:i], p.outs[i+1:]...)
-			p.mu.Unlock()
-			o.reset()
-			o.discard = false
-			return o
-		}
+// getOut returns an output arena for capacity rows of the projection.
+func (p *bufPool) getOut(pj proj, capacity int) *outBuf {
+	w := pj.width()
+	o, ok := take(p, &p.outs, func(o *outBuf) bool {
+		return cap(o.vals) >= w*capacity && cap(o.rows) >= capacity
+	})
+	if !ok {
+		o = &outBuf{vals: make([]expr.Value, 0, w*capacity), rows: make([]expr.Row, 0, capacity)}
 	}
-	p.mu.Unlock()
-	return newOutBuf(width, capacity)
+	o.reset()
+	o.proj, o.cap, o.discard = pj, capacity, false
+	return o
 }
 
 func (p *bufPool) putOut(o *outBuf) {
-	if o == nil {
-		return
+	if o != nil {
+		give(p, &p.outs, o)
 	}
-	o.reset()
-	p.mu.Lock()
-	if len(p.outs) < 64 {
-		p.outs = append(p.outs, o)
-	}
-	p.mu.Unlock()
 }
 
 func (p *bufPool) getRows(capacity int) []expr.Row {
-	p.mu.Lock()
-	for i := len(p.rows) - 1; i >= 0; i-- {
-		if cap(p.rows[i]) >= capacity {
-			r := p.rows[i]
-			p.rows = append(p.rows[:i], p.rows[i+1:]...)
-			p.mu.Unlock()
-			return r[:0]
-		}
+	if r, ok := take(p, &p.rows, func(r []expr.Row) bool { return cap(r) >= capacity }); ok {
+		return r[:0]
 	}
-	p.mu.Unlock()
 	return make([]expr.Row, 0, capacity)
 }
 
 func (p *bufPool) putRows(r []expr.Row) {
-	if r == nil {
-		return
+	if r != nil {
+		clear(r)
+		give(p, &p.rows, r[:0])
 	}
-	for i := range r {
-		r[i] = nil
+}
+
+// getTable returns an empty hash-build table.
+func (p *bufPool) getTable() *graceTable {
+	if t, ok := take(p, &p.tables, func(*graceTable) bool { return true }); ok {
+		return t
 	}
-	p.mu.Lock()
-	if len(p.rows) < 64 {
-		p.rows = append(p.rows, r[:0])
+	return newGraceTable()
+}
+
+// putTable empties t and recycles it. Only the table's owner returns
+// it: morsel clones share it read-only.
+func (p *bufPool) putTable(t *graceTable) {
+	if t != nil {
+		t.reset()
+		give(p, &p.tables, t)
 	}
-	p.mu.Unlock()
+}
+
+func (p *bufPool) getSlab() *valSlab {
+	if s, ok := take(p, &p.slabs, func(*valSlab) bool { return true }); ok {
+		return s
+	}
+	return &valSlab{}
+}
+
+func (p *bufPool) putSlab(s *valSlab) {
+	if s != nil {
+		s.reset()
+		give(p, &p.slabs, s)
+	}
 }
 
 // batchOperator is the vectorized iterator interface: NextBatch returns
@@ -282,7 +349,7 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 	if e.faults != nil {
 		capacity = 1 // lockstep: replay tuple-exact fault sequences
 	}
-	op, _, err := e.buildVec(root, meter, res, capacity)
+	op, _, err := e.buildVec(root, meter, res, capacity, nil)
 	if err != nil {
 		res.Cost = meter.Used + meter.Drifted
 		res.Drift = meter.Drifted
@@ -342,11 +409,38 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 // mirror build exactly: same fault-check sites, same degradation notes,
 // and — critically — the same meter class registration order, so the
 // metered total is the same function of tuple counts in both engines.
-func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
+//
+// need names the qualified columns ("alias.column") that the node's
+// ancestors read: their join keys and residual predicates. A join's
+// output carries exactly the columns of need it can supply, so the plan
+// root (need empty) is count-only and no arena copies a column nobody
+// reads. Scans ignore need: their batches alias storage rows, zero-copy.
+func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int, need []string) (batchOperator, *schema, error) {
 	if n.IsScan() {
 		return e.buildScanVec(n, meter, res, capacity)
 	}
-	return e.buildJoinVec(n, meter, res, capacity)
+	return e.buildJoinVec(n, meter, res, capacity, need)
+}
+
+// project returns the output schema and projection of a join whose
+// children have schemas ls and rs: the columns in need, in
+// concatenation order.
+func project(ls, rs *schema, need []string) (*schema, proj) {
+	var pj proj
+	sch := &schema{}
+	for i, c := range ls.cols {
+		if slices.Contains(need, c) {
+			pj.l = append(pj.l, i)
+			sch.cols = append(sch.cols, c)
+		}
+	}
+	for i, c := range rs.cols {
+		if slices.Contains(need, c) {
+			pj.r = append(pj.r, i)
+			sch.cols = append(sch.cols, c)
+		}
+	}
+	return sch, pj
 }
 
 func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
@@ -401,14 +495,21 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 	}
 }
 
-func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
-	lop, ls, err := e.buildVec(n.Left, meter, res, capacity)
+func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int, need []string) (batchOperator, *schema, error) {
+	// The children's outputs are read by this join's predicates and by
+	// whatever reads this join's output.
+	below := slices.Clip(need)
+	for _, id := range n.Join.JoinIDs {
+		names := e.keyNames(id)
+		below = append(below, names[:]...)
+	}
+	lop, ls, err := e.buildVec(n.Left, meter, res, capacity, below)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch n.Join.Method {
 	case plan.HashJoin, plan.MergeJoin, plan.NLJoin:
-		rop, rs, err := e.buildVec(n.Right, meter, res, capacity)
+		rop, rs, err := e.buildVec(n.Right, meter, res, capacity, below)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -416,14 +517,13 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 		if err != nil {
 			return nil, nil, err
 		}
-		sch := concatSchema(ls, rs)
+		sch, pj := project(ls, rs, need)
 		base := vecJoinBase{e: e, meter: meter, jc: jc, left: lop, right: rop}
-		out := e.pool.getOut(len(sch.cols), capacity)
+		out := e.pool.getOut(pj, capacity)
 		switch n.Join.Method {
 		case plan.HashJoin:
 			return &vecHashJoin{
 				vecJoinBase: base,
-				hint:        e.cardHint(n.Right),
 				clsBuild:    meter.Class(e.params.HashBuild),
 				clsProbe:    meter.Class(e.params.HashProbe),
 				clsOut:      meter.Class(e.params.Tuple),
@@ -461,15 +561,16 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 			return nil, nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
 				relation.Name, innerCol)
 		}
-		sch := concatSchema(ls, rs)
+		sch, pj := project(ls, rs, need)
 		return &vecIndexNLJoin{
 			vecJoinBase: vecJoinBase{e: e, meter: meter, jc: jc, left: lop},
+			relIdx:      rel,
 			rel:         relation,
 			filters:     e.compileFilters(rel, -1),
 			clsDescend:  meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
 			clsFetch:    meter.Class(e.params.IdxTuple),
 			clsOut:      meter.Class(e.params.Tuple),
-			out:         e.pool.getOut(len(sch.cols), capacity),
+			out:         e.pool.getOut(pj, capacity),
 			ls:          e.faults != nil,
 		}, sch, nil
 	default:
