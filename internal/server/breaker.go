@@ -117,6 +117,19 @@ func (b *breaker) Cancel() {
 	}
 }
 
+// settle ends a request Allow let through with the verdict its final
+// rejection implies, and is the one caller of Report and Cancel: none
+// (even if the response then fails to encode) reports success, an
+// engine fault or failed build reports failure, and anything else
+// (deadline, bad request, shed) only withdraws the request.
+func (b *breaker) settle(rj *rejection) {
+	if rj != nil && rj.kind != KindEngineFault && rj.kind != KindBuildFailed {
+		b.Cancel()
+		return
+	}
+	b.Report(rj == nil)
+}
+
 // State returns the current state label for observability endpoints.
 func (b *breaker) State() string {
 	b.mu.Lock()

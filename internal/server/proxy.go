@@ -249,7 +249,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("workload")
 	ws, ok := s.getWorkload(name)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0)
+		s.writeError(w, reject(http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0))
 		return
 	}
 	compiled, _ := ws.artifact()
@@ -261,8 +261,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		sn, _ = compiled.Source.(snapshotter)
 	}
 	if sn == nil {
-		s.writeError(w, http.StatusServiceUnavailable, KindBuilding,
-			fmt.Sprintf("workload %s has no resident snapshot", name), time.Second)
+		s.writeError(w, reject(http.StatusServiceUnavailable, KindBuilding,
+			fmt.Sprintf("workload %s has no resident snapshot", name), time.Second))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

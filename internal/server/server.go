@@ -21,6 +21,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,11 +58,11 @@ type Config struct {
 	// MaxQueue bounds requests waiting for a slot; beyond it requests
 	// are shed with 429 + Retry-After (default 16).
 	MaxQueue int
-	// MaxExecWorkers caps the per-request exec_workers knob — the
-	// intra-query morsel parallelism a discovery's real executions may
-	// claim (default 8, hard-capped at exec.MaxWorkers). Requests asking
-	// for more are clamped, mirroring the timeout cap: over-asking is a
-	// preference, not an error.
+	// MaxExecWorkers caps the per-request exec_workers knob (default 8,
+	// hard-capped at exec.MaxWorkers). Requests asking for more are
+	// clamped, mirroring the timeout cap: over-asking is a preference,
+	// not an error. The served path runs only the cost-model simulation,
+	// so the clamped value is keyed and gauged but reaches no executor.
 	MaxExecWorkers int
 
 	// DefaultTimeout bounds requests that carry no timeout_ms
@@ -681,10 +682,11 @@ type DiscoverRequest struct {
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	FaultSeed uint64  `json:"fault_seed,omitempty"`
 	FaultRate float64 `json:"fault_rate,omitempty"`
-	// ExecWorkers asks for intra-query morsel parallelism on the run's
-	// real executions (0 = sequential; clamped to Config.MaxExecWorkers;
-	// negative is a 400). Worker count never changes any cost in the
-	// response — only wall-clock latency.
+	// ExecWorkers asks for intra-query morsel parallelism (0 = sequential;
+	// clamped to Config.MaxExecWorkers; negative is a 400). The served
+	// path simulates execution from the cost model, so today the clamped
+	// value only keys the outcome cache and the rqp_exec_workers gauge;
+	// no executor runs with it, and no cost in the response depends on it.
 	ExecWorkers int `json:"exec_workers,omitempty"`
 }
 
@@ -753,6 +755,23 @@ const (
 	KindDeadline    = "deadline"
 	KindEngineFault = "engine-fault"
 )
+
+// rejection is one typed refusal as a request stage returns it: the
+// fields of the ErrorResponse writeError renders or, for a discovery cut
+// short by its deadline, the partial DiscoverResponse its 504 carries.
+type rejection struct {
+	code       int
+	kind       string
+	msg        string
+	retryAfter time.Duration
+	body       any
+}
+
+func reject(code int, kind, msg string, retryAfter time.Duration) *rejection {
+	return &rejection{code: code, kind: kind, msg: msg, retryAfter: retryAfter}
+}
+
+var drainingRejection = reject(http.StatusServiceUnavailable, KindDraining, "server draining", time.Second)
 
 // WorkloadInfo is one entry of GET /workloads.
 type WorkloadInfo struct {
@@ -843,18 +862,6 @@ func releaseReqBuf(rb *reqBuf) {
 	}
 }
 
-// decodeRequest reads the bounded JSON request body into a pooled
-// buffer and unmarshals it into v.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
-	rb, err := readRequestBody(r)
-	if err != nil {
-		return err
-	}
-	err = json.Unmarshal(rb.buf.Bytes(), v)
-	releaseReqBuf(rb)
-	return err
-}
-
 // encodeBody encodes v into a pooled buffer. On failure it counts the
 // encode error, logs once per error kind, and returns ok=false with
 // the poisoned pair already discarded.
@@ -906,16 +913,17 @@ func (s *Server) countEncodeError(stage string, err error) {
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, kind, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		secs := int64(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+// writeError is the one exit every rejection leaves through.
+func (s *Server) writeError(w http.ResponseWriter, rj *rejection) {
+	if rj.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(max(int64(rj.retryAfter/time.Second), 1), 10))
 	}
-	s.writeJSON(w, code, ErrorResponse{
-		Error: msg, Kind: kind, RetryAfterMS: retryAfter.Milliseconds(),
+	if rj.body != nil {
+		s.writeJSON(w, rj.code, rj.body)
+		return
+	}
+	s.writeJSON(w, rj.code, ErrorResponse{
+		Error: rj.msg, Kind: rj.kind, RetryAfterMS: rj.retryAfter.Milliseconds(),
 	})
 }
 
@@ -1013,108 +1021,53 @@ func (s *Server) admit(ctx context.Context) (release func(), shed bool, err erro
 	}
 }
 
-// requestCtx derives the per-request deadline context.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// rejectDraining writes the typed 503 of a draining server, reporting
-// whether it did; both request handlers check it before reading a byte.
-func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.writeError(w, http.StatusServiceUnavailable, KindDraining, "server draining", time.Second)
-	return true
-}
-
-// enter is the admission prologue /discover and /mso share once a
-// request has resolved its workload: the breaker's Allow, the
-// per-request deadline context, and the bounded admission queue. With
-// ok false the typed rejection is already written — 503 breaker-open,
-// 429 shed, or 504 for a deadline that expired while queued — and a
-// breaker slot taken by Allow is already returned with Cancel. With ok
-// true the caller owns one breaker Report-or-Cancel and must call
-// release, which frees the execution slot and cancels the context.
-func (s *Server) enter(w http.ResponseWriter, r *http.Request, ws *workloadState, label string, timeoutMS int64) (ctx context.Context, release func(), ok bool) {
+// enter is the admission stage /discover and /mso share: the breaker's
+// Allow, the request deadline (timeout_ms, capped by MaxTimeout) and the
+// bounded admission queue, rejecting with 503 breaker-open, 429 shed or
+// a 504 queued deadline. Past Allow every exit ends in leave — free the
+// slot, cancel the context, settle the breaker with the final rejection
+// — which enter calls on its own rejections and an admitted caller defers.
+func (s *Server) enter(r *http.Request, ws *workloadState, timeoutMS int64) (ctx context.Context, leave func(*rejection), rj *rejection) {
 	if allowed, wait := ws.breaker.Allow(); !allowed {
-		s.writeError(w, http.StatusServiceUnavailable, KindBreakerOpen,
-			fmt.Sprintf("workload %s circuit open", label), wait)
-		return nil, nil, false
+		return nil, nil, reject(http.StatusServiceUnavailable, KindBreakerOpen,
+			fmt.Sprintf("workload %s circuit open", ws.name), wait)
 	}
-	ctx, cancel := s.requestCtx(r, timeoutMS)
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), min(timeout, s.cfg.MaxTimeout))
 	free, shed, err := s.admit(ctx)
-	if free != nil {
-		return ctx, func() { free(); cancel() }, true
+	leave = func(rj *rejection) {
+		if free != nil {
+			free()
+		}
+		cancel()
+		ws.breaker.settle(rj)
 	}
-	cancel()
-	ws.breaker.Cancel()
+	if free != nil {
+		return ctx, leave, nil
+	}
 	if shed {
-		s.writeError(w, http.StatusTooManyRequests, KindShed, "admission queue full", time.Second)
+		rj = reject(http.StatusTooManyRequests, KindShed, "admission queue full", time.Second)
 	} else { // deadline expired while queued
-		s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
+		rj = reject(http.StatusGatewayTimeout, KindDeadline,
 			"deadline expired waiting for an execution slot: "+err.Error(), 0)
 	}
-	return nil, nil, false
+	leave(rj)
+	return nil, nil, rj
 }
 
-// requestInjector builds the deterministic per-request fault substream:
-// a pure function of (server seed, request seed), so any request can be
-// replayed bit for bit by re-sending the same fault_seed. Request-
-// supplied rates are only honored when the operator armed chaos
-// (FaultRate > 0 or AllowRequestFaults); otherwise a client could
-// inject faults at will and trip the shared breaker for everyone.
-func (s *Server) requestInjector(req DiscoverRequest) *faultinject.Injector {
-	rate := s.requestFaultRate(req)
-	if rate <= 0 {
-		return nil
-	}
-	return faultinject.NewUniform(s.cfg.FaultSeed, rate).Fork(req.FaultSeed)
-}
-
-// requestFaultRate resolves the fault rate a request's injector will
-// run at (0 = disarmed). Split out of requestInjector because the
-// outcome-cache key needs the same number: two requests with the same
-// seed but different effective rates see different fault schedules and
-// must never share a cache entry.
-func (s *Server) requestFaultRate(req DiscoverRequest) float64 {
-	rate := s.cfg.FaultRate
+// requestFaultRate resolves the fault rate a request's injector runs at
+// (0 = disarmed). Request-supplied rates are only honored when the
+// operator armed chaos (FaultRate > 0 or AllowRequestFaults); otherwise
+// a client could inject faults at will and trip the shared breaker for
+// everyone.
+func (s *Server) requestFaultRate(req *DiscoverRequest) float64 {
 	if req.FaultRate > 0 && (s.faults != nil || s.cfg.AllowRequestFaults) {
-		rate = req.FaultRate
+		return req.FaultRate
 	}
-	return rate
-}
-
-// outcomeKey assembles the full deterministic identity of one discover
-// request: artifact signature (SQL shape ⊕ EPPs ⊕ res ⊕ scale),
-// workload and strategy names, grid point, clamped worker count, fault
-// substream parameters (zero when disarmed), the artifact's λ, and the
-// workload's refinement epoch. Equal keys ⇒ deep-equal outcomes ⇒
-// byte-identical responses — the invariant the outcome cache rests on.
-func (s *Server) outcomeKey(ws *workloadState, strategy string, req DiscoverRequest, workers int, armed bool) core.OutcomeKey {
-	key := core.OutcomeKey{
-		SigHash:     ws.sigKey,
-		Workload:    ws.name,
-		Strategy:    strategy,
-		QA:          int(req.QA),
-		ExecWorkers: workers,
-		// The server always compiles with CompileOptions{} → DefaultLambda;
-		// keying it explicitly keeps entries honest if that ever changes.
-		Lambda: core.DefaultLambda,
-		Epoch:  ws.epoch(),
-	}
-	if armed {
-		key.FaultSeed = req.FaultSeed
-		key.FaultRate = s.requestFaultRate(req)
-	}
-	return key
+	return s.cfg.FaultRate
 }
 
 func parseAlgorithm(s string) (core.Algorithm, error) {
@@ -1162,348 +1115,363 @@ func resolveStrategy(algField, stratField string) (string, error) {
 	return name, nil
 }
 
-// lookup resolves the workload to a resident artifact or writes the
-// rejection. On-demand tenants only resolve here when their artifact
-// is cache-resident (lookup never triggers a compile — it backs the
-// MSO path, whose grid sweep assumes a built artifact).
-func (s *Server) lookup(w http.ResponseWriter, name string) (*workloadState, *core.Compiled, bool) {
-	ws, ok := s.getWorkload(name)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0)
-		return nil, nil, false
-	}
+// resident returns the workload's built artifact without building
+// anything: a pinned workload's published artifact, or an on-demand
+// tenant's while it is cache-resident (only /discover compiles tenants).
+func (s *Server) resident(ws *workloadState) (*core.Compiled, *rejection) {
 	if ws.onDemand {
 		if c, ok := s.cache.Get(ws.sigKey); ok {
-			return ws, c, true
+			return c, nil
 		}
-		s.writeError(w, http.StatusServiceUnavailable, KindBuilding,
-			fmt.Sprintf("on-demand workload %s is not resident; issue a discover first", name), time.Second)
-		return nil, nil, false
+		return nil, reject(http.StatusServiceUnavailable, KindBuilding,
+			fmt.Sprintf("on-demand workload %s is not resident; issue a discover first", ws.name), time.Second)
 	}
 	c, err := ws.artifact()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, KindBuildFailed,
-			fmt.Sprintf("workload %s failed to build: %v", name, err), 0)
-		return nil, nil, false
+		return nil, reject(http.StatusInternalServerError, KindBuildFailed,
+			fmt.Sprintf("workload %s failed to build: %v", ws.name, err), 0)
 	}
 	if c == nil {
-		s.writeError(w, http.StatusServiceUnavailable, KindBuilding,
-			fmt.Sprintf("workload %s still compiling", name), time.Second)
-		return nil, nil, false
+		return nil, reject(http.StatusServiceUnavailable, KindBuilding,
+			fmt.Sprintf("workload %s still compiling", ws.name), time.Second)
 	}
-	return ws, c, true
+	return c, nil
 }
 
+// discoverCall is one /discover request on its way through the stages.
+type discoverCall struct {
+	w         http.ResponseWriter
+	r         *http.Request
+	req       *DiscoverRequest
+	rate      float64 // effective fault rate; 0 = disarmed
+	learnBody []byte  // bytes the front table may learn; nil = not learnable
+	strategy  string
+	ws        *workloadState
+	in        *faultinject.Injector
+	workers   int
+	cacheable bool // outcome cache on and not a failover retry
+	key       core.OutcomeKey
+	failover  bool // served here because the owner replicas were down
+	c         *core.Compiled
+	out       *core.Outcome
+	resp      DiscoverResponse
+}
+
+// handleDiscover runs a request through its stages: decode and validate
+// → resolve workload → key and outcome-cache lookup → route → artifact →
+// admit → run → respond. A stage passes the request on, serves it (cache
+// hit, relayed reply) or returns the typed rejection the exit writes.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	defer s.metrics.track()()
-	if s.rejectDraining(w) {
-		return
+	d := discoverCall{w: w, r: r}
+	served, rj := s.decode(&d)
+	if rj == nil && !served {
+		d.ws, rj = s.resolveWorkload(d.req)
 	}
-	rb, err := readRequestBody(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
-		return
+	if rj == nil && !served && !s.key(&d) && !s.route(&d) {
+		if !d.ws.onDemand {
+			rj = s.artifact(r.Context(), &d)
+		}
+		if rj == nil {
+			rj = s.run(&d)
+		}
+		if rj == nil {
+			s.respond(&d)
+		}
 	}
-	body := rb.buf.Bytes()
+	if rj != nil {
+		s.writeError(w, rj)
+	}
+}
 
-	// Request-identity fast path: byte-identical repeats of an unarmed
-	// request resolve to their learned outcome key without JSON
-	// decoding. The epoch is re-stamped from the live workload state,
-	// so a refinement that moved the surface turns this into a miss.
-	if s.outcomes != nil && r.Header.Get(failoverHeader) == "" {
+// decode reads the body and serves a byte-identical repeat of a learned
+// request from the front table, with no JSON decoding or key derivation.
+// Otherwise it unmarshals the request and validates every field it can
+// before resolveWorkload may register a tenant for a refused request.
+func (s *Server) decode(d *discoverCall) (served bool, rj *rejection) {
+	if s.draining.Load() {
+		return false, drainingRejection
+	}
+	rb, err := readRequestBody(d.r)
+	if err != nil {
+		return false, reject(http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
+	}
+	defer releaseReqBuf(rb)
+	body := rb.buf.Bytes()
+	direct := d.r.Header.Get(failoverHeader) == ""
+	if s.outcomes != nil && direct {
 		if e := s.front.get(body); e != nil {
+			// Re-stamped from the live workload state, so a refinement
+			// that moved the surface turns this into a miss.
 			key := e.key
 			key.Epoch = e.ws.epoch()
 			if c, hit := s.outcomes.Get(key); hit {
 				s.metrics.countRequest(e.strategy)
-				s.writeBytes(w, http.StatusOK, c.Body)
-				releaseReqBuf(rb)
-				return
+				s.writeBytes(d.w, http.StatusOK, c.Body)
+				return true, nil
 			}
 		}
 	}
+	d.req = new(DiscoverRequest)
+	if err := json.Unmarshal(body, d.req); err != nil {
+		return false, reject(http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
+	}
+	// The front table learns this body after the pooled buffer is
+	// recycled, so copy it now, if it is learnable at all: armed requests
+	// must re-roll their chaos sites on every arrival.
+	d.rate = s.requestFaultRate(d.req)
+	if s.outcomes != nil && direct && s.front.n.Load() < frontCap && d.rate <= 0 {
+		d.learnBody = bytes.Clone(body)
+	}
+	if d.strategy, err = resolveStrategy(d.req.Algorithm, d.req.Strategy); err != nil {
+		return false, reject(http.StatusBadRequest, KindBadRequest, err.Error(), 0)
+	}
+	if d.req.ExecWorkers < 0 {
+		return false, reject(http.StatusBadRequest, KindBadRequest,
+			fmt.Sprintf("exec_workers %d must be non-negative", d.req.ExecWorkers), 0)
+	}
+	return false, nil
+}
 
-	var req DiscoverRequest
-	err = json.Unmarshal(body, &req)
-	if err != nil {
-		releaseReqBuf(rb)
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
-		return
+// key arms the request's fault substream (a pure function of the server
+// and request seeds, so a fault_seed replays bit for bit), clamps its
+// worker count, and serves a repeat from the outcome cache ahead of
+// routing, breaker, admission and dispatch. The key is the request's full
+// deterministic identity: equal keys mean byte-identical responses.
+// Failover retries are never keyed: their degradation stamps depend on
+// which replicas happened to be down.
+func (s *Server) key(d *discoverCall) bool {
+	if d.rate > 0 {
+		d.in = faultinject.NewUniform(s.cfg.FaultSeed, d.rate).Fork(d.req.FaultSeed)
 	}
-	// The identity miss path may learn this body at the end of the
-	// request, long after the pooled buffer is recycled — copy it now,
-	// but only when the identity is learnable at all: armed requests
-	// must re-roll their chaos sites on every arrival and are never
-	// admitted to the front table.
-	var learnBody []byte
-	if s.outcomes != nil && s.front.n.Load() < frontCap &&
-		r.Header.Get(failoverHeader) == "" && s.requestFaultRate(req) <= 0 {
-		learnBody = append([]byte(nil), body...)
+	d.workers = min(max(d.req.ExecWorkers, 1), s.cfg.MaxExecWorkers)
+	d.cacheable = s.outcomes != nil && d.r.Header.Get(failoverHeader) == ""
+	if !d.cacheable {
+		return false
 	}
-	releaseReqBuf(rb)
-	name, err := resolveStrategy(req.Algorithm, req.Strategy)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, err.Error(), 0)
-		return
+	// The server always compiles with CompileOptions{}, so λ is
+	// DefaultLambda; keying it keeps entries honest if that changes.
+	d.key = core.OutcomeKey{
+		SigHash: d.ws.sigKey, Workload: d.ws.name, Strategy: d.strategy,
+		QA: int(d.req.QA), ExecWorkers: d.workers,
+		Lambda: core.DefaultLambda, Epoch: d.ws.epoch(),
 	}
-	ws, ok := s.resolveWorkload(w, &req)
-	if !ok {
-		return
+	if d.in != nil {
+		d.key.FaultSeed, d.key.FaultRate = d.req.FaultSeed, d.rate
 	}
-	in := s.requestInjector(req)
+	if d.in.Trip(faultinject.SiteOutcomeEvict) && s.outcomes.Evict(d.key) {
+		s.metrics.outcomeChaosEvicts.Add(1)
+	}
+	e, hit := s.outcomes.Get(d.key)
+	if hit {
+		s.metrics.countRequest(d.strategy)
+		s.writeBytes(d.w, http.StatusOK, e.Body)
+	}
+	return hit
+}
 
-	if req.ExecWorkers < 0 {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest,
-			fmt.Sprintf("exec_workers %d must be non-negative", req.ExecWorkers), 0)
-		return
+// route proxies the request to its owner replica in shard-out mode (see
+// routeDiscover) and reports whether it did. A clean relayed 200 is
+// remembered only for eager, unarmed requests: a lazy owner refines its
+// surface independently of our epoch, and an armed owner's schedule
+// depends on its own chaos configuration.
+func (s *Server) route(d *discoverCall) bool {
+	if s.ring == nil {
+		return false
 	}
-	workers := req.ExecWorkers
-	if workers < 1 {
-		workers = 1
+	var relayed func([]byte)
+	if d.cacheable && !d.ws.isLazy() && d.in == nil {
+		relayed = func(body []byte) { s.remember(d, &core.CachedOutcome{Body: body}) }
 	}
-	if workers > s.cfg.MaxExecWorkers {
-		workers = s.cfg.MaxExecWorkers
-	}
+	handled, hops := s.routeDiscover(d.w, d.r, *d.req, d.ws.sigKey, d.in, relayed)
+	d.failover = hops > 0 || d.r.Header.Get(failoverHeader) != ""
+	return handled
+}
 
-	// Deterministic outcome cache: consult before routing, the breaker,
-	// admission, and dispatch — a hit writes the exact bytes of the
-	// execution this request would have repeated, zero-copy. Failover
-	// retries are excluded: their responses carry degradation stamps
-	// that depend on which replicas happened to be down.
-	var key core.OutcomeKey
-	cacheable := s.outcomes != nil && r.Header.Get(failoverHeader) == ""
-	if cacheable {
-		key = s.outcomeKey(ws, name, req, workers, in != nil)
-		if in.Trip(faultinject.SiteOutcomeEvict) {
-			if s.outcomes.Evict(key) {
-				s.metrics.outcomeChaosEvicts.Add(1)
-			}
+// artifact resolves the compiled artifact and makes the one check of the
+// grid point. A pinned workload's is a lookup before admission, so its
+// build failure or a bad qa never reaches the breaker; an on-demand
+// tenant's is compiled (coalesced, through the signature-keyed cache)
+// inside the admission slot, behind the breaker.
+func (s *Server) artifact(ctx context.Context, d *discoverCall) (rj *rejection) {
+	if !d.ws.onDemand {
+		d.c, rj = s.resident(d.ws)
+	} else if c, err := s.artifactFor(ctx, d.ws, d.in); err == nil {
+		d.c = c
+	} else if ctx.Err() != nil {
+		rj = reject(http.StatusGatewayTimeout, KindDeadline, "deadline expired compiling artifact: "+err.Error(), 0)
+	} else {
+		kind := KindBuildFailed
+		if faultinject.IsTransient(err) || errors.As(err, new(*faultinject.Fault)) {
+			kind = KindEngineFault
 		}
-		if e, hit := s.outcomes.Get(key); hit {
-			s.metrics.countRequest(name)
-			s.writeBytes(w, http.StatusOK, e.Body)
-			return
-		}
+		rj = reject(http.StatusInternalServerError, kind, fmt.Sprintf("compiling %s: %v", d.ws.name, err), 0)
 	}
+	if rj != nil {
+		return rj
+	}
+	if n := d.c.Source.Geometry().NumPoints(); d.req.QA < 0 || int(d.req.QA) >= n {
+		return reject(http.StatusBadRequest, KindBadRequest, fmt.Sprintf("qa %d outside grid [0, %d)", d.req.QA, n), 0)
+	}
+	return nil
+}
 
-	// Shard-out routing: proxy to the signature's owner replica unless
-	// we are it (or this request was already forwarded to us). A
-	// cleanly forwarded 200 is cacheable here too, but only for eager,
-	// unarmed requests: a lazy owner refines its surface independently
-	// of our epoch counter, and an armed owner's schedule depends on
-	// its own chaos configuration — either could diverge from the key.
-	var cacheForwarded func([]byte)
-	if cacheable && !ws.isLazy() && in == nil {
-		kf := key
-		cacheForwarded = func(respBody []byte) {
-			if _, admitted := s.outcomes.Put(kf, &core.CachedOutcome{Body: respBody}); admitted && learnBody != nil {
-				s.front.put(&frontEntry{body: learnBody, ws: ws, strategy: name, key: kf})
-			}
-		}
+// run admits the request and executes its discovery on the shared sim
+// stack (discovery.NewSimStack). Past enter the deferred leave settles
+// the breaker once, with the rejection run returns.
+func (s *Server) run(d *discoverCall) (rj *rejection) {
+	s.metrics.countRequest(d.strategy)
+	ctx, leave, rj := s.enter(d.r, d.ws, d.req.TimeoutMS)
+	if rj != nil {
+		return rj
 	}
-	handled, hops := s.routeDiscover(w, r, req, ws.sigKey, in, cacheForwarded)
-	if handled {
-		return
+	defer func() { leave(rj) }()
+	if ferr := d.in.Check(faultinject.SiteServeRun); ferr != nil {
+		return reject(http.StatusInternalServerError, KindEngineFault, "engine unavailable: "+ferr.Error(), 0)
 	}
-	failover := s.ring != nil && (hops > 0 || r.Header.Get(failoverHeader) != "")
-
-	var c *core.Compiled
-	if !ws.onDemand {
-		if _, c, ok = s.lookup(w, ws.name); !ok {
-			return
-		}
-		if req.QA < 0 || int(req.QA) >= c.Source.Geometry().NumPoints() {
-			s.writeError(w, http.StatusBadRequest, KindBadRequest,
-				fmt.Sprintf("qa %d outside grid [0, %d)", req.QA, c.Source.Geometry().NumPoints()), 0)
-			return
-		}
-	}
-	s.metrics.countRequest(name)
-
-	// Past a successful enter the breaker was told a request is in
-	// flight (it may be the half-open probe): every path below must end
-	// in exactly one Report or Cancel.
-	ctx, release, ok := s.enter(w, r, ws, req.Workload, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	defer release()
-
-	if ferr := in.Check(faultinject.SiteServeRun); ferr != nil {
-		ws.breaker.Report(false)
-		s.writeError(w, http.StatusInternalServerError, KindEngineFault,
-			"engine unavailable: "+ferr.Error(), 0)
-		return
-	}
-
-	if ws.onDemand {
-		// The artifact comes from the signature-keyed cache, compiling
-		// (coalesced) on a miss — inside the admission slot, so compile
-		// work is bounded by the same concurrency budget as discovery.
-		c, err = s.artifactFor(ctx, ws, in)
-		if err != nil {
-			if ctx.Err() != nil {
-				ws.breaker.Cancel()
-				s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
-					"deadline expired compiling artifact: "+err.Error(), 0)
-				return
-			}
-			ws.breaker.Report(false)
-			kind := KindBuildFailed
-			if faultinject.IsTransient(err) || errors.As(err, new(*faultinject.Fault)) {
-				kind = KindEngineFault
-			}
-			s.writeError(w, http.StatusInternalServerError, kind,
-				fmt.Sprintf("compiling %s: %v", ws.name, err), 0)
-			return
-		}
-		if req.QA < 0 || int(req.QA) >= c.Source.Geometry().NumPoints() {
-			ws.breaker.Cancel()
-			s.writeError(w, http.StatusBadRequest, KindBadRequest,
-				fmt.Sprintf("qa %d outside grid [0, %d)", req.QA, c.Source.Geometry().NumPoints()), 0)
-			return
+	if d.ws.onDemand {
+		if rj = s.artifact(ctx, d); rj != nil {
+			return rj
 		}
 	}
-
-	releaseWorkers := s.metrics.trackWorkers(workers)
-	out, derr := s.discover(ctx, c, name, req.QA, in, workers)
+	releaseWorkers := s.metrics.trackWorkers(d.workers)
+	dr := d.c.AcquireRun().WithFaults(d.in).WithContext(ctx).WithExecWorkers(d.workers)
+	out, err := dr.DiscoverStrategyWith(d.strategy, discovery.NewSimStack(ctx, d.c.Source, d.req.QA, d.in, s.cfg.ExecLatency))
+	core.ReleaseRun(dr)
 	releaseWorkers()
 	// Completed spill observations are valid selectivity knowledge even
 	// when the run itself aborted: fold them into a lazy surface.
-	s.feedRefinements(ws, out)
-	resp := DiscoverResponse{Workload: req.Workload, Strategy: name, QA: req.QA}
+	s.feedRefinements(d.ws, out)
+	d.out = out
+	d.resp = DiscoverResponse{Workload: d.req.Workload, Strategy: d.strategy, QA: d.req.QA}
 	if s.ring != nil {
-		resp.ServedBy = s.cfg.SelfURL
+		d.resp.ServedBy = s.cfg.SelfURL
 	}
-	if failover {
-		resp.Degraded = "failover"
+	if d.failover {
+		d.resp.Degraded = "failover"
 	}
-	if _, perr := parseAlgorithm(name); perr == nil {
-		// Paper strategies keep the legacy algorithm echo.
-		resp.Algorithm = name
+	if _, perr := parseAlgorithm(d.strategy); perr == nil {
+		d.resp.Algorithm = d.strategy // paper strategies keep the legacy algorithm echo
 	}
 	if out != nil {
-		resp.Completed = out.Completed
-		resp.TotalCost = out.TotalCost
-		resp.SubOpt = out.SubOpt(c.Source.CostAt(req.QA))
-		resp.Steps = len(out.Steps)
-		resp.Retries = out.Retries
-		resp.WastedCost = out.WastedCost
-		resp.AlignPenalty = out.AlignPenalty
-		resp.Degradations = out.Degradations
+		d.resp.Completed = out.Completed
+		d.resp.TotalCost = out.TotalCost
+		d.resp.SubOpt = out.SubOpt(d.c.Source.CostAt(d.req.QA))
+		d.resp.Steps = len(out.Steps)
+		d.resp.Retries = out.Retries
+		d.resp.WastedCost = out.WastedCost
+		d.resp.AlignPenalty = out.AlignPenalty
+		d.resp.Degradations = out.Degradations
 	}
-	if aerr := discovery.AbortCause(derr); aerr != nil {
-		// A client deadline says nothing about engine health: neither
-		// trip nor reset the breaker.
-		ws.breaker.Cancel()
-		resp.Aborted = aerr.Err.Error()
-		s.writeJSON(w, http.StatusGatewayTimeout, resp)
+	if aerr := discovery.AbortCause(err); aerr != nil {
+		// The 504 carries the partial outcome; a client deadline says
+		// nothing about engine health, so the breaker is only withdrawn.
+		d.resp.Aborted = aerr.Err.Error()
+		return &rejection{code: http.StatusGatewayTimeout, kind: KindDeadline, body: d.resp}
+	}
+	if err != nil {
+		return reject(http.StatusInternalServerError, KindEngineFault, err.Error(), 0)
+	}
+	return nil
+}
+
+// respond writes a finished discovery's response and remembers its
+// bytes, except for failover serves (stamped) and when the epoch moved
+// past the key's, even by this discovery's own refinements: a later
+// identical request must re-execute on the new surface.
+func (s *Server) respond(d *discoverCall) {
+	jb, ok := s.encodeBody(d.resp)
+	if !ok {
+		s.writeBytes(d.w, http.StatusInternalServerError, []byte(encodeFailBody))
 		return
 	}
-	if derr != nil {
-		ws.breaker.Report(false)
-		s.writeError(w, http.StatusInternalServerError, KindEngineFault, derr.Error(), 0)
-		return
+	if d.cacheable && !d.failover && d.out != nil && d.out.Completed && d.ws.epoch() == d.key.Epoch {
+		s.remember(d, &core.CachedOutcome{Outcome: d.out, Body: bytes.Clone(jb.buf.Bytes())})
 	}
-	ws.breaker.Report(true)
-	jb, encOK := s.encodeBody(resp)
-	if !encOK {
-		s.writeBytes(w, http.StatusInternalServerError, []byte(encodeFailBody))
-		return
-	}
-	// Cache the exact bytes being served. Skipped for failover serves
-	// (stamped responses) and whenever the workload's epoch moved past
-	// the key's — including by this very discovery's own refinements:
-	// the outcome describes the pre-refinement surface, and a later
-	// identical request must re-execute on the new one. An entry keyed
-	// at a superseded epoch would be unreachable anyway; the recheck
-	// just keeps it out of the budget.
-	if cacheable && !failover && out != nil && out.Completed && ws.epoch() == key.Epoch {
-		respBody := make([]byte, jb.buf.Len())
-		copy(respBody, jb.buf.Bytes())
-		_, admitted := s.outcomes.Put(key, &core.CachedOutcome{Outcome: out, Body: respBody})
-		// Learn the request identity too — only for admitted entries
-		// (an identity nobody repeats would squat in the front table)
-		// and only unarmed: armed requests must roll their chaos sites
-		// on every arrival.
-		if admitted && learnBody != nil && in == nil {
-			s.front.put(&frontEntry{body: learnBody, ws: ws, strategy: name, key: key})
-		}
-	}
-	s.writeBytes(w, http.StatusOK, jb.buf.Bytes())
+	s.writeBytes(d.w, http.StatusOK, jb.buf.Bytes())
 	releaseJSONBuf(jb)
 }
 
-// discover runs one deadline-bounded discovery of the named strategy on
-// the shared sim stack (discovery.NewSimStack): the simulated engine
-// behind the configured latency and, when chaos is armed, the
-// fault-injecting engine plus the resilient retry driver (capped
-// exponential backoff with deterministic jitter).
-func (s *Server) discover(ctx context.Context, c *core.Compiled, name string, qa int32, in *faultinject.Injector, workers int) (*core.Outcome, error) {
-	r := c.AcquireRun().WithFaults(in).WithContext(ctx).WithExecWorkers(workers)
-	defer core.ReleaseRun(r)
-	return r.DiscoverStrategyWith(name, discovery.NewSimStack(ctx, c.Source, qa, in, s.cfg.ExecLatency))
+// remember installs a served outcome in the outcome cache and teaches
+// the front table the request's identity — only once admitted (an
+// identity nobody repeats would squat) and only if learnable.
+func (s *Server) remember(d *discoverCall, co *core.CachedOutcome) {
+	if _, admitted := s.outcomes.Put(d.key, co); admitted && d.learnBody != nil {
+		s.front.put(&frontEntry{body: d.learnBody, ws: d.ws, strategy: d.strategy, key: d.key})
+	}
 }
 
 func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	defer s.metrics.track()()
-	if s.rejectDraining(w) {
+	resp, rj := s.sweep(r)
+	if rj != nil {
+		s.writeError(w, rj)
 		return
 	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// sweep runs one /mso request: decode and validate, resident artifact,
+// admission, grid sweep. workers is clamped to runtime.NumCPU(), what
+// workers: 0 gets, so one admission slot never runs a discovery per grid
+// point at once: over-asking is a preference, as with exec_workers.
+func (s *Server) sweep(r *http.Request) (resp MSOResponse, rj *rejection) {
+	if s.draining.Load() {
+		return resp, drainingRejection
+	}
 	var req MSORequest
-	if err := decodeRequest(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
-		return
+	rb, err := readRequestBody(r)
+	if err == nil {
+		err = json.Unmarshal(rb.buf.Bytes(), &req)
+		releaseReqBuf(rb)
+	}
+	if err != nil {
+		return resp, reject(http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
 	}
 	alg, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, err.Error(), 0)
-		return
+		return resp, reject(http.StatusBadRequest, KindBadRequest, err.Error(), 0)
 	}
 	if req.Stride < 0 {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest,
+		return resp, reject(http.StatusBadRequest, KindBadRequest,
 			fmt.Sprintf("stride %d must be non-negative", req.Stride), 0)
-		return
 	}
 	if req.Workers < 0 {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest,
+		return resp, reject(http.StatusBadRequest, KindBadRequest,
 			fmt.Sprintf("workers %d must be non-negative", req.Workers), 0)
-		return
 	}
-	ws, c, ok := s.lookup(w, req.Workload)
+	ws, ok := s.getWorkload(req.Workload)
 	if !ok {
-		return
+		return resp, reject(http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", req.Workload), 0)
+	}
+	c, rj := s.resident(ws)
+	if rj != nil {
+		return resp, rj
 	}
 	s.metrics.countRequest(string(alg))
-	ctx, release, ok := s.enter(w, r, ws, req.Workload, req.TimeoutMS)
-	if !ok {
-		return
+	ctx, leave, rj := s.enter(r, ws, req.TimeoutMS)
+	if rj != nil {
+		return resp, rj
 	}
-	defer release()
-
-	res, merr := mso.Sweep(c.Source, func(qa int32) (*core.Outcome, error) {
+	defer func() { leave(rj) }()
+	res, err := mso.Sweep(c.Source, func(qa int32) (*core.Outcome, error) {
 		return c.NewRun().WithContext(ctx).Discover(alg, qa)
-	}, mso.Options{Stride: req.Stride, Workers: req.Workers})
-	if aerr := discovery.AbortCause(merr); aerr != nil {
-		ws.breaker.Cancel()
-		s.writeError(w, http.StatusGatewayTimeout, KindDeadline,
+	}, mso.Options{Stride: req.Stride, Workers: min(req.Workers, runtime.NumCPU())})
+	if aerr := discovery.AbortCause(err); aerr != nil {
+		return resp, reject(http.StatusGatewayTimeout, KindDeadline,
 			"deadline expired mid-sweep: "+aerr.Err.Error(), 0)
-		return
 	}
-	if merr != nil {
-		ws.breaker.Report(false)
-		s.writeError(w, http.StatusInternalServerError, KindEngineFault, merr.Error(), 0)
-		return
+	if err != nil {
+		return resp, reject(http.StatusInternalServerError, KindEngineFault, err.Error(), 0)
 	}
-	ws.breaker.Report(true)
 	g, _ := c.Guarantee(alg)
-	s.writeJSON(w, http.StatusOK, MSOResponse{
+	return MSOResponse{
 		Workload: req.Workload, Algorithm: string(alg),
 		MSO: res.MSO, ASO: res.ASO, ArgMax: res.ArgMax,
 		Points: len(res.Points), Guarantee: g,
-	})
+	}, nil
 }

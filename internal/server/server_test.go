@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -433,6 +434,22 @@ func TestMSORejectsNegativeStrideAndWorkers(t *testing.T) {
 		if err := json.Unmarshal(body, &er); err != nil || er.Kind != KindBadRequest {
 			t.Fatalf("%+v: rejection untyped: %s", req, body)
 		}
+	}
+
+	// Over-asking is a preference: workers is clamped to NumCPU, what
+	// workers: 0 gets, so one admitted sweep never runs a discovery per
+	// grid point at once.
+	p := &probeSource{delay: time.Millisecond}
+	wrapSource(t, s, "EQ", p)
+	if runtime.NumCPU() >= p.Geometry().NumPoints() {
+		t.Skipf("%d CPUs cover all %d grid points; the clamp is invisible", runtime.NumCPU(), p.Geometry().NumPoints())
+	}
+	rec, body := postJSON(t, s.Handler(), "/mso", MSORequest{Workload: "EQ", Algorithm: "sb", Workers: 1 << 30})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("workers 1<<30: status %d: %s", rec.Code, body)
+	}
+	if got := p.peak.Load(); got > int64(runtime.NumCPU()) {
+		t.Fatalf("%d discoveries ran at once under one admission slot, want at most NumCPU = %d", got, runtime.NumCPU())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -104,66 +105,50 @@ func (s *Server) snapshotWorkloads() []*workloadState {
 
 // resolveWorkload maps a request onto a workload state, creating an
 // on-demand tenant when the name (or SQL signature) identifies a
-// registered spec that is not pinned. On failure it writes the typed
-// rejection and returns ok=false. When the request carries SQL, its
+// registered spec that is not pinned. When the request carries SQL, its
 // canonical signature picks the spec: an unknown signature is 404, an
 // ambiguous one (several specs share the SQL body) is a 400 naming the
 // candidates unless the workload field disambiguates.
-func (s *Server) resolveWorkload(w http.ResponseWriter, req *DiscoverRequest) (*workloadState, bool) {
+func (s *Server) resolveWorkload(req *DiscoverRequest) (*workloadState, *rejection) {
 	name := req.Workload
 	if req.SQL != "" {
 		sig, err := query.Sign(req.SQL)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, KindBadRequest, "unsignable sql: "+err.Error(), 0)
-			return nil, false
+			return nil, reject(http.StatusBadRequest, KindBadRequest, "unsignable sql: "+err.Error(), 0)
 		}
 		cands := s.sigIdx[sig.Hash]
 		switch {
 		case len(cands) == 0:
-			s.writeError(w, http.StatusNotFound, KindNotFound,
+			return nil, reject(http.StatusNotFound, KindNotFound,
 				fmt.Sprintf("no workload matches query signature %s", sig), 0)
-			return nil, false
 		case name != "":
-			found := false
-			for _, c := range cands {
-				if c == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				s.writeError(w, http.StatusBadRequest, KindBadRequest,
+			if !slices.Contains(cands, name) {
+				return nil, reject(http.StatusBadRequest, KindBadRequest,
 					fmt.Sprintf("sql signature %s does not match workload %q (candidates: %s)",
 						sig, name, strings.Join(cands, ", ")), 0)
-				return nil, false
 			}
 		case len(cands) == 1:
 			name = cands[0]
 		default:
-			s.writeError(w, http.StatusBadRequest, KindBadRequest,
+			return nil, reject(http.StatusBadRequest, KindBadRequest,
 				fmt.Sprintf("query signature %s is ambiguous (candidates: %s); set workload to disambiguate",
 					sig, strings.Join(cands, ", ")), 0)
-			return nil, false
 		}
 		req.Workload = name
 	}
 	if name == "" {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, "workload or sql required", 0)
-		return nil, false
+		return nil, reject(http.StatusBadRequest, KindBadRequest, "workload or sql required", 0)
 	}
 	if ws, ok := s.getWorkload(name); ok {
-		return ws, true
+		return ws, nil
 	}
 	spec, err := workload.ByName(name)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0)
-		return nil, false
+		return nil, reject(http.StatusNotFound, KindNotFound, fmt.Sprintf("unknown workload %q", name), 0)
 	}
 	sig, err := s.signatureFor(spec)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest,
-			fmt.Sprintf("workload %s: %v", name, err), 0)
-		return nil, false
+		return nil, reject(http.StatusBadRequest, KindBadRequest, fmt.Sprintf("workload %s: %v", name, err), 0)
 	}
 	s.wmu.Lock()
 	ws, ok := s.workloads[name]
@@ -176,7 +161,7 @@ func (s *Server) resolveWorkload(w http.ResponseWriter, req *DiscoverRequest) (*
 		s.workloads[name] = ws
 	}
 	s.wmu.Unlock()
-	return ws, true
+	return ws, nil
 }
 
 func closedChan() chan struct{} {

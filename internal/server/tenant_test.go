@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -29,11 +28,10 @@ func tenantConfig(t *testing.T) Config {
 // on-demand tenant state without serving a request.
 func makeTenant(t *testing.T, s *Server, name string) *workloadState {
 	t.Helper()
-	rec := httptest.NewRecorder()
 	req := DiscoverRequest{Workload: name}
-	ws, ok := s.resolveWorkload(rec, &req)
-	if !ok {
-		t.Fatalf("resolveWorkload(%s): %s", name, rec.Body.String())
+	ws, rj := s.resolveWorkload(&req)
+	if rj != nil {
+		t.Fatalf("resolveWorkload(%s): %s", name, rj.msg)
 	}
 	if !ws.onDemand {
 		t.Fatalf("workload %s resolved as pinned", name)
@@ -140,6 +138,31 @@ func TestResolveWorkloadBySQL(t *testing.T) {
 		DiscoverRequest{SQL: "select x from nowhere where y = 1", Algorithm: "sb"})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown SQL: status %d: %s", rec.Code, body)
+	}
+}
+
+// A request refused on a field that needs no workload must not register
+// the on-demand tenant it names: the tenant would stay listed in
+// /workloads and rqp_breaker_state for the server's lifetime. Such fields
+// are checked before the name, so an unknown name is a 400 here too.
+func TestRefusedRequestRegistersNoTenant(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	for _, req := range []DiscoverRequest{
+		{Workload: "2D_Q91", ExecWorkers: -1},
+		{Workload: "2D_Q91", Strategy: "nope"},
+		{Workload: "nope", ExecWorkers: -1},
+	} {
+		rec, body := postJSON(t, s.Handler(), "/discover", req)
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || rec.Code != http.StatusBadRequest || er.Kind != KindBadRequest {
+			t.Fatalf("%+v: status %d, want a typed 400: %s", req, rec.Code, body)
+		}
+	}
+	if _, workloads := getBody(t, s.Handler(), "/workloads"); strings.Contains(workloads, "2D_Q91") {
+		t.Fatalf("refused request registered a tenant:\n%s", workloads)
+	}
+	if page := metricsPage(t, s); strings.Contains(page, `workload="2D_Q91"`) {
+		t.Fatalf("refused request's tenant has a breaker series:\n%s", page)
 	}
 }
 
