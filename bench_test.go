@@ -17,9 +17,7 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
@@ -365,60 +363,6 @@ func BenchmarkMSOSweepSpillBound(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(res.MSO, "MSOe")
 		}
-	}
-}
-
-// shared6D compiles the 6D_Q91 res-5 artifact once for the parallel
-// benchmarks; every workers=N sub-benchmark shares it, which is the
-// point — one Compiled, many concurrent Runs.
-var shared6D struct {
-	once sync.Once
-	c    *core.Compiled
-	err  error
-}
-
-func sharedCompiled6D(b *testing.B) *core.Compiled {
-	b.Helper()
-	shared6D.once.Do(func() {
-		spec, err := workload.ByName("6D_Q91")
-		if err != nil {
-			shared6D.err = err
-			return
-		}
-		space, err := spec.SpaceWith(1.0, ess.Config{Res: 5})
-		if err != nil {
-			shared6D.err = err
-			return
-		}
-		shared6D.c, shared6D.err = core.Compile(space, core.CompileOptions{})
-	})
-	if shared6D.err != nil {
-		b.Fatal(shared6D.err)
-	}
-	return shared6D.c
-}
-
-// BenchmarkDiscoverParallel measures concurrent-discovery throughput
-// over one shared 6D_Q91 Compiled with a simulated 500µs per-execution
-// engine latency (discovery.Latent). The workers=N vs workers=1 disc/s
-// ratio is the concurrency scaling; latency-bound, so it is meaningful
-// on any core count.
-func BenchmarkDiscoverParallel(b *testing.B) {
-	c := sharedCompiled6D(b)
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.Throughput(c, experiments.ThroughputOptions{
-					Parallel: workers, Runs: 32, ExecLatency: 500 * time.Microsecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.DiscoveriesPerSec, "disc/s")
-				}
-			}
-		})
 	}
 }
 

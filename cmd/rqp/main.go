@@ -29,8 +29,6 @@
 //	                   robust-QP strategy swept fault-free and under the
 //	                   -chaos-seed/-chaos-rate schedule (-query, -strategies,
 //	                   -experiments-file); see DESIGN.md §12
-//	throughput         concurrent discovery throughput (-parallel, -runs,
-//	                   -exec-latency); emits benchdiff-parsable lines
 //	herd               request-herd scenario: -runs identical /discover
 //	                   requests against an in-process replica, measuring
 //	                   compile coalescing and 429 Retry-After behavior
@@ -41,7 +39,7 @@
 //	list               available workload queries
 //	all                everything above except ablations
 //
-// The discover, mso, and throughput commands accept -deadline, which
+// The discover and mso commands accept -deadline, which
 // bounds the whole invocation by a context deadline: on expiry the
 // discovery aborts at the next execution boundary with a typed error
 // and a partial trace, exactly as a served request would.
@@ -126,10 +124,9 @@ func run(args []string) error {
 	chaosSeed := fs.Uint64("chaos-seed", 0, "fault-injection seed for discover (with -chaos-rate)")
 	chaosRate := fs.Float64("chaos-rate", 0, "per-site fault probability in [0,1] for discover (0 = off)")
 	chaosAllowRequest := fs.Bool("chaos-allow-request", false, "let serve clients arm their own fault_rate even when -chaos-rate is 0 (chaos testing only)")
-	parallel := fs.String("parallel", "1", "worker counts for throughput, comma-separated (e.g. 1,16)")
-	runs := fs.Int("runs", 64, "total discoveries per throughput configuration")
-	execLatency := fs.Duration("exec-latency", 0, "simulated per-execution engine latency for throughput/serve (e.g. 2ms)")
-	deadline := fs.Duration("deadline", 0, "abort discover/mso/throughput after this long (0 = unbounded); also serve's default request timeout")
+	runs := fs.Int("runs", 64, "identical /discover requests in the herd")
+	execLatency := fs.Duration("exec-latency", 0, "simulated per-execution engine latency for serve (e.g. 2ms)")
+	deadline := fs.Duration("deadline", 0, "abort discover/mso after this long (0 = unbounded); also serve's default request timeout")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address for serve")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 	serveWorkloads := fs.String("workloads", "EQ", "comma-separated workload queries for serve")
@@ -160,6 +157,9 @@ func run(args []string) error {
 	if fs.NArg() > 1 {
 		if err := fs.Parse(fs.Args()[1:]); err != nil {
 			return err
+		}
+		if fs.NArg() > 0 {
+			return fmt.Errorf("unexpected argument %q after %s (only flags may follow the subcommand)", fs.Arg(0), cmd)
 		}
 	}
 
@@ -241,9 +241,6 @@ func run(args []string) error {
 	case "bakeoff":
 		return bakeoff(*queryName, *strategies, *scale, cfg, *chaosSeed, *chaosRate,
 			*stride, *experimentsFile)
-	case "throughput":
-		return throughput(*queryName, *alg, *scale, cfg, *parallel, *runs,
-			*execLatency, *chaosSeed, *chaosRate, *deadline)
 	case "herd":
 		return herd(*queryName, *runs, *scale, *res, *chaosSeed, *chaosRate, *deadline)
 	case "serve":
@@ -460,63 +457,6 @@ func parseQA(g *ess.Grid, qaFlag string) ([]int, error) {
 		qaIdx = append(qaIdx, g.NearestIndex(v))
 	}
 	return qaIdx, nil
-}
-
-// throughput compiles one space, then drives -runs concurrent
-// discoveries over it at each -parallel level and prints aggregate
-// latency/throughput, one benchdiff-parsable Benchmark line per level
-// (pipe into `go run ./cmd/benchdiff -out BENCH_concurrency.json`).
-func throughput(name, algName string, scale float64, cfg sweepCfg, parallelFlag string,
-	runs int, execLatency time.Duration, chaosSeed uint64, chaosRate float64,
-	deadline time.Duration) error {
-	var levels []int
-	for _, p := range strings.Split(parallelFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -parallel value %q", p)
-		}
-		levels = append(levels, n)
-	}
-	compiled, err := cfg.compile(name, scale, core.CompileOptions{PrimeAlignment: true})
-	if err != nil {
-		return err
-	}
-	var faults *faultinject.Injector
-	if chaosRate > 0 {
-		faults = faultinject.NewUniform(chaosSeed, chaosRate)
-	}
-	fmt.Printf("%s via %s: %d discoveries per level, exec latency %v, chaos rate %g\n",
-		name, algName, runs, execLatency, chaosRate)
-	ctx, cancel := deadlineCtx(deadline)
-	defer cancel()
-	var base float64
-	for _, p := range levels {
-		res, err := experiments.Throughput(compiled, experiments.ThroughputOptions{
-			Algorithm: core.Algorithm(algName), Parallel: p, Runs: runs,
-			ExecLatency: execLatency, Faults: faults, Context: ctx,
-		})
-		if err != nil {
-			return err
-		}
-		speedup := ""
-		if base == 0 {
-			base = res.DiscoveriesPerSec
-		} else if base > 0 {
-			speedup = fmt.Sprintf("  (%.2fx vs parallel=%d)", res.DiscoveriesPerSec/base, levels[0])
-		}
-		retries := ""
-		if res.TotalRetries > 0 {
-			retries = fmt.Sprintf("  retries %d", res.TotalRetries)
-		}
-		fmt.Printf("  parallel=%-3d wall %-10v %8.1f disc/s  mean %-10v p95 %-10v max %v%s%s\n",
-			p, res.Wall.Round(time.Millisecond), res.DiscoveriesPerSec,
-			res.MeanLatency.Round(time.Microsecond), res.P95.Round(time.Microsecond),
-			res.MaxLatency.Round(time.Microsecond), retries, speedup)
-		fmt.Printf("BenchmarkThroughput/%s/parallel=%d %d %.0f ns/op %.1f disc/s %.0f p95-ns %d steps %d retries\n",
-			name, p, runs, float64(res.Wall.Nanoseconds())/float64(runs),
-			res.DiscoveriesPerSec, float64(res.P95.Nanoseconds()), res.TotalSteps, res.TotalRetries)
-	}
-	return nil
 }
 
 // herd runs the request-herd scenario: an in-process replica is

@@ -92,6 +92,17 @@ func TestRunDiscoverErrors(t *testing.T) {
 	if err := run([]string{"-res", "5", "discover", "-query", "EQ", "-alg", "nosuch"}); err == nil {
 		t.Fatal("unknown algorithm should error")
 	}
+	// Only flags may follow the subcommand; a stray positional argument
+	// is named, not dropped with every flag after it.
+	for _, args := range [][]string{
+		{"discover", "2D_Q91"},
+		{"discover", "2D_Q91", "-res", "6"},
+		{"discover", "-res", "6", "2D_Q91", "-query", "EQ"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), `"2D_Q91"`) {
+			t.Errorf("run(%q) = %v, want an error naming 2D_Q91", args, err)
+		}
+	}
 }
 
 func TestRunMSO(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 // execution, modeling the I/O-bound engine of a deployed discovery
 // service: in production the executions run on a remote database
 // engine, so a discovery spends its time waiting on them, and N
-// concurrent discoveries overlap those waits. The throughput harness
-// (experiments.Throughput, rqp throughput) uses this to measure
-// concurrency scaling honestly on any core count.
+// concurrent discoveries overlap those waits. The serving tier puts it
+// behind every served discovery when configured with an execution
+// latency (rqp serve -exec-latency).
 //
 // With a context attached (WithContext), the wait is interruptible: a
 // deadline that expires mid-sleep wakes the engine immediately, the

@@ -29,7 +29,7 @@ func NewSimEngine(src ess.ContourSource, qa int32) *SimEngine {
 
 // NewSimStack assembles the cost-model-simulated engine stack for the
 // instance at qa — the one stack every simulated discovery runs on
-// (core.Run, the serving tier, the throughput harness), so all
+// (core.Run and the serving tier), so all
 // strategies see identical plumbing and chaos runs replay bit for bit:
 // the bare sim; with an injector armed, the fault-injecting engine
 // behind the resilient retry driver; with a positive latency, the

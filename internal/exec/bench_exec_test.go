@@ -15,7 +15,7 @@ import (
 
 // benchFixture is a star schema big enough that per-tuple overheads
 // dominate: the numbers here are what the vectorized engine is measured
-// against in BENCH_exec.json.
+// against (EXPERIMENTS.md, "Executor throughput").
 type benchFixture struct {
 	cat   *catalog.Catalog
 	store *storage.Store

@@ -157,8 +157,8 @@ func TestDifferentialLazyESSConcurrent(t *testing.T) {
 	}
 }
 
-// The bake-off and throughput drivers read the compiled artifact's grid
-// through its ContourSource, so an artifact compiled over a demand-
+// The bake-off driver and concurrent runs read the compiled artifact's
+// grid through its ContourSource, so an artifact compiled over a demand-
 // driven LazySpace runs them like an eager one (both used to dereference
 // an eager-only field and crash on a lazy artifact).
 func TestLazyArtifactDrivesBakeoffAndThroughput(t *testing.T) {
@@ -189,12 +189,8 @@ func TestLazyArtifactDrivesBakeoffAndThroughput(t *testing.T) {
 	}
 
 	for _, latency := range []time.Duration{0, 50 * time.Microsecond} {
-		res, err := Throughput(c, ThroughputOptions{Runs: 8, Parallel: 2, ExecLatency: latency})
-		if err != nil {
-			t.Fatalf("lazy throughput (latency %v): %v", latency, err)
-		}
-		if res.Runs != 8 || res.TotalSteps == 0 {
-			t.Fatalf("lazy throughput (latency %v): implausible result %+v", latency, res)
+		if steps := concurrentSteps(t, c, 2, 8, latency, nil); steps == 0 {
+			t.Fatalf("concurrent lazy runs (latency %v) took no step", latency)
 		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 	"repro/internal/server"
 )
 
-// This file benchmarks the serving tier's request hot path — the
-// numbers behind BENCH_serve.json. BenchmarkServeDiscover measures the
-// in-process /discover latency and allocation profile under two
-// traffic mixes (repeat-heavy, where the deterministic outcome cache
-// should absorb nearly everything, and all-miss, where it must not
-// slow the execution path down), each with the cache enabled and
-// disabled. BenchmarkHerdReplicas measures shared-nothing ring
-// throughput at 1/2/4 in-process replicas via the Herd driver.
+// This file benchmarks the serving tier's request hot path.
+// BenchmarkServeDiscover measures the in-process /discover latency and
+// allocation profile under two traffic mixes (repeat-heavy, where the
+// deterministic outcome cache should absorb nearly everything, and
+// all-miss, where it must not slow the execution path down), each with
+// the cache enabled and disabled. BenchmarkHerdReplicas measures
+// shared-nothing ring throughput at 1/2/4 in-process replicas via the
+// Herd driver.
 
 // nullRW discards the response while recording the status, so the
 // benchmark loop measures the handler, not an httptest recorder's

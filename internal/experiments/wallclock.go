@@ -2,14 +2,18 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/ess"
+	"repro/internal/exec"
 	"repro/internal/optimizer"
+	"repro/internal/query"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -45,11 +49,11 @@ func (h *Harness) Table3WallClock() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Executors are per-run state; the pool recycles them the way the
-	// concurrent throughput driver does. Each borrowed executor gets the
-	// harness's intra-query worker count: morsel parallelism cuts the
-	// wall-clock of every real execution without moving a single metered
-	// cost (the engine's merge contract).
+	// Executors are per-run state; the pool recycles them across
+	// discoveries. Each borrowed executor gets the harness's intra-query
+	// worker count: morsel parallelism cuts the wall-clock of every real
+	// execution without moving a single metered cost (the engine's merge
+	// contract).
 	execPool := NewExecutorPool(q, store, cost.DefaultParams())
 	executor := execPool.Get().WithWorkers(h.Opts.ExecWorkers)
 	defer execPool.Put(executor)
@@ -173,4 +177,32 @@ func fmtSels(sels []float64) string {
 		s += fmt.Sprintf("%.2e", v)
 	}
 	return s + "]"
+}
+
+// ExecutorPool recycles row-level executors across concurrent
+// discoveries. Executors are cheap but not free (operator scratch,
+// meter state), and RealEngine needs a private one per run; the pool
+// keeps N concurrent runs from constructing one per discovery.
+type ExecutorPool struct {
+	pool sync.Pool
+}
+
+// NewExecutorPool creates a pool producing executors for the query over
+// the store.
+func NewExecutorPool(q *query.Query, store *storage.Store, params cost.Params) *ExecutorPool {
+	return &ExecutorPool{pool: sync.Pool{
+		New: func() any { return exec.New(q, store, params) },
+	}}
+}
+
+// Get returns an executor, creating one if the pool is empty.
+func (p *ExecutorPool) Get() *exec.Executor { return p.pool.Get().(*exec.Executor) }
+
+// Put returns an executor to the pool, disarming any fault injector and
+// resetting the worker count the borrower attached so the next borrower
+// starts clean.
+func (p *ExecutorPool) Put(e *exec.Executor) {
+	e.WithFaults(nil)
+	e.WithWorkers(1)
+	p.pool.Put(e)
 }

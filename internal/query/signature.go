@@ -225,8 +225,8 @@ func scanNumber(src string, pos int) int {
 	return pos
 }
 
-// scanString consumes a single-quoted SQL string with '' escapes,
-// returning the position after the closing quote.
+// scanString consumes a single-quoted SQL string, in which doubled single
+// quotes escape one quote, returning the position after the closing quote.
 func scanString(src string, pos int) (int, error) {
 	pos++ // opening quote
 	for pos < len(src) {

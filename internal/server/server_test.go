@@ -559,6 +559,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
+	before := runtime.NumGoroutine()
 	go func() { served <- s.Serve(ctx, l) }()
 	base := "http://" + l.Addr().String()
 
@@ -610,6 +611,18 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused after drain.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("post-drain connection should be refused")
+	}
+	// Nothing the served request started outlives the drain: once the
+	// client's idle connections close, the goroutine count is back to
+	// where it was before Serve.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked by the drain: %d before Serve, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
