@@ -158,44 +158,77 @@ func BenchmarkParallelExec(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinChain measures a join output that is not the root's:
+// dim ⋈ fact ⋈ dim, left-deep over the fact scan, so every fact row's
+// bottom-join match is emitted and probed again by the top join. The
+// two-relation benchmarks above have a count-only root and never emit.
+func BenchmarkJoinChain(b *testing.B) {
+	f := newBenchFixture(b)
+	q := f.parse(b, `SELECT * FROM dim d, fact f, dim e WHERE d.d_id = f.f_dim AND f.f_val = e.d_id`)
+	for name, m := range map[string]plan.JoinMethod{"hash": plan.HashJoin, "inl": plan.IndexNLJoin} {
+		bottom := plan.NewJoin(m, []int{0},
+			plan.NewScan(q.RelIndex("f"), plan.SeqScan),
+			plan.NewScan(q.RelIndex("d"), plan.SeqScan))
+		p := plan.NewJoin(m, []int{1}, bottom, plan.NewScan(q.RelIndex("e"), plan.SeqScan))
+		b.Run(name, func(b *testing.B) { benchRun(b, q, f.store, p, 0) })
+	}
+}
+
 // TestRepeatRunAllocsBoundedByInput guards what a warm executor
-// allocates per run: a hash join whose build side is the 50 000-row fact
-// filtered to 2% reuses its pooled table, slab and arenas, so a
+// allocates per run. A hash join whose build side is the 50 000-row
+// fact filtered to 2% reuses its pooled table and arenas, so a
 // completed run and a run killed at 1% of its budget each allocate a
-// few kilobytes — not a table sized by the unfiltered fact (≈3 MB
-// when tables were presized from the largest base relation below the
-// build).
+// few kilobytes — not a table sized by the unfiltered fact (≈3 MB when
+// tables were presized from the largest base relation below the
+// build). The same holds when the build side is itself a join output
+// (dim ⋈ (fact ⋈ dim)): its tuples are ordinals copied into the pooled
+// table, so nothing is retained per row.
 func TestRepeatRunAllocsBoundedByInput(t *testing.T) {
 	const bound = 16 << 10 // bytes per run
 	f := newBenchFixture(t)
-	q := f.parse(t, `SELECT * FROM dim d, fact f WHERE d.d_id = f.f_dim AND f.f_val <= 2`)
-	p := plan.NewJoin(plan.HashJoin, []int{0},
-		plan.NewScan(q.RelIndex("d"), plan.SeqScan),
-		plan.NewScan(q.RelIndex("f"), plan.SeqScan))
-	e := New(q, f.store, cost.DefaultParams())
-	full, err := e.Run(p, 0)
-	if err != nil || !full.Completed {
-		t.Fatalf("full run: %v %+v", err, full)
+	q2 := f.parse(t, `SELECT * FROM dim d, fact f WHERE d.d_id = f.f_dim AND f.f_val <= 2`)
+	q3 := f.parse(t, `SELECT * FROM dim d, fact f, dim e
+		WHERE d.d_id = f.f_dim AND f.f_val = e.d_id AND f.f_val <= 2`)
+	plans := []struct {
+		name string
+		q    *query.Query
+		p    *plan.Node
+	}{
+		{"two-rel", q2, plan.NewJoin(plan.HashJoin, []int{0},
+			plan.NewScan(q2.RelIndex("d"), plan.SeqScan),
+			plan.NewScan(q2.RelIndex("f"), plan.SeqScan))},
+		{"chain", q3, plan.NewJoin(plan.HashJoin, []int{1},
+			plan.NewScan(q3.RelIndex("e"), plan.SeqScan),
+			plan.NewJoin(plan.HashJoin, []int{0},
+				plan.NewScan(q3.RelIndex("f"), plan.SeqScan),
+				plan.NewScan(q3.RelIndex("d"), plan.SeqScan)))},
 	}
-	for _, c := range []struct {
-		name   string
-		budget float64
-	}{{"completed", 0}, {"killed", 0.01 * full.Cost}} {
-		const runs = 20
-		e.Run(p, c.budget) // warm the pool for this shape
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			res, err := e.Run(p, c.budget)
-			if err != nil || res.Completed != (c.budget == 0) {
-				t.Fatalf("%s: %v %+v", c.name, err, res)
-			}
+	for _, pc := range plans {
+		e := New(pc.q, f.store, cost.DefaultParams())
+		full, err := e.Run(pc.p, 0)
+		if err != nil || !full.Completed || full.Rows == 0 {
+			t.Fatalf("%s: full run: %v %+v", pc.name, err, full)
 		}
-		runtime.ReadMemStats(&after)
-		per := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("%s: %d bytes allocated per run", c.name, per)
-		if per > bound {
-			t.Errorf("%s: %d bytes allocated per run, bound %d", c.name, per, bound)
+		for _, c := range []struct {
+			name   string
+			budget float64
+		}{{"completed", 0}, {"killed", 0.01 * full.Cost}} {
+			const runs = 20
+			e.Run(pc.p, c.budget) // warm the pool for this shape
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				res, err := e.Run(pc.p, c.budget)
+				if err != nil || res.Completed != (c.budget == 0) {
+					t.Fatalf("%s/%s: %v %+v", pc.name, c.name, err, res)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s/%s: %d bytes allocated per run", pc.name, c.name, per)
+			if per > bound {
+				t.Errorf("%s/%s: %d bytes allocated per run, bound %d", pc.name, c.name, per, bound)
+			}
 		}
 	}
 }

@@ -6,10 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // The differential suite pins the tentpole guarantee of the vectorized
@@ -370,6 +373,107 @@ func TestMeterChargeNMatchesUnitCharges(t *testing.T) {
 			if chunked.classes[i].n != unit.classes[i].n {
 				t.Fatalf("budget=%g: class %d count mismatch: chunked=%d unit=%d",
 					budget, i, chunked.classes[i].n, unit.classes[i].n)
+			}
+		}
+	}
+}
+
+// fallbackFixture hand-builds a store whose join keys take the
+// vectorized engine's row-read path: p_n, q_n and r_n hold NULLs, and
+// p_m, q_m and r_m mix ints with floats, so Relation.Col has no
+// projection for them. r_k is the clean, indexed INL inner key.
+func fallbackFixture(t *testing.T) *fixture {
+	t.Helper()
+	c := catalog.New("fallback", 1)
+	tables := []struct {
+		name string
+		rows int
+	}{{"p", 300}, {"q", 60}, {"r", 40}}
+	store := storage.NewStore()
+	for _, tb := range tables {
+		x := tb.name
+		c.AddTable(&catalog.Table{Name: x, BaseRows: int64(tb.rows), Columns: []catalog.Column{
+			{Name: x + "_id", Type: catalog.Int64, Dist: catalog.Serial},
+			{Name: x + "_n", Type: catalog.Int64},
+			{Name: x + "_m", Type: catalog.Float64},
+			{Name: x + "_k", Type: catalog.Int64},
+		}})
+		rel := storage.NewRelation(x, []string{x + "_id", x + "_n", x + "_m", x + "_k"})
+		for i := 0; i < tb.rows; i++ {
+			n := expr.Int(int64(i % 17))
+			if i%5 == 3 {
+				n = expr.Null
+			}
+			m := expr.Int(int64(i % 13))
+			switch {
+			case i%11 == 4:
+				m = expr.Null
+			case i%3 == 1:
+				m = expr.Float(float64(i%13) + float64(i%2)/2)
+			}
+			rel.Append(expr.Row{expr.Int(int64(i)), n, m, expr.Int(int64(i % 20))})
+		}
+		rel.BuildHashIndex(3)
+		rel.BuildColumns()
+		if rel.Col(1) == nil || !rel.Col(1).HasNulls() || rel.Col(2) != nil {
+			t.Fatalf("%s: fixture columns are not NULL-keyed and mixed-kind", x)
+		}
+		store.Add(rel)
+	}
+	return &fixture{cat: c, store: store}
+}
+
+// TestDifferentialNullAndMixedKeys drives NULL join keys and mixed-kind
+// join keys through a non-root hash, merge, NL and index-NL join, with
+// the root join reading its key from the bottom join's output. Every
+// run must match the tuple engine at batch sizes 1, 7 and 1024, at one
+// and four workers, in full and under budget kills.
+func TestDifferentialNullAndMixedKeys(t *testing.T) {
+	f := fallbackFixture(t)
+	rels := []query.Relation{{Table: "p", Alias: "p"}, {Table: "q", Alias: "q"}, {Table: "r", Alias: "r"}}
+	q := &query.Query{Name: "fallback", Cat: f.cat, Relations: rels, Joins: []query.Join{
+		{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "p_n", RightCol: "q_n"},
+		{ID: 1, LeftRel: 0, RightRel: 1, LeftCol: "p_m", RightCol: "q_m"},
+		{ID: 2, LeftRel: 0, RightRel: 2, LeftCol: "p_n", RightCol: "r_k"},
+		{ID: 3, LeftRel: 0, RightRel: 2, LeftCol: "p_m", RightCol: "r_k"},
+		{ID: 4, LeftRel: 1, RightRel: 2, LeftCol: "q_m", RightCol: "r_m"},
+		{ID: 5, LeftRel: 1, RightRel: 2, LeftCol: "q_n", RightCol: "r_n"},
+	}}
+	scan := func(rel int) *plan.Node { return plan.NewScan(rel, plan.SeqScan) }
+	var cases []diffCase
+	for _, key := range []struct {
+		name              string
+		bottom, top       int // p ⋈ q, then ⋈ r
+		inlBottom, inlTop int // p ⋈ r (index-NL), then ⋈ q
+	}{{"null", 0, 5, 2, 0}, {"mixed", 1, 4, 3, 1}} {
+		for name, m := range map[string]plan.JoinMethod{
+			"hash": plan.HashJoin, "merge": plan.MergeJoin, "nl": plan.NLJoin,
+		} {
+			bottom := plan.NewJoin(m, []int{key.bottom}, scan(0), scan(1))
+			cases = append(cases, diffCase{name: key.name + "/" + name, q: q,
+				p: plan.NewJoin(plan.HashJoin, []int{key.top}, bottom, scan(2))})
+		}
+		bottom := plan.NewJoin(plan.IndexNLJoin, []int{key.inlBottom}, scan(0), scan(2))
+		cases = append(cases, diffCase{name: key.name + "/inl", q: q,
+			p: plan.NewJoin(plan.HashJoin, []int{key.inlTop}, bottom, scan(1))})
+	}
+	for _, c := range cases {
+		full := runEngine(f, c, false, 0, 0, nil, -1)
+		if full.err != nil {
+			t.Fatalf("%s: unbudgeted tuple run failed: %v", c.name, full.err)
+		}
+		if full.res.Rows == 0 || len(full.res.JoinSel) != 2 {
+			t.Fatalf("%s: degenerate reference run: %+v", c.name, full.res)
+		}
+		for _, frac := range []float64{0, 0.3, 0.9} {
+			budget := frac * full.res.Cost
+			tup := runEngine(f, c, false, 0, budget, nil, -1)
+			for _, batch := range []int{1, 7, 1024} {
+				for _, workers := range []int{1, 4} {
+					tag := fmt.Sprintf("%s/batch=%d/workers=%d/budget=%.1f", c.name, batch, workers, frac)
+					vec := runWorkers(f, c, workers, batch, budget, nil, -1)
+					compareRuns(t, tag, tup, vec, tup.res.Completed || (batch == 1 && workers == 1))
+				}
 			}
 		}
 	}

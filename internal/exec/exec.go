@@ -253,16 +253,19 @@ type Executor struct {
 	// execution regardless, preserving bit-for-bit chaos replay.
 	workers int
 
-	// pool recycles selection vectors, output arenas, fetch scratch,
-	// hash-build tables and row slabs across batches and runs, so a
-	// warm executor allocates near-zero per execution.
+	// pool recycles selection and ordinal vectors, output arenas and
+	// hash-build tables across batches and runs, so a warm executor
+	// allocates near-zero per execution.
 	pool bufPool
 
 	// schemas and joinCols hold the query's relation schemas and
-	// qualified join-column names, resolved once (see resolveNames).
+	// qualified join-column names, and joinOrds the join columns'
+	// ordinals in their relations (-1 if absent), resolved once (see
+	// resolveNames).
 	namesOnce sync.Once
 	schemas   []*schema
 	joinCols  [][2]string
+	joinOrds  [][2]int
 
 	// inner memoizes index-NL inner cardinalities (see innerCount).
 	innerMu sync.Mutex
@@ -309,7 +312,7 @@ func countMatching(rel *storage.Relation, filters []boundFilter) int64 {
 			end := min(pos+DefaultBatchSize, rel.NumRows())
 			s := ks[0].fill(pos, end, sel)
 			for i := 1; i < len(ks) && len(s) > 0; i++ {
-				s = ks[i].refine(pos, s)
+				s = ks[i].refine(s)
 			}
 			n += int64(len(s))
 		}
@@ -640,10 +643,15 @@ func (e *Executor) resolveNames() {
 		e.schemas[rel] = s
 	}
 	e.joinCols = make([][2]string, len(e.q.Joins))
+	e.joinOrds = make([][2]int, len(e.q.Joins))
 	for i, j := range e.q.Joins {
 		e.joinCols[i] = [2]string{
 			e.q.Relations[j.LeftRel].Alias + "." + j.LeftCol,
 			e.q.Relations[j.RightRel].Alias + "." + j.RightCol,
+		}
+		e.joinOrds[i] = [2]int{
+			e.schemas[j.LeftRel].indexOf(e.joinCols[i][0]),
+			e.schemas[j.RightRel].indexOf(e.joinCols[i][1]),
 		}
 	}
 }

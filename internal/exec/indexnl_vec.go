@@ -3,7 +3,6 @@ package exec
 import (
 	"io"
 
-	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
@@ -18,6 +17,9 @@ type vecIndexNLJoin struct {
 	relIdx  int // the inner's query relation index
 	rel     *storage.Relation
 	filters []boundFilter
+	// kernels is filters compiled against rel's column vectors, or nil
+	// (see compileKernels).
+	kernels []colKernel
 	// clsDescend carries the whole per-outer-row descent charge
 	// (IdxDescend·log₂(N+2)) as its class constant.
 	clsDescend, clsFetch, clsOut int
@@ -26,7 +28,6 @@ type vecIndexNLJoin struct {
 
 	pb      *rowBatch
 	pi      int
-	cur     expr.Row
 	matches []int32
 	mi      int
 	have    bool
@@ -58,14 +59,15 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 		return nil, io.EOF
 	}
 	j.out.reset()
+	key := &j.refs.l[0]
 	for {
 		if !j.have {
-			if j.pb == nil || j.pi >= j.pb.n() {
+			if j.pb == nil || j.pi >= j.pb.n {
 				b, err := j.left.NextBatch()
 				if err == io.EOF {
 					j.exact = true
 					j.done = true
-					if j.out.len() > 0 {
+					if j.out.n > 0 {
 						return j.out.take(), nil
 					}
 					return nil, io.EOF
@@ -75,7 +77,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 				}
 				j.pb, j.pi = b, 0
 			}
-			row := j.pb.row(j.pi)
+			i := j.pi
 			j.pi++
 			j.obs.LeftRows++
 			// One index descent per outer row (charged before the null
@@ -83,12 +85,12 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 			if _, err := j.meter.ChargeN(j.clsDescend, 1); err != nil {
 				return nil, err
 			}
-			k := row[j.jc.leftPos[0]]
-			if k.IsNull() {
+			k, ok := key.key(j.pb.ords[key.slot][i])
+			if !ok {
 				continue
 			}
-			j.cur = row
-			j.matches = j.rel.HashLookup(j.jc.rightPos[0], k.I)
+			j.out.load(j.pb, i)
+			j.matches = j.rel.HashLookup(j.refs.r[0].col, k)
 			j.mi = 0
 			j.have = true
 			if !j.ls {
@@ -103,7 +105,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 		}
 		if j.ls {
 			for j.mi < len(j.matches) {
-				inner := j.rel.Rows[j.matches[j.mi]]
+				inner := j.matches[j.mi : j.mi+1]
 				j.mi++
 				if _, err := j.meter.ChargeN(j.clsFetch, 1); err != nil {
 					return nil, err
@@ -115,7 +117,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 					return nil, err
 				}
 				j.obs.OutRows++
-				j.out.emit(j.cur, inner)
+				j.out.emit(inner)
 				if j.out.full() {
 					return j.out.take(), nil
 				}
@@ -125,12 +127,12 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 		}
 		gathered := int64(0)
 		for j.mi < len(j.matches) && !j.out.full() {
-			inner := j.rel.Rows[j.matches[j.mi]]
+			inner := j.matches[j.mi : j.mi+1]
 			j.mi++
 			if !j.innerMatches(inner) {
 				continue
 			}
-			j.out.emit(j.cur, inner)
+			j.out.emit(inner)
 			gathered++
 		}
 		if gathered > 0 {
@@ -147,9 +149,9 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 }
 
 // innerMatches applies the inner relation's filters and the join's
-// residual predicates to a fetched inner row.
-func (j *vecIndexNLJoin) innerMatches(inner expr.Row) bool {
-	return matchAll(j.filters, inner) && j.jc.residualsMatch(j.cur, inner)
+// residual predicates to a fetched inner tuple (its one row ordinal).
+func (j *vecIndexNLJoin) innerMatches(inner []int32) bool {
+	return matchOrd(j.rel, j.filters, j.kernels, inner[0]) && j.refs.residualsMatch(j.out.cur, inner)
 }
 
 func (j *vecIndexNLJoin) Close() error {

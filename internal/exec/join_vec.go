@@ -5,17 +5,18 @@ import (
 	"sort"
 
 	"repro/internal/expr"
-	"repro/internal/storage"
 )
 
 // graceTable is the hash join's partitioned (grace-style) build table:
 // keys are hash-partitioned into 8 partitions by their top hash bits,
 // and each partition keeps an open-addressed key directory over flat
-// parallel entry arrays. Compared to map[int64][]expr.Row this removes
-// the per-distinct-key slice allocations and the map's per-probe
-// hashing/bucket walk, keeps each partition's entries contiguous, and
-// preserves per-key insertion order through chain links — so match
-// emission order is identical to the map-append build.
+// parallel entry arrays. An entry's build tuple — one row ordinal per
+// base relation of the build side — lives in the partition's flat
+// ordinal arena, w int32s per entry. Compared to map[int64][]expr.Row
+// this removes the per-distinct-key slice allocations and the map's
+// per-probe hashing/bucket walk, keeps each partition's entries
+// contiguous, and preserves per-key insertion order through chain
+// links — so match emission order is identical to the map-append build.
 //
 // A table starts small and grows with what is inserted (grow re-probes
 // only chain heads, so chains and their order survive), and the
@@ -39,11 +40,18 @@ type gracePart struct {
 	slots []int32
 	tails []int32
 	mask  uint64
-	// Entry arrays, parallel: key, next same-key entry (-1 ends the
-	// chain), and the build row.
+	// Entry arrays, parallel: key and next same-key entry (-1 ends the
+	// chain); entry e's build tuple is ords[e*w : e*w+w].
 	keys []int64
 	next []int32
-	rows []expr.Row
+	ords []int32
+	w    int
+}
+
+// tuple returns entry e's build tuple.
+func (p *gracePart) tuple(e int32) []int32 {
+	i := int(e) * p.w
+	return p.ords[i : i+p.w]
 }
 
 // hashKey is Fibonacci hashing; the multiplier spreads consecutive ints
@@ -88,24 +96,27 @@ func (t *graceTable) reset() {
 				p.slots[s] = 0
 			}
 		}
-		clear(p.rows)
-		p.keys, p.next, p.rows = p.keys[:0], p.next[:0], p.rows[:0]
+		p.keys, p.next, p.ords = p.keys[:0], p.next[:0], p.ords[:0]
 	}
 }
 
-func (t *graceTable) insert(k int64, row expr.Row) {
+// insert adds row i of batch b under key k.
+func (t *graceTable) insert(k int64, b *rowBatch, i int) {
 	h := hashKey(k)
-	t.parts[h>>(64-gracePartBits)].insert(h, k, row)
+	p := &t.parts[h>>(64-gracePartBits)]
+	for _, o := range b.ords {
+		p.ords = append(p.ords, o[i])
+	}
+	p.insert(h, k)
 }
 
-func (p *gracePart) insert(h uint64, k int64, row expr.Row) {
+func (p *gracePart) insert(h uint64, k int64) {
 	if 2*(len(p.keys)+1) > len(p.slots) {
 		p.grow()
 	}
 	e := int32(len(p.keys))
 	p.keys = append(p.keys, k)
 	p.next = append(p.next, -1)
-	p.rows = append(p.rows, row)
 	s := h & p.mask
 	for {
 		head := p.slots[s]
@@ -162,20 +173,6 @@ func (t *graceTable) lookup(k int64) (*gracePart, int32) {
 	}
 }
 
-// buildKeyCol returns the typed int column behind a batch's key
-// position when the batch aliases a scanned relation with a clean,
-// null-free columnar projection — letting build and probe loops read
-// keys from the contiguous vector instead of chasing row pointers.
-func buildKeyCol(b *rowBatch, pos int) *storage.Column {
-	if b.rel == nil {
-		return nil
-	}
-	if c := b.rel.Col(pos); c != nil && c.Kind == expr.KindInt && !c.HasNulls() {
-		return c
-	}
-	return nil
-}
-
 // vecHashJoin builds on the right child and probes with the left, batch
 // at a time. The probe loop gathers all matches of consecutive probe
 // rows into the output arena; output charges accumulate in outPending
@@ -187,12 +184,10 @@ type vecHashJoin struct {
 	clsBuild, clsProbe, clsOut int
 	out                        *outBuf
 	table                      *graceTable
-	// slab holds the build rows copied out of unstable batches.
-	slab       *valSlab
-	pb         *rowBatch
-	pkc        *storage.Column // pb's clean int key vector, if any
+	pb                         *rowBatch
+	// pkeys is the probe key's NULL-free int vector, if it has one.
+	pkeys      []int64
 	pi         int
-	cur        expr.Row
 	mp         *gracePart
 	me         int32
 	outPending int64
@@ -206,8 +201,9 @@ func (h *vecHashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	h.table = h.e.pool.getTable()
-	kpos := h.jc.rightPos[0]
+	h.table = h.e.pool.getTable(h.rw)
+	key := &h.refs.r[0]
+	ints := key.clean()
 	for {
 		b, err := h.right.NextBatch()
 		if err == io.EOF {
@@ -216,42 +212,21 @@ func (h *vecHashJoin) Open() error {
 		if err != nil {
 			return err
 		}
-		n := b.n()
+		n := b.n
 		if _, err := h.meter.ChargeN(h.clsBuild, int64(n)); err != nil {
 			return err
 		}
 		h.obs.RightRows += int64(n)
-		if kc := buildKeyCol(b, kpos); kc != nil {
-			// Columnar build: keys come straight off the typed vector at
-			// the batch's absolute offsets; scan batches are stable, so
-			// rows are referenced without copying.
-			if b.sel == nil {
-				for i := 0; i < n; i++ {
-					h.table.insert(kc.Ints[b.off+i], b.base[i])
-				}
-			} else {
-				for _, s := range b.sel {
-					h.table.insert(kc.Ints[b.off+int(s)], b.base[s])
-				}
+		for i, o := range b.ords[key.slot][:n] {
+			if ints != nil {
+				h.table.insert(ints[o], b, i)
+			} else if k, ok := key.key(o); ok {
+				h.table.insert(k, b, i)
 			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			row := b.row(i)
-			k := row[kpos]
-			if k.IsNull() {
-				continue
-			}
-			if !b.stable {
-				if h.slab == nil {
-					h.slab = h.e.pool.getSlab()
-				}
-				row = h.slab.copyRow(row)
-			}
-			h.table.insert(k.I, row)
 		}
 	}
-	h.pb, h.pkc, h.pi = nil, nil, 0
+	h.pkeys = h.refs.l[0].clean()
+	h.pb, h.pi = nil, 0
 	h.mp, h.me = nil, -1
 	h.outPending = 0
 	h.done = false
@@ -270,20 +245,11 @@ func (h *vecHashJoin) flushOut() error {
 }
 
 // fastProbe counts the build matches of every key in the probe batch.
-func (h *vecHashJoin) fastProbe(b *rowBatch, kc *storage.Column) int64 {
+func (h *vecHashJoin) fastProbe(b *rowBatch) int64 {
 	matches := int64(0)
-	ints := kc.Ints
-	if b.sel == nil {
-		for i := range b.base {
-			p, e := h.table.lookup(ints[b.off+i])
-			for ; e >= 0; e = p.next[e] {
-				matches++
-			}
-		}
-		return matches
-	}
-	for _, s := range b.sel {
-		p, e := h.table.lookup(ints[b.off+int(s)])
+	ints := h.pkeys
+	for _, o := range b.ords[h.refs.l[0].slot][:b.n] {
+		p, e := h.table.lookup(ints[o])
 		for ; e >= 0; e = p.next[e] {
 			matches++
 		}
@@ -300,12 +266,12 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 		// Drain the current probe row's pending matches into the arena.
 		gathered := int64(0)
 		for h.me >= 0 && !h.out.full() {
-			r := h.mp.rows[h.me]
+			r := h.mp.tuple(h.me)
 			h.me = h.mp.next[h.me]
-			if !h.jc.residualsMatch(h.cur, r) {
+			if !h.refs.residualsMatch(h.out.cur, r) {
 				continue
 			}
-			h.out.emit(h.cur, r)
+			h.out.emit(r)
 			gathered++
 		}
 		if gathered > 0 {
@@ -319,7 +285,7 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			return h.out.take(), nil
 		}
 		// Matches exhausted: advance to the next probe row.
-		if h.pb == nil || h.pi >= h.pb.n() {
+		if h.pb == nil || h.pi >= h.pb.n {
 			b, err := h.left.NextBatch()
 			if err == io.EOF {
 				h.exact = true
@@ -327,7 +293,7 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 				if err := h.flushOut(); err != nil {
 					return nil, err
 				}
-				if h.out.len() > 0 {
+				if h.out.n > 0 {
 					return h.out.take(), nil
 				}
 				return nil, io.EOF
@@ -335,22 +301,21 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := h.meter.ChargeN(h.clsProbe, int64(b.n())); err != nil {
+			if _, err := h.meter.ChargeN(h.clsProbe, int64(b.n)); err != nil {
 				return nil, err
 			}
-			h.obs.LeftRows += int64(b.n())
+			h.obs.LeftRows += int64(b.n)
 			h.pb, h.pi = b, 0
-			h.pkc = buildKeyCol(b, h.jc.leftPos[0])
 			// Count-only fast probe: when the root arena discards rows and
 			// the join has no residual predicates, matches only need to be
 			// counted — the whole probe batch runs as one tight loop over
-			// the columnar key vector with no row fetches or emits.
-			if h.pkc != nil && h.out.discard && len(h.jc.ids) == 1 {
-				m := h.fastProbe(b, h.pkc)
+			// the columnar key vector with no tuple loads or emits.
+			if h.pkeys != nil && h.out.discard && len(h.refs.ids) == 1 {
+				m := h.fastProbe(b)
 				h.outPending += m
 				h.obs.OutRows += m
-				h.out.count += int(m)
-				h.pi = b.n()
+				h.out.n += int(m)
+				h.pi = b.n
 				if h.out.full() {
 					if err := h.flushOut(); err != nil {
 						return nil, err
@@ -360,29 +325,25 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 				continue
 			}
 		}
-		if h.pkc != nil {
-			// The probe batch aliases a scan with a clean key column: read
-			// the key off the vector and fetch the row only on a match.
-			ord := h.pi
-			if h.pb.sel != nil {
-				ord = int(h.pb.sel[ord])
-			}
-			h.pi++
-			h.mp, h.me = h.table.lookup(h.pkc.Ints[h.pb.off+ord])
-			if h.me >= 0 {
-				h.cur = h.pb.base[ord]
-			}
-			continue
-		}
-		row := h.pb.row(h.pi)
+		// Read the probe key at its ordinal and load the probe tuple only
+		// on a match.
+		i := h.pi
 		h.pi++
-		k := row[h.jc.leftPos[0]]
-		if k.IsNull() {
-			h.mp, h.me = nil, -1
-			continue
+		o := h.pb.ords[h.refs.l[0].slot][i]
+		var k int64
+		if h.pkeys != nil {
+			k = h.pkeys[o]
+		} else {
+			var ok bool
+			if k, ok = h.refs.l[0].key(o); !ok {
+				h.mp, h.me = nil, -1
+				continue
+			}
 		}
-		h.cur = row
-		h.mp, h.me = h.table.lookup(k.I)
+		h.mp, h.me = h.table.lookup(k)
+		if h.me >= 0 {
+			h.out.load(h.pb, i)
+		}
 	}
 }
 
@@ -394,13 +355,29 @@ func (h *vecHashJoin) Close() error {
 	}
 	if h.right != nil {
 		// A morsel-worker clone shares the built table (right == nil marks
-		// the clone); only the owner recycles it and its slab.
+		// the clone); only the owner recycles it.
 		h.e.pool.putTable(h.table)
-		h.e.pool.putSlab(h.slab)
-		h.table, h.slab = nil, nil
+		h.table = nil
 		return h.right.Close()
 	}
 	return nil
+}
+
+// ordTuples is a flat arena of w-wide ordinal tuples (tuple t at
+// a[t*w : t*w+w]) and the order they are read in: a merge join's sorted
+// input.
+type ordTuples struct {
+	w    int
+	a    []int32
+	perm []int32
+}
+
+func (t *ordTuples) len() int { return len(t.perm) }
+
+// at returns the i-th tuple in read order.
+func (t *ordTuples) at(i int) []int32 {
+	p := int(t.perm[i]) * t.w
+	return t.a[p : p+t.w]
 }
 
 // vecMergeJoin drains and sorts both inputs at Open, then merges batch
@@ -411,13 +388,10 @@ type vecMergeJoin struct {
 	vecJoinBase
 	clsMerge, clsOut int
 	out              *outBuf
-	lrows, rrows     []expr.Row
-	// slab holds the input rows copied out of unstable batches.
-	slab   *valSlab
-	li, ri int
-	group  []expr.Row
-	gi     int
-	cur    expr.Row
+	lt, rt           ordTuples
+	li, ri           int
+	// gi..ge is the rest of the current left row's right-key group.
+	gi, ge int
 	done   bool
 }
 
@@ -429,53 +403,65 @@ func (m *vecMergeJoin) Open() error {
 		return err
 	}
 	var err error
-	m.lrows, err = m.drainAndSort(m.left, m.jc.leftPos[0])
+	m.lt, err = m.drainAndSort(m.left, &m.refs.l[0], len(m.out.cur))
 	if err != nil {
 		return err
 	}
-	m.rrows, err = m.drainAndSort(m.right, m.jc.rightPos[0])
+	m.rt, err = m.drainAndSort(m.right, &m.refs.r[0], m.rw)
 	if err != nil {
 		return err
 	}
-	m.obs.LeftRows = int64(len(m.lrows))
-	m.obs.RightRows = int64(len(m.rrows))
+	m.obs.LeftRows = int64(m.lt.len())
+	m.obs.RightRows = int64(m.rt.len())
 	m.li, m.ri = 0, 0
-	m.group = m.group[:0]
-	m.gi = 0
+	m.gi, m.ge = 0, 0
 	m.done = false
 	return nil
 }
 
-func (m *vecMergeJoin) drainAndSort(op batchOperator, key int) ([]expr.Row, error) {
-	rows := m.e.pool.getRows(0)
+// drainAndSort copies every w-wide tuple of op into a pooled arena and
+// sorts it stably on key, with the comparisons the tuple engine's sort
+// makes, so both engines produce the same order.
+func (m *vecMergeJoin) drainAndSort(op batchOperator, key *colRef, w int) (ordTuples, error) {
+	t := ordTuples{w: w, a: m.e.pool.getInts(0)}
 	for {
 		b, err := op.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		n := b.n()
-		for i := 0; i < n; i++ {
-			row := b.row(i)
-			if !b.stable {
-				if m.slab == nil {
-					m.slab = m.e.pool.getSlab()
-				}
-				row = m.slab.copyRow(row)
+		for i := 0; i < b.n; i++ {
+			for _, o := range b.ords {
+				t.a = append(t.a, o[i])
 			}
-			rows = append(rows, row)
 		}
 	}
-	n := float64(len(rows))
-	if err := m.meter.Charge(m.e.params.SortCmp * n * log2g(n)); err != nil {
-		return nil, err
+	cnt := len(t.a) / w
+	t.perm = m.e.pool.getInts(cnt)
+	for i := 0; i < cnt; i++ {
+		t.perm = append(t.perm, int32(i))
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		return expr.Compare(rows[a][key], rows[b][key]) < 0
-	})
-	return rows, nil
+	n := float64(cnt)
+	if err := m.meter.Charge(m.e.params.SortCmp * n * log2g(n)); err != nil {
+		return t, err
+	}
+	keyAt := func(i int) int32 { return t.a[int(t.perm[i])*w+key.slot] }
+	if ints := key.clean(); ints != nil {
+		sort.SliceStable(t.perm, func(a, b int) bool { return ints[keyAt(a)] < ints[keyAt(b)] })
+	} else {
+		sort.SliceStable(t.perm, func(a, b int) bool {
+			return expr.Compare(key.value(keyAt(a)), key.value(keyAt(b))) < 0
+		})
+	}
+	return t, nil
+}
+
+// rkey returns the merge key of the right tuple at sorted position i.
+func (m *vecMergeJoin) rkey(i int) expr.Value {
+	r := &m.refs.r[0]
+	return r.value(m.rt.at(i)[r.slot])
 }
 
 func (m *vecMergeJoin) NextBatch() (*rowBatch, error) {
@@ -485,13 +471,13 @@ func (m *vecMergeJoin) NextBatch() (*rowBatch, error) {
 	m.out.reset()
 	for {
 		gathered := int64(0)
-		for m.gi < len(m.group) && !m.out.full() {
-			r := m.group[m.gi]
+		for m.gi < m.ge && !m.out.full() {
+			r := m.rt.at(m.gi)
 			m.gi++
-			if !m.jc.residualsMatch(m.cur, r) {
+			if !m.refs.residualsMatch(m.out.cur, r) {
 				continue
 			}
-			m.out.emit(m.cur, r)
+			m.out.emit(r)
 			gathered++
 		}
 		if gathered > 0 {
@@ -503,51 +489,50 @@ func (m *vecMergeJoin) NextBatch() (*rowBatch, error) {
 		if m.out.full() {
 			return m.out.take(), nil
 		}
-		if m.li >= len(m.lrows) {
+		if m.li >= m.lt.len() {
 			m.exact = true
 			m.done = true
-			if m.out.len() > 0 {
+			if m.out.n > 0 {
 				return m.out.take(), nil
 			}
 			return nil, io.EOF
 		}
-		l := m.lrows[m.li]
+		l := m.lt.at(m.li)
 		m.li++
-		lk := l[m.jc.leftPos[0]]
+		lk := m.refs.l[0].value(l[m.refs.l[0].slot])
 		if lk.IsNull() {
 			if _, err := m.meter.ChargeN(m.clsMerge, 1); err != nil {
 				return nil, err
 			}
-			m.group = m.group[:0]
-			m.gi = 0
+			m.gi, m.ge = 0, 0
 			continue
 		}
 		// Advance the right cursor to the key's group, billing the left
 		// row plus every skipped right row in one chunk.
-		skips := int64(0)
-		for m.ri+int(skips) < len(m.rrows) &&
-			expr.Compare(m.rrows[m.ri+int(skips)][m.jc.rightPos[0]], lk) < 0 {
+		skips := 0
+		for m.ri+skips < m.rt.len() && expr.Compare(m.rkey(m.ri+skips), lk) < 0 {
 			skips++
 		}
-		if _, err := m.meter.ChargeN(m.clsMerge, 1+skips); err != nil {
+		if _, err := m.meter.ChargeN(m.clsMerge, 1+int64(skips)); err != nil {
 			return nil, err
 		}
-		m.ri += int(skips)
-		m.group = m.group[:0]
-		for k := m.ri; k < len(m.rrows) && expr.Compare(m.rrows[k][m.jc.rightPos[0]], lk) == 0; k++ {
-			m.group = append(m.group, m.rrows[k])
+		m.ri += skips
+		m.gi, m.ge = m.ri, m.ri
+		for m.ge < m.rt.len() && expr.Compare(m.rkey(m.ge), lk) == 0 {
+			m.ge++
 		}
-		m.cur = l
-		m.gi = 0
+		copy(m.out.cur, l)
 	}
 }
 
 func (m *vecMergeJoin) Close() error {
 	m.e.pool.putOut(m.out)
-	m.e.pool.putRows(m.lrows)
-	m.e.pool.putRows(m.rrows)
-	m.e.pool.putSlab(m.slab)
-	m.out, m.lrows, m.rrows, m.slab = nil, nil, nil, nil
+	for _, t := range []*ordTuples{&m.lt, &m.rt} {
+		m.e.pool.putInts(t.a)
+		m.e.pool.putInts(t.perm)
+		*t = ordTuples{}
+	}
+	m.out = nil
 	if err := m.left.Close(); err != nil {
 		return err
 	}
@@ -562,15 +547,13 @@ type vecNLJoin struct {
 	vecJoinBase
 	clsMat, clsPair, clsOut int
 	out                     *outBuf
-	inner                   []expr.Row
-	// slab holds the inner rows copied out of unstable batches.
-	slab *valSlab
-	pb   *rowBatch
-	pi   int
-	cur  expr.Row
-	ii   int
-	have bool
-	done bool
+	// inner holds the inner's rw-wide tuples in a flat pooled arena.
+	inner []int32
+	pb    *rowBatch
+	pi    int
+	ii    int // next inner tuple
+	have  bool
+	done  bool
 }
 
 func (n *vecNLJoin) Open() error {
@@ -581,7 +564,7 @@ func (n *vecNLJoin) Open() error {
 		return err
 	}
 	if n.inner == nil {
-		n.inner = n.e.pool.getRows(DefaultBatchSize)
+		n.inner = n.e.pool.getInts(DefaultBatchSize)
 	}
 	n.inner = n.inner[:0]
 	for {
@@ -592,22 +575,16 @@ func (n *vecNLJoin) Open() error {
 		if err != nil {
 			return err
 		}
-		cnt := b.n()
-		if _, err := n.meter.ChargeN(n.clsMat, int64(cnt)); err != nil {
+		if _, err := n.meter.ChargeN(n.clsMat, int64(b.n)); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			row := b.row(i)
-			if !b.stable {
-				if n.slab == nil {
-					n.slab = n.e.pool.getSlab()
-				}
-				row = n.slab.copyRow(row)
+		for i := 0; i < b.n; i++ {
+			for _, o := range b.ords {
+				n.inner = append(n.inner, o[i])
 			}
-			n.inner = append(n.inner, row)
 		}
 	}
-	n.obs.RightRows = int64(len(n.inner))
+	n.obs.RightRows = int64(len(n.inner) / n.rw)
 	n.pb, n.pi = nil, 0
 	n.have = false
 	n.done = false
@@ -619,14 +596,15 @@ func (n *vecNLJoin) NextBatch() (*rowBatch, error) {
 		return nil, io.EOF
 	}
 	n.out.reset()
+	lk, rk := &n.refs.l[0], &n.refs.r[0]
 	for {
 		if !n.have {
-			if n.pb == nil || n.pi >= n.pb.n() {
+			if n.pb == nil || n.pi >= n.pb.n {
 				b, err := n.left.NextBatch()
 				if err == io.EOF {
 					n.exact = true
 					n.done = true
-					if n.out.len() > 0 {
+					if n.out.n > 0 {
 						return n.out.take(), nil
 					}
 					return nil, io.EOF
@@ -636,7 +614,7 @@ func (n *vecNLJoin) NextBatch() (*rowBatch, error) {
 				}
 				n.pb, n.pi = b, 0
 			}
-			n.cur = n.pb.row(n.pi)
+			n.out.load(n.pb, n.pi)
 			n.pi++
 			n.obs.LeftRows++
 			n.ii = 0
@@ -645,12 +623,13 @@ func (n *vecNLJoin) NextBatch() (*rowBatch, error) {
 		// Scan the inner for the next match, counting pairs up to and
 		// including the matching one.
 		pairs := int64(0)
-		var match expr.Row
-		for n.ii < len(n.inner) {
-			r := n.inner[n.ii]
+		var match []int32
+		lo := n.out.cur[lk.slot]
+		for n.ii*n.rw < len(n.inner) {
+			r := n.inner[n.ii*n.rw : (n.ii+1)*n.rw]
 			n.ii++
 			pairs++
-			if expr.Equal(n.cur[n.jc.leftPos[0]], r[n.jc.rightPos[0]]) && n.jc.residualsMatch(n.cur, r) {
+			if equalAt(lk, lo, rk, r[rk.slot]) && n.refs.residualsMatch(n.out.cur, r) {
 				match = r
 				break
 			}
@@ -668,7 +647,7 @@ func (n *vecNLJoin) NextBatch() (*rowBatch, error) {
 			return nil, err
 		}
 		n.obs.OutRows++
-		n.out.emit(n.cur, match)
+		n.out.emit(match)
 		if n.out.full() {
 			return n.out.take(), nil
 		}
@@ -684,10 +663,9 @@ func (n *vecNLJoin) Close() error {
 	if n.right != nil {
 		// A morsel-worker clone shares the materialized inner with the
 		// original operator (right == nil marks the clone); only the
-		// owner recycles it and its slab.
-		n.e.pool.putRows(n.inner)
-		n.e.pool.putSlab(n.slab)
-		n.inner, n.slab = nil, nil
+		// owner recycles it.
+		n.e.pool.putInts(n.inner)
+		n.inner = nil
 		return n.right.Close()
 	}
 	return nil

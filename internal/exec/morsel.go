@@ -175,12 +175,12 @@ func morselScanOf(op batchOperator) *vecSeqScan {
 }
 
 // cloneChain clones the root pipeline for one worker: probe state and
-// output arenas (with the original's projection) are fresh, the
-// blocking structures built at Open (hash tables, materialized inners)
-// and all read-only compilation products (join cols, filters, kernels)
-// are shared, and every meter reference points at the worker's lane. A
-// clone's right child is nil — Close knows not to double-close or
-// recycle shared state.
+// output arenas (of the original's widths) are fresh, the blocking
+// structures built at Open (hash tables, materialized inner arenas) and
+// all read-only compilation products (column references, filters,
+// kernels) are shared, and every meter reference points at the worker's
+// lane. A clone's right child is nil — Close knows not to double-close
+// or recycle shared state.
 func cloneChain(op batchOperator, wm *Meter) batchOperator {
 	switch o := op.(type) {
 	case *vecSeqScan:
@@ -188,50 +188,56 @@ func cloneChain(op batchOperator, wm *Meter) batchOperator {
 		c.meter = wm
 		c.pos = 0
 		c.out = rowBatch{}
-		c.sel = nil
-		if len(c.filters) > 0 {
-			c.sel = o.ex.pool.getSel(o.cap)
-		}
+		c.sel = o.ex.pool.getInts(o.cap)
 		return &c
 	case *vecHashJoin:
-		c := &vecHashJoin{
-			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
+		return &vecHashJoin{
+			vecJoinBase: o.cloneBase(wm),
 			clsBuild:    o.clsBuild,
 			clsProbe:    o.clsProbe,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
+			out:         o.e.pool.cloneOut(o.out),
 			table:       o.table,
+			pkeys:       o.pkeys,
 			me:          -1,
 		}
-		c.out.discard = o.out.discard
-		return c
 	case *vecNLJoin:
-		c := &vecNLJoin{
-			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
+		return &vecNLJoin{
+			vecJoinBase: o.cloneBase(wm),
 			clsMat:      o.clsMat,
 			clsPair:     o.clsPair,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
+			out:         o.e.pool.cloneOut(o.out),
 			inner:       o.inner,
 		}
-		c.out.discard = o.out.discard
-		return c
 	case *vecIndexNLJoin:
-		c := &vecIndexNLJoin{
-			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
+		return &vecIndexNLJoin{
+			vecJoinBase: o.cloneBase(wm),
 			relIdx:      o.relIdx,
 			rel:         o.rel,
 			filters:     o.filters,
+			kernels:     o.kernels,
 			clsDescend:  o.clsDescend,
 			clsFetch:    o.clsFetch,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.proj, o.out.cap),
+			out:         o.e.pool.cloneOut(o.out),
 		}
-		c.out.discard = o.out.discard
-		return c
 	default:
 		panic("exec: cloneChain on non-pipeline operator")
 	}
+}
+
+// cloneBase returns a worker clone's join base: the shared column
+// references, the cloned left pipeline, no right child.
+func (b *vecJoinBase) cloneBase(wm *Meter) vecJoinBase {
+	return vecJoinBase{e: b.e, meter: wm, refs: b.refs, left: cloneChain(b.left, wm), rw: b.rw}
+}
+
+// cloneOut returns a fresh arena of o's shape.
+func (p *bufPool) cloneOut(o *outBuf) *outBuf {
+	c := p.getOut(len(o.cur), len(o.ords)-len(o.cur), o.cap)
+	c.discard = o.discard
+	return c
 }
 
 // chainBase returns the pipeline-chain join base of an operator, or nil
@@ -335,7 +341,7 @@ func (e *Executor) runMorsels(ctx context.Context, op batchOperator, scan *vecSe
 					errs[w] = err
 					return
 				}
-				rows.Add(int64(b.n()))
+				rows.Add(int64(b.n))
 			}
 		}(w, clones[w])
 	}

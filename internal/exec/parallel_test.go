@@ -222,7 +222,7 @@ func TestMorselEligibility(t *testing.T) {
 	for name, want := range map[string]bool{
 		"hash": true, "inl": true, "nl": true, "merge": false, "hash-indexscan": false,
 	} {
-		op, _, err := e.buildVec(plans[name], meter, res, DefaultBatchSize, nil)
+		op, err := e.buildVec(plans[name], meter, res, DefaultBatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}

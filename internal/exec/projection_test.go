@@ -2,8 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"maps"
-	"slices"
+	"io"
 	"testing"
 
 	"repro/internal/cost"
@@ -40,70 +39,55 @@ func joinColName(q *query.Query, id int, left bool) string {
 	return q.Relations[j.RightRel].Alias + "." + j.RightCol
 }
 
-// checkProjection walks a built vectorized tree beside its plan. above
-// lists the join IDs of the node's ancestors; the columns those
-// predicates name on relations under n are exactly what n's output must
-// carry. It returns n's output schema as the walk derived it: the full
-// relation schema for a scan, the checked projection for a join.
-func checkProjection(t *testing.T, e *Executor, tag string, n *plan.Node, op batchOperator, above []int) []string {
+// checkOrdinals walks a built vectorized tree beside its plan: each
+// join's key and residual references read the predicate's columns at
+// their relations' slots in the children's tuples, and each join below
+// the root carries exactly one ordinal vector per base relation under
+// it.
+func checkOrdinals(t *testing.T, e *Executor, tag string, n *plan.Node, op batchOperator, root bool) {
 	t.Helper()
 	if n.IsScan() {
-		return e.relSchema(n.Scan.Rel).cols
+		return
 	}
 	b, out, ok := joinParts(op)
 	if !ok {
 		t.Fatalf("%s: join node built as %T", tag, op)
 	}
-	below := append(slices.Clip(above), n.Join.JoinIDs...)
-	ls := checkProjection(t, e, tag, n.Left, b.left, below)
-	var rs []string
+	checkOrdinals(t, e, tag, n.Left, b.left, false)
 	if b.right != nil {
-		rs = checkProjection(t, e, tag, n.Right, b.right, below)
-	} else {
-		rs = e.relSchema(n.Right.Scan.Rel).cols
+		checkOrdinals(t, e, tag, n.Right, b.right, false)
 	}
-	// Key and residual positions resolve against the pruned schemas.
-	for k, id := range b.jc.ids {
-		l, r := ls[b.jc.leftPos[k]], rs[b.jc.rightPos[k]]
+	// name is the qualified column a reference reads in child c's tuples.
+	name := func(c *plan.Node, ref colRef) string {
+		s := ref.slot
+		for !c.IsScan() {
+			if w := c.Left.NumRels(); s >= w {
+				c, s = c.Right, s-w
+			} else {
+				c = c.Left
+			}
+		}
+		return e.relSchema(c.Scan.Rel).cols[ref.col]
+	}
+	for k, id := range b.refs.ids {
+		l, r := name(n.Left, b.refs.l[k]), name(n.Right, b.refs.r[k])
 		a, z := joinColName(e.q, id, true), joinColName(e.q, id, false)
 		if !(l == a && r == z) && !(l == z && r == a) {
 			t.Fatalf("%s: join %d resolved to %s = %s", tag, id, l, r)
 		}
 	}
-	var got []string
-	for _, c := range out.proj.l {
-		got = append(got, ls[c])
+	if !root && len(out.ords) != n.NumRels() {
+		t.Fatalf("%s: join %v carries %d ordinal vectors over %d relations",
+			tag, n.Join.JoinIDs, len(out.ords), n.NumRels())
 	}
-	for _, c := range out.proj.r {
-		got = append(got, rs[c])
-	}
-	want := map[string]bool{}
-	for _, id := range above {
-		j := e.q.Joins[id]
-		for _, side := range []struct {
-			rel int
-			col string
-		}{{j.LeftRel, j.LeftCol}, {j.RightRel, j.RightCol}} {
-			if n.Rels>>uint(side.rel)&1 != 0 {
-				want[e.q.Relations[side.rel].Alias+"."+side.col] = true
-			}
-		}
-	}
-	if wantList := slices.Sorted(maps.Keys(want)); !slices.Equal(slices.Sorted(slices.Values(got)), wantList) {
-		t.Fatalf("%s: join %v outputs %v, ancestors read %v", tag, n.Join.JoinIDs, got, wantList)
-	}
-	if out.proj.width() != len(got) || (len(above) == 0) != (len(got) == 0) {
-		t.Fatalf("%s: join %v output width %d", tag, n.Join.JoinIDs, out.proj.width())
-	}
-	return got
 }
 
-// TestJoinOutputCarriesOnlyNeededColumns builds every plan of the
-// 4D_Q91 and 5D_Q19 plan pools — whole and as every spill subtree — and
-// checks each join's output schema is exactly the columns its ancestors'
-// predicates read, with keys and residuals resolved against the pruned
-// child schemas, and that the root and spill roots are count-only.
-func TestJoinOutputCarriesOnlyNeededColumns(t *testing.T) {
+// TestJoinOutputCarriesOrdinals builds every plan of the 4D_Q91 and
+// 5D_Q19 plan pools — whole and as every spill subtree — and checks
+// that each join below the root carries one ordinal vector per base
+// relation under it, that keys and residuals resolve to the right
+// columns and slots, and that the root and spill roots are count-only.
+func TestJoinOutputCarriesOrdinals(t *testing.T) {
 	for _, name := range []string{"4D_Q91", "5D_Q19"} {
 		spec, err := workload.ByName(name)
 		if err != nil {
@@ -127,11 +111,11 @@ func TestJoinOutputCarriesOnlyNeededColumns(t *testing.T) {
 			}
 			for kind, root := range roots {
 				tag := fmt.Sprintf("%s/P%d/%s", name, id, kind)
-				op, _, err := e.buildVec(root, &Meter{}, &Result{}, DefaultBatchSize, nil)
+				op, err := e.buildVec(root, &Meter{}, &Result{}, DefaultBatchSize)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				checkProjection(t, e, tag, root, op, nil)
+				checkOrdinals(t, e, tag, root, op, true)
 				markDiscardRoot(op)
 				if _, out, ok := joinParts(op); ok && !out.discard {
 					t.Fatalf("%s: root is not count-only", tag)
@@ -147,8 +131,9 @@ func TestJoinOutputCarriesOnlyNeededColumns(t *testing.T) {
 // TestResidualOnBottomJoinColumn runs a 3-relation plan whose top join
 // has a residual predicate on a column that only the bottom join's
 // output can supply (d.d_attr = e.e_attr above ff ⋈ d): the bottom
-// join must carry that column, and every top-join method must agree
-// with the tuple engine bit for bit, in full and under budget kills.
+// join must carry the ordinals of ff and d, and every top-join method
+// must agree with the tuple engine bit for bit, in full and under
+// budget kills.
 func TestResidualOnBottomJoinColumn(t *testing.T) {
 	f := newFixture(t)
 	q := &query.Query{
@@ -165,6 +150,7 @@ func TestResidualOnBottomJoinColumn(t *testing.T) {
 			{ID: 2, LeftRel: 1, RightRel: 2, LeftCol: "d_attr", RightCol: "e_attr"},
 		},
 	}
+	fact, dim := f.store.MustRelation("fact"), f.store.MustRelation("dim")
 	for name, m := range map[string]plan.JoinMethod{
 		"hash": plan.HashJoin, "merge": plan.MergeJoin, "nl": plan.NLJoin, "inl": plan.IndexNLJoin,
 	} {
@@ -172,14 +158,39 @@ func TestResidualOnBottomJoinColumn(t *testing.T) {
 		c := diffCase{name: "resid3/" + name, q: q,
 			p: plan.NewJoin(m, []int{1, 2}, bottom, plan.NewScan(2, plan.SeqScan))}
 		e := New(q, f.store, cost.DefaultParams())
-		op, _, err := e.buildVec(c.p, &Meter{}, &Result{}, DefaultBatchSize, nil)
+		op, err := e.buildVec(c.p, &Meter{}, &Result{}, DefaultBatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkProjection(t, e, c.name, c.p, op, nil)
+		checkOrdinals(t, e, c.name, c.p, op, true)
+		// The bottom join's rows are (ff, d) ordinal pairs that satisfy
+		// its predicate, covering the whole join.
 		b, _, _ := joinParts(op)
-		if _, out, _ := joinParts(b.left); out.proj.width() != 2 {
-			t.Fatalf("%s: bottom join carries %d columns, want ff.f_dim2 and d.d_attr", c.name, out.proj.width())
+		if err := b.left.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			batch, err := b.left.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.ords) != 2 {
+				t.Fatalf("%s: bottom join carries %d ordinal vectors, want ff and d", c.name, len(batch.ords))
+			}
+			for i := 0; i < batch.n; i++ {
+				fr, dr := fact.Rows[batch.ords[0][i]], dim.Rows[batch.ords[1][i]]
+				if !expr.Equal(fr[1], dr[0]) {
+					t.Fatalf("%s: bottom row %d joins ff.f_dim=%v with d.d_id=%v", c.name, i, fr[1], dr[0])
+				}
+			}
+			rows += batch.n
+		}
+		if want := len(fact.Rows); rows != want {
+			t.Fatalf("%s: bottom join produced %d rows, want %d", c.name, rows, want)
 		}
 		op.Close()
 		full := runEngine(f, c, false, 0, 0, nil, -1)

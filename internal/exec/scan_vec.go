@@ -85,8 +85,8 @@ func (k *colKernel) match(i int) bool {
 	}
 }
 
-// fill runs the kernel over the window [base, end), writing matching
-// window-relative ordinals into sel. The range shape — the common
+// fill runs the kernel over the window [base, end), writing the row
+// ordinals that match into sel. The range shape — the common
 // single-predicate scan — runs as a two-instruction compare with an
 // unconditional selection store, so the loop carries no data-dependent
 // store branch.
@@ -95,7 +95,7 @@ func (k *colKernel) fill(base, end int, sel []int32) []int32 {
 	if k.kind == kernelRange && k.nulls == nil {
 		lo, span, vals := k.lo, k.span, k.ints
 		for i := base; i < end; i++ {
-			sel[n] = int32(i - base)
+			sel[n] = int32(i)
 			if uint64(vals[i])-lo <= span {
 				n++
 			}
@@ -103,7 +103,7 @@ func (k *colKernel) fill(base, end int, sel []int32) []int32 {
 		return sel[:n]
 	}
 	for i := base; i < end; i++ {
-		sel[n] = int32(i - base)
+		sel[n] = int32(i)
 		if k.match(i) {
 			n++
 		}
@@ -111,12 +111,13 @@ func (k *colKernel) fill(base, end int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-// refine re-runs the kernel over an existing selection, compacting it
-// in place (conjunction predicates after the first).
-func (k *colKernel) refine(base int, sel []int32) []int32 {
+// refine re-runs the kernel over an existing selection of row
+// ordinals, compacting it in place (conjunction predicates after the
+// first).
+func (k *colKernel) refine(sel []int32) []int32 {
 	n := 0
 	for _, s := range sel {
-		if k.match(base + int(s)) {
+		if k.match(int(s)) {
 			sel[n] = s
 			n++
 		}
@@ -124,11 +125,26 @@ func (k *colKernel) refine(base int, sel []int32) []int32 {
 	return sel[:n]
 }
 
-// vecSeqScan reads the relation in zero-copy windows of up to cap rows:
-// each batch aliases the storage row array directly, one ChargeN bills
-// the whole window, and filters narrow it through a selection vector
-// driven by compiled columnar kernels (row-at-a-time fallback when the
-// relation has no clean columnar projection for a filter column).
+// matchOrd reports whether row ord of rel passes every filter: through
+// the compiled column kernels when there are any, else on the row.
+func matchOrd(rel *storage.Relation, filters []boundFilter, kernels []colKernel, ord int32) bool {
+	if kernels == nil {
+		return len(filters) == 0 || matchAll(filters, rel.Rows[ord])
+	}
+	for i := range kernels {
+		if !kernels[i].match(int(ord)) {
+			return false
+		}
+	}
+	return true
+}
+
+// vecSeqScan reads the relation in windows of up to cap rows: each
+// batch is the window's row ordinals, one ChargeN bills the whole
+// window, and filters narrow it to the ordinals that pass, through
+// compiled columnar kernels (row-at-a-time fallback when the relation
+// has no clean columnar projection for a filter column). No row is
+// touched unless a filter needs it.
 //
 // With cursor set (morsel mode) the window start is claimed from the
 // shared atomic scan cursor instead of private state, so any number of
@@ -143,16 +159,26 @@ type vecSeqScan struct {
 	cap     int
 	pos     int
 	cursor  *atomic.Int64
-	sel     []int32
-	out     rowBatch
+	// sel is the pooled ordinal vector batches are written into; slot
+	// backs the batches' one-slot ords.
+	sel  []int32
+	slot [1][]int32
+	out  rowBatch
 }
 
 func (s *vecSeqScan) Open() error {
 	s.pos = 0
-	if len(s.filters) > 0 && s.sel == nil {
-		s.sel = s.ex.pool.getSel(s.cap)
+	if s.sel == nil {
+		s.sel = s.ex.pool.getInts(s.cap)
 	}
 	return nil
+}
+
+// batch returns the selected ordinals as the scan's output batch.
+func (s *vecSeqScan) batch(sel []int32) *rowBatch {
+	s.slot[0] = sel
+	s.out = rowBatch{ords: s.slot[:], n: len(sel)}
+	return &s.out
 }
 
 func (s *vecSeqScan) NextBatch() (*rowBatch, error) {
@@ -183,51 +209,49 @@ func (s *vecSeqScan) NextBatch() (*rowBatch, error) {
 				}
 			}
 		}
-		window := s.rel.Rows[pos:end]
-		if _, err := s.meter.ChargeN(s.cls, int64(len(window))); err != nil {
+		if _, err := s.meter.ChargeN(s.cls, int64(end-pos)); err != nil {
 			return nil, err
 		}
+		sel := s.sel[:end-pos]
 		if len(s.filters) == 0 {
-			s.out = rowBatch{base: window, stable: true, rel: s.rel, off: pos}
-			return &s.out, nil
+			for i := range sel {
+				sel[i] = int32(pos + i)
+			}
+			return s.batch(sel), nil
 		}
-		sel := s.sel[:len(window)]
 		if s.kernels != nil {
 			sel = s.kernels[0].fill(pos, end, sel)
 			for i := 1; i < len(s.kernels) && len(sel) > 0; i++ {
-				sel = s.kernels[i].refine(pos, sel)
+				sel = s.kernels[i].refine(sel)
 			}
-			if len(sel) > 0 {
-				s.out = rowBatch{base: window, sel: sel, stable: true, rel: s.rel, off: pos}
-				return &s.out, nil
+		} else {
+			k := 0
+			for i := pos; i < end; i++ {
+				sel[k] = int32(i)
+				if matchAll(s.filters, s.rel.Rows[i]) {
+					k++
+				}
 			}
-			continue // whole window filtered out; claim the next one
+			sel = sel[:k]
 		}
-		k := 0
-		for i := range window {
-			sel[k] = int32(i)
-			if matchAll(s.filters, window[i]) {
-				k++
-			}
+		if len(sel) > 0 {
+			return s.batch(sel), nil
 		}
-		if k > 0 {
-			s.out = rowBatch{base: window, sel: sel[:k], stable: true, rel: s.rel, off: pos}
-			return &s.out, nil
-		}
+		// Whole window filtered out; claim the next one.
 	}
 }
 
 func (s *vecSeqScan) Close() error {
-	s.ex.pool.putSel(s.sel)
+	s.ex.pool.putInts(s.sel)
 	s.sel = nil
 	return nil
 }
 
-// vecIndexScan fetches the probed ordinals in windows, charging one
+// vecIndexScan emits the probed ordinals in windows, charging one
 // descent at Open (like the tuple engine) and IdxTuple per fetched row
-// in batches; residual filters narrow via a selection vector. The fetch
-// scratch and selection vector come from the executor's buffer pool, so
-// steady-state batches allocate nothing.
+// in batches; residual filters narrow a window to the ordinals that
+// pass, in a pooled vector, so steady-state batches allocate nothing.
+// An unfiltered window is the probe's ordinal list itself.
 type vecIndexScan struct {
 	rel     *storage.Relation
 	rows    []int32
@@ -237,18 +261,15 @@ type vecIndexScan struct {
 	cls     int
 	cap     int
 	pos     int
-	scratch []expr.Row
 	sel     []int32
+	slot    [1][]int32
 	out     rowBatch
 }
 
 func (s *vecIndexScan) Open() error {
 	s.pos = 0
-	if s.scratch == nil {
-		s.scratch = s.ex.pool.getRows(s.cap)
-	}
 	if len(s.filters) > 0 && s.sel == nil {
-		s.sel = s.ex.pool.getSel(s.cap)
+		s.sel = s.ex.pool.getInts(s.cap)
 	}
 	if ferr := s.ex.faults.Check(faultinject.SiteIndexProbe); ferr != nil {
 		return opError("indexscan", ferr)
@@ -262,29 +283,23 @@ func (s *vecIndexScan) NextBatch() (*rowBatch, error) {
 		if end > len(s.rows) {
 			end = len(s.rows)
 		}
-		n := end - s.pos
-		if _, err := s.meter.ChargeN(s.cls, int64(n)); err != nil {
+		window := s.rows[s.pos:end]
+		if _, err := s.meter.ChargeN(s.cls, int64(len(window))); err != nil {
 			return nil, err
 		}
-		s.scratch = s.scratch[:0]
-		for _, ord := range s.rows[s.pos:end] {
-			s.scratch = append(s.scratch, s.rel.Rows[ord])
-		}
 		s.pos = end
-		if len(s.filters) == 0 {
-			// The scratch slice is recycled but the rows it references
-			// alias immutable storage, so the batch is stable.
-			s.out = rowBatch{base: s.scratch, stable: true}
-			return &s.out, nil
-		}
-		s.sel = s.sel[:0]
-		for i := range s.scratch {
-			if matchAll(s.filters, s.scratch[i]) {
-				s.sel = append(s.sel, int32(i))
+		if len(s.filters) > 0 {
+			sel := s.sel[:0]
+			for _, o := range window {
+				if matchAll(s.filters, s.rel.Rows[o]) {
+					sel = append(sel, o)
+				}
 			}
+			window = sel
 		}
-		if len(s.sel) > 0 {
-			s.out = rowBatch{base: s.scratch, sel: s.sel, stable: true}
+		if len(window) > 0 {
+			s.slot[0] = window
+			s.out = rowBatch{ords: s.slot[:], n: len(window)}
 			return &s.out, nil
 		}
 	}
@@ -292,9 +307,7 @@ func (s *vecIndexScan) NextBatch() (*rowBatch, error) {
 }
 
 func (s *vecIndexScan) Close() error {
-	s.ex.pool.putRows(s.scratch)
-	s.scratch = nil
-	s.ex.pool.putSel(s.sel)
+	s.ex.pool.putInts(s.sel)
 	s.sel = nil
 	return nil
 }

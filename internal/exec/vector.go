@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/expr"
@@ -17,174 +16,157 @@ import (
 // call in the vectorized engine.
 const DefaultBatchSize = 1024
 
-// rowBatch is a batch of row references with an optional selection
-// vector: sel == nil means every row of base is selected, otherwise sel
-// lists the selected ordinals into base. Filters narrow batches by
-// writing selection vectors — rows are never copied.
+// rowBatch is a batch of rows named by base-relation row ordinals: ords
+// holds one int32 ordinal vector per base relation below the producer,
+// in slot order (the producing plan subtree's scans, left to right; see
+// slotOf), each at least n long. Row i of the batch is the tuple
+// (ords[0][i], ords[1][i], …). No value travels with a row: an operator
+// that needs a column — a join key, a residual, an inner filter — reads
+// it at the ordinal through a colRef, so a joined row costs one int32
+// per relation however wide the relations are.
 //
-// stable marks that the referenced rows stay valid after further
-// NextBatch calls on the producer (true for scans, whose rows alias the
-// immutable storage arrays; false for join outputs, which live in a
-// reused arena). Consumers that retain rows across batches (hash build,
-// sort, NL materialization) must copy unstable rows into a valSlab.
+// A count-only batch (ords == nil) carries just n: the output of a
+// discarding root arena — the drive loop only counts root output, so the
+// root join never materializes joined rows.
 type rowBatch struct {
-	base   []expr.Row
-	sel    []int32
-	stable bool
-
-	// rel/off identify columnar scan batches: base aliases
-	// rel.Rows[off : off+len(base)], so consumers that only need one
-	// column (hash-join key fetch) can read rel's typed vectors at
-	// absolute ordinal off+i instead of chasing row pointers.
-	rel *storage.Relation
-	off int
-
-	// count carries the row count of value-free batches (base == nil),
-	// produced by a discarding root arena — the drive loop only counts
-	// root output, so the root join never materializes joined rows.
-	count int
+	ords [][]int32
+	n    int
 }
 
-// n returns the number of selected rows.
-func (b *rowBatch) n() int {
-	if b.sel != nil {
-		return len(b.sel)
+// colRef is one column read resolved when its operator is built: the
+// slot of the column's base relation in a batch's ordinal tuple and the
+// column's ordinal in that relation. A clean int column is read from
+// its typed vector; a NULL key, or a column with no columnar projection
+// (Relation.Col nil), is read from the row. Every column kind thus runs
+// through the same operators.
+type colRef struct {
+	slot  int
+	col   int
+	rel   *storage.Relation
+	ints  []int64  // the KindInt column vector, nil if not columnar int
+	nulls []uint64 // its NULL bitmap, nil when NULL-free
+}
+
+// newColRef resolves column col of query relation qrel, at slot.
+func (e *Executor) newColRef(qrel, slot, col int) (colRef, error) {
+	table := e.q.Relations[qrel].Table
+	rel := e.store.Relation(table)
+	if rel == nil {
+		return colRef{}, fmt.Errorf("exec: store missing relation %s", table)
 	}
-	if b.base != nil {
-		return len(b.base)
+	c := colRef{slot: slot, col: col, rel: rel}
+	if v := rel.Col(col); v != nil && v.Kind == expr.KindInt {
+		c.ints, c.nulls = v.Ints, v.NullWords()
 	}
-	return b.count
+	return c, nil
 }
 
-// row returns the i-th selected row.
-func (b *rowBatch) row(i int) expr.Row {
-	if b.sel != nil {
-		return b.base[b.sel[i]]
+// typed reports whether the value at ord sits in the int vector.
+func (c *colRef) typed(ord int32) bool {
+	return c.ints != nil && (c.nulls == nil || c.nulls[uint32(ord)>>6]>>(uint32(ord)&63)&1 == 0)
+}
+
+// value returns the column's value at row ordinal ord.
+func (c *colRef) value(ord int32) expr.Value {
+	if c.typed(ord) {
+		return expr.Int(c.ints[ord])
 	}
-	return b.base[i]
+	return c.rel.Rows[ord][c.col]
 }
 
-// slabChunk is the value capacity of one valSlab chunk.
-const slabChunk = 4096
-
-// valSlab is an append-only arena for the rows an operator retains from
-// unstable batches (hash build, sort input, NL inner): each copy lands
-// in the current fixed-size chunk instead of its own allocation. Rows
-// never span chunks and chunks never move, so a copied row stays valid
-// until the slab is reset; pooled slabs keep their chunks across runs.
-type valSlab struct {
-	chunks [][]expr.Value
-	cur    int
-}
-
-// copyRow copies r into the slab and returns the copy.
-func (s *valSlab) copyRow(r expr.Row) expr.Row {
-	for {
-		if s.cur == len(s.chunks) {
-			s.chunks = append(s.chunks, make([]expr.Value, 0, max(slabChunk, len(r))))
-		}
-		c := s.chunks[s.cur]
-		if at := len(c); at+len(r) <= cap(c) {
-			c = append(c, r...)
-			s.chunks[s.cur] = c
-			return c[at:len(c):len(c)]
-		}
-		s.cur++
+// key returns the hash key at ord — the value's I, exactly what the
+// tuple engine keys its table on — and false for NULL.
+func (c *colRef) key(ord int32) (int64, bool) {
+	if c.typed(ord) {
+		return c.ints[ord], true
 	}
+	v := &c.rel.Rows[ord][c.col]
+	return v.I, v.K != expr.KindNull
 }
 
-// reset empties every chunk and rewinds to the first.
-func (s *valSlab) reset() {
-	for i := range s.chunks {
-		s.chunks[i] = s.chunks[i][:0]
+// clean returns the column's NULL-free int vector, or nil.
+func (c *colRef) clean() []int64 {
+	if c.nulls != nil {
+		return nil
 	}
-	s.cur = 0
+	return c.ints
 }
 
-// proj is a join output's projection: the positions of the left (probe,
-// outer) row's columns it keeps, then the right (build, inner) row's.
-// A join emits only the columns some ancestor reads (see buildVec), so
-// an output row is len(l)+len(r) values wide, not the children's
-// concatenated width.
-type proj struct{ l, r []int }
+// equalAt is expr.Equal of column a at ordinal ao and column b at bo,
+// comparing the int vectors directly when both values are typed.
+func equalAt(a *colRef, ao int32, b *colRef, bo int32) bool {
+	if a.typed(ao) && b.typed(bo) {
+		return a.ints[ao] == b.ints[bo]
+	}
+	return expr.Equal(a.value(ao), b.value(bo))
+}
 
-func (p proj) width() int { return len(p.l) + len(p.r) }
-
-// outBuf is a join operator's reusable output arena: projected output
-// rows are appended into one flat value slab, so a batch of joined rows
-// costs a few value copies per row instead of one allocation each. The
-// arena is recycled on every NextBatch call, which is why batches built
-// from it are unstable.
+// outBuf is a join operator's reusable output arena: one ordinal vector
+// per output slot (the left child's slots, then the right's), carved
+// from one flat backing array. The arena is recycled on every NextBatch
+// call, so a consumer must copy what it keeps across batches (the hash
+// build, sort input and NL inner copy ordinals into their own arenas).
 type outBuf struct {
-	proj proj
+	buf  []int32
+	ords [][]int32
 	cap  int
-	vals []expr.Value
-	rows []expr.Row
-	b    rowBatch
+	n    int
+	// cur is the left (probe, outer) tuple the next emits join with.
+	cur []int32
+	b   rowBatch
 
 	// discard turns the arena into a pure counter: the plan root's rows
 	// are never read (the drive loop only counts them — §3.1 discards
-	// Result rows), so the root join skips materializing joined values
-	// entirely and emits count-only batches.
+	// Result rows), so the root join emits count-only batches.
 	discard bool
-	count   int
 }
 
-func (o *outBuf) reset() {
-	o.vals = o.vals[:0]
-	o.rows = o.rows[:0]
-	o.count = 0
+func (o *outBuf) reset() { o.n = 0 }
+
+// load makes row i of b the left tuple of the next emits.
+func (o *outBuf) load(b *rowBatch, i int) {
+	for s := range o.cur {
+		o.cur[s] = b.ords[s][i]
+	}
 }
 
-// emit appends the projection of l and r as one output row.
-func (o *outBuf) emit(l, r expr.Row) {
-	if o.discard {
-		o.count++
-		return
+// emit appends the left tuple joined with the right tuple r.
+func (o *outBuf) emit(r []int32) {
+	if !o.discard {
+		lw := len(o.cur)
+		for s, v := range o.cur {
+			o.ords[s][o.n] = v
+		}
+		for s, v := range r {
+			o.ords[lw+s][o.n] = v
+		}
 	}
-	s := len(o.vals)
-	for _, c := range o.proj.l {
-		o.vals = append(o.vals, l[c])
-	}
-	for _, c := range o.proj.r {
-		o.vals = append(o.vals, r[c])
-	}
-	o.rows = append(o.rows, o.vals[s:len(o.vals):len(o.vals)])
+	o.n++
 }
 
-func (o *outBuf) full() bool { return o.len() >= o.cap }
+func (o *outBuf) full() bool { return o.n >= o.cap }
 
-func (o *outBuf) len() int {
-	if o.discard {
-		return o.count
-	}
-	return len(o.rows)
-}
-
-// take returns the buffered rows as an (unstable) batch.
+// take returns the buffered rows as a batch.
 func (o *outBuf) take() *rowBatch {
-	if o.discard {
-		o.b = rowBatch{count: o.count}
-	} else {
-		o.b = rowBatch{base: o.rows}
+	o.b = rowBatch{n: o.n}
+	if !o.discard {
+		o.b.ords = o.ords
 	}
 	return &o.b
 }
 
 // bufPool recycles the vectorized engine's per-run scratch buffers
-// across driveVec attempts: selection vectors, join output arenas,
-// index-scan fetch slabs, hash-build tables, and the value slabs that
-// hold retained copies of unstable rows. A plain mutex-guarded freelist
-// beats sync.Pool here — buffers are checked out a handful of times per
-// query, never concurrently contended on the sequential path, and the
-// typed slices avoid interface boxing on every get/put.
+// across driveVec attempts: int32 vectors (selection and ordinal
+// vectors, sort input arenas, NL inners), join output arenas and
+// hash-build tables. A plain mutex-guarded freelist beats sync.Pool
+// here — buffers are checked out a handful of times per query, never
+// concurrently contended on the sequential path, and the typed slices
+// avoid interface boxing on every get/put.
 type bufPool struct {
 	mu     sync.Mutex
-	sels   [][]int32
+	ints   [][]int32
 	outs   []*outBuf
-	rows   [][]expr.Row
 	tables []*graceTable
-	slabs  []*valSlab
 }
 
 // poolCap bounds each freelist.
@@ -215,30 +197,35 @@ func give[T any](p *bufPool, list *[]T, v T) {
 	p.mu.Unlock()
 }
 
-func (p *bufPool) getSel(capacity int) []int32 {
-	if s, ok := take(p, &p.sels, func(s []int32) bool { return cap(s) >= capacity }); ok {
+// getInts returns an empty int32 vector of at least the capacity.
+func (p *bufPool) getInts(capacity int) []int32 {
+	if s, ok := take(p, &p.ints, func(s []int32) bool { return cap(s) >= capacity }); ok {
 		return s[:0]
 	}
 	return make([]int32, 0, capacity)
 }
 
-func (p *bufPool) putSel(s []int32) {
+func (p *bufPool) putInts(s []int32) {
 	if s != nil {
-		give(p, &p.sels, s[:0])
+		give(p, &p.ints, s[:0])
 	}
 }
 
-// getOut returns an output arena for capacity rows of the projection.
-func (p *bufPool) getOut(pj proj, capacity int) *outBuf {
-	w := pj.width()
-	o, ok := take(p, &p.outs, func(o *outBuf) bool {
-		return cap(o.vals) >= w*capacity && cap(o.rows) >= capacity
-	})
+// getOut returns an output arena for capacity rows joining lw-wide left
+// tuples with rw-wide right tuples.
+func (p *bufPool) getOut(lw, rw, capacity int) *outBuf {
+	w := lw + rw
+	o, ok := take(p, &p.outs, func(o *outBuf) bool { return cap(o.buf) >= w*capacity })
 	if !ok {
-		o = &outBuf{vals: make([]expr.Value, 0, w*capacity), rows: make([]expr.Row, 0, capacity)}
+		o = &outBuf{buf: make([]int32, w*capacity)}
 	}
-	o.reset()
-	o.proj, o.cap, o.discard = pj, capacity, false
+	o.buf = o.buf[:w*capacity]
+	o.ords = o.ords[:0]
+	for s := 0; s < w; s++ {
+		o.ords = append(o.ords, o.buf[s*capacity:(s+1)*capacity:(s+1)*capacity])
+	}
+	o.cur = append(o.cur[:0], make([]int32, lw)...)
+	o.cap, o.n, o.discard = capacity, 0, false
 	return o
 }
 
@@ -248,26 +235,16 @@ func (p *bufPool) putOut(o *outBuf) {
 	}
 }
 
-func (p *bufPool) getRows(capacity int) []expr.Row {
-	if r, ok := take(p, &p.rows, func(r []expr.Row) bool { return cap(r) >= capacity }); ok {
-		return r[:0]
+// getTable returns an empty hash-build table for w-wide tuples.
+func (p *bufPool) getTable(w int) *graceTable {
+	t, ok := take(p, &p.tables, func(*graceTable) bool { return true })
+	if !ok {
+		t = newGraceTable()
 	}
-	return make([]expr.Row, 0, capacity)
-}
-
-func (p *bufPool) putRows(r []expr.Row) {
-	if r != nil {
-		clear(r)
-		give(p, &p.rows, r[:0])
+	for i := range t.parts {
+		t.parts[i].w = w
 	}
-}
-
-// getTable returns an empty hash-build table.
-func (p *bufPool) getTable() *graceTable {
-	if t, ok := take(p, &p.tables, func(*graceTable) bool { return true }); ok {
-		return t
-	}
-	return newGraceTable()
+	return t
 }
 
 // putTable empties t and recycles it. Only the table's owner returns
@@ -276,20 +253,6 @@ func (p *bufPool) putTable(t *graceTable) {
 	if t != nil {
 		t.reset()
 		give(p, &p.tables, t)
-	}
-}
-
-func (p *bufPool) getSlab() *valSlab {
-	if s, ok := take(p, &p.slabs, func(*valSlab) bool { return true }); ok {
-		return s
-	}
-	return &valSlab{}
-}
-
-func (p *bufPool) putSlab(s *valSlab) {
-	if s != nil {
-		s.reset()
-		give(p, &p.slabs, s)
 	}
 }
 
@@ -303,7 +266,7 @@ type batchOperator interface {
 
 // markDiscardRoot flips the plan root's output arena into count-only
 // mode. Result rows of the root are discarded by every consumer (the
-// drive loop just counts them), so materializing the joined values is
+// drive loop just counts them), so materializing the joined ordinals is
 // pure overhead. Lockstep runs (faults armed) skip this: the tuple
 // engine materializes, and lockstep must replay its exact allocation-
 // free observables — charge order is unaffected either way, but we keep
@@ -317,9 +280,7 @@ func markDiscardRoot(op batchOperator) {
 	case *vecNLJoin:
 		o.out.discard = true
 	case *vecIndexNLJoin:
-		if !o.ls {
-			o.out.discard = true
-		}
+		o.out.discard = true
 	}
 }
 
@@ -349,7 +310,7 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 	if e.faults != nil {
 		capacity = 1 // lockstep: replay tuple-exact fault sequences
 	}
-	op, _, err := e.buildVec(root, meter, res, capacity, nil)
+	op, err := e.buildVec(root, meter, res, capacity)
 	if err != nil {
 		res.Cost = meter.Used + meter.Drifted
 		res.Drift = meter.Drifted
@@ -399,7 +360,7 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 			if err != nil {
 				return err
 			}
-			res.Rows += int64(b.n())
+			res.Rows += int64(b.n)
 		}
 	}()
 	return e.epilogue(res, meter, op, err, op.Close(), spill)
@@ -409,49 +370,91 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 // mirror build exactly: same fault-check sites, same degradation notes,
 // and — critically — the same meter class registration order, so the
 // metered total is the same function of tuple counts in both engines.
-//
-// need names the qualified columns ("alias.column") that the node's
-// ancestors read: their join keys and residual predicates. A join's
-// output carries exactly the columns of need it can supply, so the plan
-// root (need empty) is count-only and no arena copies a column nobody
-// reads. Scans ignore need: their batches alias storage rows, zero-copy.
-func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int, need []string) (batchOperator, *schema, error) {
+func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
 	if n.IsScan() {
 		return e.buildScanVec(n, meter, res, capacity)
 	}
-	return e.buildJoinVec(n, meter, res, capacity, need)
+	return e.buildJoinVec(n, meter, res, capacity)
 }
 
-// project returns the output schema and projection of a join whose
-// children have schemas ls and rs: the columns in need, in
-// concatenation order.
-func project(ls, rs *schema, need []string) (*schema, proj) {
-	var pj proj
-	sch := &schema{}
-	for i, c := range ls.cols {
-		if slices.Contains(need, c) {
-			pj.l = append(pj.l, i)
-			sch.cols = append(sch.cols, c)
-		}
+// slotOf returns the slot of query relation rel in the output tuples of
+// plan subtree n — its position among n's scans, left to right — or -1
+// when rel is not below n.
+func slotOf(n *plan.Node, rel int) int {
+	switch {
+	case n.Rels>>uint(rel)&1 == 0:
+		return -1
+	case n.IsScan():
+		return 0
 	}
-	for i, c := range rs.cols {
-		if slices.Contains(need, c) {
-			pj.r = append(pj.r, i)
-			sch.cols = append(sch.cols, c)
-		}
+	if s := slotOf(n.Left, rel); s >= 0 {
+		return s
 	}
-	return sch, pj
+	return n.Left.NumRels() + slotOf(n.Right, rel)
 }
 
-func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
+// joinRefs is a vectorized join's predicates resolved to column
+// references into its children's tuples: l into the left child's, r
+// into the right's. As in joinCols, the first predicate is the physical
+// key and the rest are residuals.
+type joinRefs struct {
+	ids  []int
+	l, r []colRef
+}
+
+// resolveJoinRefs resolves the join predicates of node n. It fails, as
+// resolveJoinCols does, when a predicate's columns are not below the
+// children in either orientation.
+func (e *Executor) resolveJoinRefs(n *plan.Node) (*joinRefs, error) {
+	e.namesOnce.Do(e.resolveNames)
+	jr := &joinRefs{}
+	for _, id := range n.Join.JoinIDs {
+		j, cols := e.q.Joins[id], e.joinOrds[id]
+		lrel, rrel, lcol, rcol := j.LeftRel, j.RightRel, cols[0], cols[1]
+		ls, rs := slotOf(n.Left, lrel), slotOf(n.Right, rrel)
+		if ls < 0 || rs < 0 {
+			// The predicate may be oriented the other way round.
+			lrel, rrel, lcol, rcol = rrel, lrel, rcol, lcol
+			ls, rs = slotOf(n.Left, lrel), slotOf(n.Right, rrel)
+		}
+		if ls < 0 || rs < 0 || lcol < 0 || rcol < 0 {
+			return nil, fmt.Errorf("exec: join %d columns not found in children", id)
+		}
+		l, err := e.newColRef(lrel, ls, lcol)
+		if err != nil {
+			return nil, err
+		}
+		r, err := e.newColRef(rrel, rs, rcol)
+		if err != nil {
+			return nil, err
+		}
+		jr.ids = append(jr.ids, id)
+		jr.l = append(jr.l, l)
+		jr.r = append(jr.r, r)
+	}
+	return jr, nil
+}
+
+// residualsMatch checks the predicates beyond the physical key on a
+// left and a right tuple.
+func (jr *joinRefs) residualsMatch(l, r []int32) bool {
+	for k := 1; k < len(jr.ids); k++ {
+		a, b := &jr.l[k], &jr.r[k]
+		if !equalAt(a, l[a.slot], b, r[b.slot]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
 	rel := n.Scan.Rel
 	r := &e.q.Relations[rel]
 	relation := e.store.Relation(r.Table)
 	if relation == nil {
-		return nil, nil, fmt.Errorf("exec: store missing relation %s", r.Table)
+		return nil, fmt.Errorf("exec: store missing relation %s", r.Table)
 	}
-	sch := e.relSchema(rel)
-	seq := func() (batchOperator, *schema, error) {
+	seq := func() (batchOperator, error) {
 		filters := e.compileFilters(rel, -1)
 		return &vecSeqScan{
 			rel:     relation,
@@ -461,7 +464,7 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 			ex:      e,
 			cls:     meter.Class(e.params.SeqTuple),
 			cap:     capacity,
-		}, sch, nil
+		}, nil
 	}
 	switch n.Scan.Method {
 	case plan.SeqScan:
@@ -471,7 +474,7 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 		// persistent index-probe fault downgrades to a sequential scan.
 		if ferr := e.faults.Check(faultinject.SiteIndexProbe); ferr != nil {
 			if faultinject.IsTransient(ferr) {
-				return nil, nil, opError("indexscan", ferr)
+				return nil, opError("indexscan", ferr)
 			}
 			res.Degraded = append(res.Degraded,
 				fmt.Sprintf("indexscan→seqscan rel=%s (%v)", r.Alias, ferr))
@@ -479,7 +482,7 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 		}
 		rows, bestIdx, err := e.planIndexScan(rel, relation)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		return &vecIndexScan{
 			rel:     relation,
@@ -489,37 +492,30 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 			ex:      e,
 			cls:     meter.Class(e.params.IdxTuple),
 			cap:     capacity,
-		}, sch, nil
+		}, nil
 	default:
-		return nil, nil, fmt.Errorf("exec: unknown scan method")
+		return nil, fmt.Errorf("exec: unknown scan method")
 	}
 }
 
-func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int, need []string) (batchOperator, *schema, error) {
-	// The children's outputs are read by this join's predicates and by
-	// whatever reads this join's output.
-	below := slices.Clip(need)
-	for _, id := range n.Join.JoinIDs {
-		names := e.keyNames(id)
-		below = append(below, names[:]...)
-	}
-	lop, ls, err := e.buildVec(n.Left, meter, res, capacity, below)
+func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
+	lop, err := e.buildVec(n.Left, meter, res, capacity)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	lw, rw := n.Left.NumRels(), n.Right.NumRels()
 	switch n.Join.Method {
 	case plan.HashJoin, plan.MergeJoin, plan.NLJoin:
-		rop, rs, err := e.buildVec(n.Right, meter, res, capacity, below)
+		rop, err := e.buildVec(n.Right, meter, res, capacity)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		jc, err := e.resolveJoinCols(n, ls, rs)
+		refs, err := e.resolveJoinRefs(n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		sch, pj := project(ls, rs, need)
-		base := vecJoinBase{e: e, meter: meter, jc: jc, left: lop, right: rop}
-		out := e.pool.getOut(pj, capacity)
+		base := vecJoinBase{e: e, meter: meter, refs: refs, left: lop, right: rop, rw: rw}
+		out := e.pool.getOut(lw, rw, capacity)
 		switch n.Join.Method {
 		case plan.HashJoin:
 			return &vecHashJoin{
@@ -528,14 +524,14 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 				clsProbe:    meter.Class(e.params.HashProbe),
 				clsOut:      meter.Class(e.params.Tuple),
 				out:         out,
-			}, sch, nil
+			}, nil
 		case plan.MergeJoin:
 			return &vecMergeJoin{
 				vecJoinBase: base,
 				clsMerge:    meter.Class(e.params.Merge),
 				clsOut:      meter.Class(e.params.Tuple),
 				out:         out,
-			}, sch, nil
+			}, nil
 		default:
 			return &vecNLJoin{
 				vecJoinBase: base,
@@ -543,38 +539,35 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 				clsPair:     meter.Class(e.params.NLPair),
 				clsOut:      meter.Class(e.params.Tuple),
 				out:         out,
-			}, sch, nil
+			}, nil
 		}
 	case plan.IndexNLJoin:
 		rel := n.Right.Scan.Rel
-		rs := e.relSchema(rel)
-		jc, err := e.resolveJoinCols(n, ls, rs)
+		refs, err := e.resolveJoinRefs(n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		relation := e.store.Relation(e.q.Relations[rel].Table)
-		if relation == nil {
-			return nil, nil, fmt.Errorf("exec: store missing relation %s", e.q.Relations[rel].Table)
-		}
-		innerCol := jc.rightPos[0]
+		relation := refs.r[0].rel
+		innerCol := refs.r[0].col
 		if !relation.HasHashIndex(innerCol) {
-			return nil, nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
+			return nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
 				relation.Name, innerCol)
 		}
-		sch, pj := project(ls, rs, need)
+		filters := e.compileFilters(rel, -1)
 		return &vecIndexNLJoin{
-			vecJoinBase: vecJoinBase{e: e, meter: meter, jc: jc, left: lop},
+			vecJoinBase: vecJoinBase{e: e, meter: meter, refs: refs, left: lop, rw: 1},
 			relIdx:      rel,
 			rel:         relation,
-			filters:     e.compileFilters(rel, -1),
+			filters:     filters,
+			kernels:     compileKernels(relation, filters),
 			clsDescend:  meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
 			clsFetch:    meter.Class(e.params.IdxTuple),
 			clsOut:      meter.Class(e.params.Tuple),
-			out:         e.pool.getOut(pj, capacity),
+			out:         e.pool.getOut(lw, 1, capacity),
 			ls:          e.faults != nil,
-		}, sch, nil
+		}, nil
 	default:
-		return nil, nil, fmt.Errorf("exec: unknown join method")
+		return nil, fmt.Errorf("exec: unknown join method")
 	}
 }
 
@@ -583,9 +576,11 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 type vecJoinBase struct {
 	e           *Executor
 	meter       *Meter
-	jc          *joinCols
+	refs        *joinRefs
 	left, right batchOperator
-	obs         JoinObs
+	// rw is the width of the right child's tuples.
+	rw  int
+	obs JoinObs
 	// exact marks that both inputs were fully consumed, making the
 	// observed selectivity exact.
 	exact bool
@@ -594,7 +589,7 @@ type vecJoinBase struct {
 // observations implements joinObserver, recursing into children.
 func (b *vecJoinBase) observations(into map[int]float64) {
 	if b.exact {
-		for _, id := range b.jc.ids {
+		for _, id := range b.refs.ids {
 			into[id] = b.obs.Sel()
 		}
 	}

@@ -1,10 +1,11 @@
 // Columnar projections of the row store. Each relation can carry typed
 // column vectors — contiguous []int64 / []float64 values, or
 // dictionary-encoded strings — built once at load time alongside the
-// row view. The vectorized executor's predicate kernels and join builds
-// read these directly instead of chasing expr.Row pointers; everything
-// else (tuple engine, index probes, emission) keeps using the rows, so
-// the two views must stay in sync: Append invalidates the vectors (see
+// row view. The vectorized executor's joins pass row ordinals, not
+// values, and read a key, residual or filter column at an ordinal from
+// these vectors; the row view serves the tuple engine, index builds and
+// the columns the vectors cannot hold (NULL values, mixed kinds). The
+// two views must stay in sync: Append invalidates the vectors (see
 // storage.go) and BuildColumns rebuilds them.
 package storage
 
