@@ -9,7 +9,7 @@ import "repro/internal/ess"
 // deployment compensates for known model slack), the MSO guarantees
 // carry through inflated by ≈ (1+δ)².
 type NoisyEngine struct {
-	s     *ess.Space
+	src   ess.ContourSource
 	qa    int32
 	ev    *ess.Evaluator
 	delta float64
@@ -19,11 +19,11 @@ type NoisyEngine struct {
 // NewNoisyEngine creates an engine for true location qa with relative
 // cost error bounded by delta (0 ≤ delta < 1). The error is a
 // deterministic function of (seed, plan), so runs are reproducible.
-func NewNoisyEngine(s *ess.Space, qa int32, delta float64, seed uint64) *NoisyEngine {
+func NewNoisyEngine(src ess.ContourSource, qa int32, delta float64, seed uint64) *NoisyEngine {
 	if delta < 0 || delta >= 1 {
 		panic("discovery: delta must be in [0, 1)")
 	}
-	return &NoisyEngine{s: s, qa: qa, ev: s.NewEvaluator(), delta: delta, seed: seed}
+	return &NoisyEngine{src: src, qa: qa, ev: src.NewEvaluator(), delta: delta, seed: seed}
 }
 
 // factor returns the deterministic per-plan cost error in [1−δ, 1+δ].
@@ -40,8 +40,7 @@ func (e *NoisyEngine) factor(planID int32) float64 {
 // at the true location — the denominator a fair sub-optimality
 // computation should use.
 func (e *NoisyEngine) TrueOptCost() float64 {
-	pid := e.s.PointPlan[e.qa]
-	return e.s.PointCost[e.qa] * e.factor(pid)
+	return e.src.CostAt(e.qa) * e.factor(e.src.PlanAt(e.qa))
 }
 
 // ExecFull implements Engine: the plan's true cost is its modeled cost
@@ -66,7 +65,7 @@ func (e *NoisyEngine) ExecSpill(planID int32, dim int, budget float64) (float64,
 	trueCost := e.ev.SpillCost(planID, e.qa, dim) * e.factor(planID)
 	limit := budget * (1 + e.delta)
 	if trueCost <= limit {
-		return trueCost, true, e.s.Grid.Coord(int(e.qa), dim)
+		return trueCost, true, e.src.Geometry().Coord(int(e.qa), dim)
 	}
 	learned := e.ev.MaxSelIndexWithin(planID, e.qa, dim, budget)
 	return limit, false, learned

@@ -19,11 +19,10 @@ import (
 // own forked fault substream (faultinject.Injector.Fork), and share
 // everything else through the immutable Compiled.
 type Run struct {
-	c           *Compiled
-	faults      *faultinject.Injector
-	ctx         context.Context
-	maxPenalty  float64
-	execWorkers int
+	c          *Compiled
+	faults     *faultinject.Injector
+	ctx        context.Context
+	maxPenalty float64
 }
 
 // NewRun creates a fresh run over the compiled artifact.
@@ -69,25 +68,6 @@ func (r *Run) WithFaults(in *faultinject.Injector) *Run {
 
 // Faults returns the run's armed injector (nil when disarmed).
 func (r *Run) Faults() *faultinject.Injector { return r.faults }
-
-// WithExecWorkers sets the run's intra-query execution parallelism and
-// returns the run. The knob is advisory plumbing for drivers that
-// execute plans on the real vectorized engine (exec.Executor.WithWorkers);
-// the cost-model simulation is unaffected — simulated discoveries
-// charge modeled cost, which is worker-count invariant by the engine's
-// metering contract. Values below 1 read back as 1.
-func (r *Run) WithExecWorkers(n int) *Run {
-	r.execWorkers = n
-	return r
-}
-
-// ExecWorkers returns the run's execution parallelism (minimum 1).
-func (r *Run) ExecWorkers() int {
-	if r.execWorkers < 1 {
-		return 1
-	}
-	return r.execWorkers
-}
 
 // WithContext bounds the run's discoveries by the context and returns
 // the run. An expired deadline (or a cancellation) aborts the discovery

@@ -107,3 +107,38 @@ func TestRecostWithinThetaAcrossWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepPlanNumberingIndependentOfWorkers rebuilds 2D_Q91 at one and
+// four workers, several times each: every build must number its plan
+// pool identically and assign the same plan ID to every grid point, so
+// plan labels in traces and tables do not depend on worker scheduling.
+func TestSweepPlanNumberingIndependentOfWorkers(t *testing.T) {
+	spec, err := workload.ByName("2D_Q91")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref *ess.Space
+	for _, workers := range []int{1, 4, 1, 4, 4, 4} {
+		s, err := spec.SpaceWith(1.0, ess.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = s
+			continue
+		}
+		if len(s.Plans()) != len(ref.Plans()) {
+			t.Fatalf("workers=%d: %d plans, want %d", workers, len(s.Plans()), len(ref.Plans()))
+		}
+		for i, p := range s.Plans() {
+			if p.Sig != ref.Plans()[i].Sig {
+				t.Fatalf("workers=%d: plan %d is %s, want %s", workers, i, p.Sig, ref.Plans()[i].Sig)
+			}
+		}
+		for pt, pid := range s.PointPlan {
+			if pid != ref.PointPlan[pt] {
+				t.Fatalf("workers=%d: point %d has plan %d, want %d", workers, pt, pid, ref.PointPlan[pt])
+			}
+		}
+	}
+}

@@ -293,12 +293,6 @@ func BuildLazy(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config)
 	return ls, nil
 }
 
-// Inner returns the backing space skeleton: the shared grid, model,
-// plan pool, and solve-into point arrays. It is exposed for persistence
-// and tests; reading unsettled entries of its point arrays is
-// undefined.
-func (ls *LazySpace) Inner() *Space { return ls.inner }
-
 // --- ContourSource conformance ----------------------------------------
 
 // Query returns the underlying query.

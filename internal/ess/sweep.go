@@ -3,6 +3,7 @@ package ess
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -191,6 +192,7 @@ func (s *Space) sweep(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	sw.renumberBySig()
 	s.publishPlans(sw.plans)
 	s.Stats.Points = s.Grid.NumPoints()
 	s.Stats.DPCalls = int(sw.dpCalls.Load())
@@ -198,6 +200,22 @@ func (s *Space) sweep(cfg Config) error {
 	s.Stats.RecostCalls = sw.recostCalls.Load()
 	s.Stats.Fallbacks = int(sw.fallbacks.Load())
 	return nil
+}
+
+// renumberBySig reassigns pool IDs in signature order and remaps the
+// point plans to match. Workers intern plans in the order they happen to
+// settle them, so without this the same build numbers its plans
+// differently from run to run and across worker counts.
+func (sw *sweeper) renumberBySig() {
+	sort.Slice(sw.plans, func(a, b int) bool { return sw.plans[a].Sig < sw.plans[b].Sig })
+	remap := make([]int32, len(sw.plans))
+	for id, p := range sw.plans {
+		remap[p.ID] = int32(id)
+		p.ID = id
+	}
+	for pt, pid := range sw.s.PointPlan {
+		sw.s.PointPlan[pt] = remap[pid]
+	}
 }
 
 // runExact optimizes every grid location — the classic POSP enumeration.

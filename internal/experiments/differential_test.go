@@ -67,7 +67,7 @@ func (f *msoFixture) discoverReal(t *testing.T, alg core.Algorithm, vectorized b
 		ex.WithFaults(mkFaults())
 	}
 	return f.compiled.NewRun().DiscoverWith(alg,
-		discovery.NewResilient(NewRealEngine(f.space, ex), discovery.DefaultRetryPolicy))
+		discovery.NewResilient(discovery.NewRealEngine(f.space, ex), discovery.DefaultRetryPolicy))
 }
 
 // compareOutcomes asserts two discovery outcomes are bit-for-bit
@@ -212,7 +212,7 @@ func buildRealSetups(tb testing.TB, scale float64, names ...string) (*storage.St
 // discover runs one real-execution discovery on the given executor.
 func (s realSetup) discover(alg core.Algorithm, ex *exec.Executor) (*discovery.Outcome, error) {
 	return s.compiled.NewRun().DiscoverWith(alg,
-		discovery.NewResilient(NewRealEngine(s.space, ex), discovery.DefaultRetryPolicy))
+		discovery.NewResilient(discovery.NewRealEngine(s.space, ex), discovery.DefaultRetryPolicy))
 }
 
 // TestDifferentialDiscoveryRealSpecs closes the engine differential over
@@ -249,6 +249,51 @@ func TestDifferentialDiscoveryRealSpecs(t *testing.T) {
 				}
 				compareOutcomes(t, fmt.Sprintf("%s/%s/workers=%d", names[i], alg, w), tup, got)
 			}
+		}
+	}
+}
+
+// TestDifferentialDiscoveryRealLazy runs real executions over a lazy
+// contour source. For every query_real spec, SpillBound, AlignedBound
+// and PlanBouquet driven by the row-level engine over an exact-mode
+// LazySpace reproduce the outcome over the exact-mode eager Space, on
+// the same executor: plans by signature, everything else bit for bit.
+func TestDifferentialDiscoveryRealLazy(t *testing.T) {
+	names := []string{"EQ", "3D_Q15", "3D_Q96", "4D_Q7", "4D_Q26", "4D_Q91", "5D_Q19"}
+	store, setups := buildRealSetups(t, 0.1, names...)
+	model := cost.NewModel(cost.DefaultParams())
+	for i, s := range setups {
+		spec, err := workload.ByName(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ess.Config{Res: spec.Res, Exact: true}
+		space, err := ess.Build(s.q, s.space.BaseEnv, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := ess.BuildLazy(s.q, s.space.BaseEnv, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p lazyPair
+		if p.eager, err = core.Compile(space, core.CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if p.lazy, err = core.CompileSource(ls, core.CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		ex := exec.New(s.q, store, cost.DefaultParams())
+		discover := func(c *core.Compiled, alg core.Algorithm) *discovery.Outcome {
+			out, err := c.NewRun().DiscoverWith(alg,
+				discovery.NewResilient(discovery.NewRealEngine(c.Source, ex), discovery.DefaultRetryPolicy))
+			if err != nil {
+				t.Fatalf("%s %s: %v", names[i], alg, err)
+			}
+			return out
+		}
+		for _, alg := range []core.Algorithm{core.SpillBound, core.AlignedBound, core.PlanBouquet} {
+			p.compareLazyOutcomes(t, names[i]+"/"+string(alg), discover(p.eager, alg), discover(p.lazy, alg))
 		}
 	}
 }

@@ -6,81 +6,9 @@ import (
 	"repro/internal/exec"
 )
 
-// RealEngine drives discovery through the row-level executor instead of
-// the cost model: budgeted executions really run over generated data,
-// are really killed when the meter passes the budget, and selectivities
-// are really observed by the operator monitors. This is the engine mode
-// of the paper's wall-clock experiment (§6.3).
-//
-// It is a discovery.FallibleEngine: executor failures (injected faults,
-// panics, cancellations) surface as errors with the consumed cost, and
-// a completed spill whose selectivity observation was dropped reports
-// discovery.ErrObservationLost — wrap with discovery.NewResilient to
-// drive the infallible algorithm interface.
-type RealEngine struct {
-	s  *ess.Space
-	ex *exec.Executor
-	ev *ess.Evaluator
-	// learned mirrors the discovery state so failed spills can be
-	// converted into sound grid lower bounds via the (exact) cost model.
-	learned []int
+// NewRealEngine forwards to discovery.NewRealEngine, where the real
+// engine lives beside the simulated ones. It remains only because the
+// benchmark harness calls it by this name.
+func NewRealEngine(src ess.ContourSource, ex *exec.Executor) *discovery.RealEngine {
+	return discovery.NewRealEngine(src, ex)
 }
-
-// NewRealEngine creates an engine over the space and executor; both must
-// be built for the same query.
-func NewRealEngine(s *ess.Space, ex *exec.Executor) *RealEngine {
-	learned := make([]int, s.Grid.D)
-	for i := range learned {
-		learned[i] = -1
-	}
-	return &RealEngine{s: s, ex: ex, ev: s.NewEvaluator(), learned: learned}
-}
-
-// ExecFull implements discovery.FallibleEngine with a real budgeted
-// execution. On failure the cost the attempt consumed is still billed.
-func (e *RealEngine) ExecFull(planID int32, budget float64) (float64, bool, error) {
-	res, err := e.ex.Run(e.s.Plan(planID).Root, budget)
-	if err != nil {
-		return res.Cost, false, err
-	}
-	return res.Cost, res.Completed, nil
-}
-
-// ExecSpill implements discovery.FallibleEngine with a real spill-mode
-// run. On completion the spilled join's monitored selectivity is snapped
-// to the grid; a completed run whose observation was dropped reports
-// ErrObservationLost (nothing learned — treating it as a kill that
-// raises no bound is the only sound reading, since the subtree finished
-// under budget). On a kill, the guaranteed learning bound is derived
-// from the metered budget through the cost model (which the executor's
-// meter matches by construction).
-func (e *RealEngine) ExecSpill(planID int32, dim int, budget float64) (float64, bool, int, error) {
-	joinID := e.s.Q.EPPs[dim]
-	res, err := e.ex.RunSpill(e.s.Plan(planID).Root, joinID, budget)
-	if err != nil {
-		return res.Cost, false, -1, err
-	}
-	if res.Completed {
-		sel, ok := res.JoinSel[joinID]
-		if !ok {
-			return res.Cost, false, -1, discovery.ErrObservationLost
-		}
-		idx := e.s.Grid.NearestIndex(sel)
-		e.learned[dim] = idx
-		return res.Cost, true, idx, nil
-	}
-	// Reference point: learned dims at their values, the rest at the
-	// origin — the spill subtree's cost depends only on the learned
-	// dimensions and dim itself.
-	coords := make([]int, e.s.Grid.D)
-	for d, v := range e.learned {
-		if v >= 0 {
-			coords[d] = v
-		}
-	}
-	ref := int32(e.s.Grid.Linear(coords))
-	idx := e.ev.MaxSelIndexWithin(planID, ref, dim, budget)
-	return res.Cost, false, idx, nil
-}
-
-var _ discovery.FallibleEngine = (*RealEngine)(nil)

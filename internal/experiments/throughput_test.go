@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
-	"repro/internal/cost"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
@@ -105,31 +104,4 @@ func TestThroughputChaosDeterministic(t *testing.T) {
 			t.Fatalf("chaos step counts diverge across schedules: %v", steps)
 		}
 	}
-}
-
-// The executor pool hands out working executors and survives reuse.
-func TestExecutorPoolReuse(t *testing.T) {
-	h := small()
-	spec, err := workload.ByName("2D_Q91")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := spec.Load(h.Opts.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No store: Get must still construct executors; Put must accept them
-	// back without panicking even when armed with faults.
-	pool := NewExecutorPool(q, nil, cost.DefaultParams())
-	a := pool.Get()
-	if a == nil {
-		t.Fatal("pool returned nil executor")
-	}
-	a.WithFaults(faultinject.NewUniform(1, 1))
-	pool.Put(a)
-	b := pool.Get()
-	if b == nil {
-		t.Fatal("pool returned nil executor after Put")
-	}
-	pool.Put(b)
 }

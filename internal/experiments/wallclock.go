@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/core/discovery"
@@ -11,9 +10,7 @@ import (
 	"repro/internal/ess"
 	"repro/internal/exec"
 	"repro/internal/optimizer"
-	"repro/internal/query"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -49,14 +46,11 @@ func (h *Harness) Table3WallClock() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Executors are per-run state; the pool recycles them across
-	// discoveries. Each borrowed executor gets the harness's intra-query
-	// worker count: morsel parallelism cuts the wall-clock of every real
-	// execution without moving a single metered cost (the engine's merge
-	// contract).
-	execPool := NewExecutorPool(q, store, cost.DefaultParams())
-	executor := execPool.Get().WithWorkers(h.Opts.ExecWorkers)
-	defer execPool.Put(executor)
+	// One executor serves every execution below, one after another, with
+	// the harness's intra-query worker count: morsel parallelism cuts the
+	// wall-clock of every real execution without moving a single metered
+	// cost (the engine's merge contract).
+	executor := exec.New(q, store, cost.DefaultParams()).WithWorkers(h.Opts.ExecWorkers)
 
 	// Ground truth: measure the data's actual epp selectivities.
 	trueSel := make([]float64, q.D())
@@ -104,30 +98,22 @@ func (h *Harness) Table3WallClock() (*Report, error) {
 		return nil, err
 	}
 
-	// SpillBound over real executions, behind the resilient driver so
-	// executor faults degrade instead of aborting the experiment.
+	// SpillBound and AlignedBound over real executions, behind the
+	// resilient driver so executor faults degrade instead of aborting the
+	// experiment.
 	compiled, err := core.Compile(space, core.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sbRun := compiled.NewRun().WithExecWorkers(h.Opts.ExecWorkers)
-	sbExec := execPool.Get().WithWorkers(sbRun.ExecWorkers())
-	sbOut, err := sbRun.DiscoverWith(core.SpillBound,
-		discovery.NewResilient(NewRealEngine(space, sbExec), discovery.DefaultRetryPolicy))
-	execPool.Put(sbExec)
-	if err != nil {
-		return nil, err
+	var outs [2]*discovery.Outcome
+	for i, alg := range []core.Algorithm{core.SpillBound, core.AlignedBound} {
+		outs[i], err = compiled.NewRun().DiscoverWith(alg,
+			discovery.NewResilient(discovery.NewRealEngine(space, executor), discovery.DefaultRetryPolicy))
+		if err != nil {
+			return nil, err
+		}
 	}
-	// AlignedBound over real executions (fresh run and pooled executor:
-	// both are per-run state).
-	abRun := compiled.NewRun().WithExecWorkers(h.Opts.ExecWorkers)
-	abExec := execPool.Get().WithWorkers(abRun.ExecWorkers())
-	abOut, err := abRun.DiscoverWith(core.AlignedBound,
-		discovery.NewResilient(NewRealEngine(space, abExec), discovery.DefaultRetryPolicy))
-	execPool.Put(abExec)
-	if err != nil {
-		return nil, err
-	}
+	sbOut, abOut := outs[0], outs[1]
 
 	rep := &Report{
 		Title:  "Table 3 — SpillBound execution drill-down on 4D_Q91 (real executions)",
@@ -177,32 +163,4 @@ func fmtSels(sels []float64) string {
 		s += fmt.Sprintf("%.2e", v)
 	}
 	return s + "]"
-}
-
-// ExecutorPool recycles row-level executors across concurrent
-// discoveries. Executors are cheap but not free (operator scratch,
-// meter state), and RealEngine needs a private one per run; the pool
-// keeps N concurrent runs from constructing one per discovery.
-type ExecutorPool struct {
-	pool sync.Pool
-}
-
-// NewExecutorPool creates a pool producing executors for the query over
-// the store.
-func NewExecutorPool(q *query.Query, store *storage.Store, params cost.Params) *ExecutorPool {
-	return &ExecutorPool{pool: sync.Pool{
-		New: func() any { return exec.New(q, store, params) },
-	}}
-}
-
-// Get returns an executor, creating one if the pool is empty.
-func (p *ExecutorPool) Get() *exec.Executor { return p.pool.Get().(*exec.Executor) }
-
-// Put returns an executor to the pool, disarming any fault injector and
-// resetting the worker count the borrower attached so the next borrower
-// starts clean.
-func (p *ExecutorPool) Put(e *exec.Executor) {
-	e.WithFaults(nil)
-	e.WithWorkers(1)
-	p.pool.Put(e)
 }

@@ -1337,7 +1337,7 @@ func (s *Server) run(d *discoverCall) (rj *rejection) {
 		}
 	}
 	releaseWorkers := s.metrics.trackWorkers(d.workers)
-	dr := d.c.AcquireRun().WithFaults(d.in).WithContext(ctx).WithExecWorkers(d.workers)
+	dr := d.c.AcquireRun().WithFaults(d.in).WithContext(ctx)
 	out, err := dr.DiscoverStrategyWith(d.strategy, discovery.NewSimStack(ctx, d.c.Source, d.req.QA, d.in, s.cfg.ExecLatency))
 	core.ReleaseRun(dr)
 	releaseWorkers()

@@ -108,7 +108,7 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

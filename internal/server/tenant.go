@@ -295,22 +295,6 @@ func (s *Server) CompileCount(name string) int64 {
 	return c.(*atomic.Int64).Load()
 }
 
-// SignatureKey reports the full artifact-signature hash the server
-// computed for the named registered workload — the key it uses in the
-// compile cache and on the shard ring. Tests use it to pre-compute
-// request routing.
-func (s *Server) SignatureKey(name string) (uint64, error) {
-	spec, err := workload.ByName(name)
-	if err != nil {
-		return 0, err
-	}
-	sig, err := s.signatureFor(spec)
-	if err != nil {
-		return 0, err
-	}
-	return sig.Hash, nil
-}
-
 // CacheStats exposes the artifact cache counters (tests and the
 // /metrics endpoint read the same numbers).
 func (s *Server) CacheStats() core.CacheStats { return s.cache.Stats() }
