@@ -13,9 +13,9 @@ type Options struct {
 	// Seed selects the deterministic data set; the same (catalog, seed)
 	// pair always yields identical rows.
 	Seed uint64
-	// BuildIndexes controls whether PK hash indexes and FK hash/sorted
-	// indexes are built after loading (the executor's index operators
-	// require them).
+	// BuildIndexes controls whether an index is built after loading on
+	// every PK, FK and Uniform/Zipf column (the executor's index
+	// operators require them).
 	BuildIndexes bool
 }
 
@@ -110,22 +110,13 @@ func generateTable(cat *catalog.Catalog, t *catalog.Table, opts Options) (*stora
 	rel.BuildColumns()
 
 	if opts.BuildIndexes {
-		// PK hash + sorted index, FK hash indexes, plus sorted indexes on
-		// every generated attribute so the optimizer can consider index
+		// The PK, every FK and every generated attribute get an index,
+		// so the optimizer can consider index-NL joins on keys and index
 		// scans for filter predicates.
-		rel.BuildHashIndex(0)
-		rel.BuildSortedIndex(0)
 		for i := range t.Columns {
-			if i == 0 {
-				continue
-			}
 			c := &t.Columns[i]
-			if c.Ref != "" {
-				rel.BuildHashIndex(i)
-			}
-			if c.Dist == catalog.Uniform || c.Dist == catalog.Zipf {
-				rel.BuildSortedIndex(i)
-				rel.BuildHashIndex(i)
+			if i == 0 || c.Ref != "" || c.Dist == catalog.Uniform || c.Dist == catalog.Zipf {
+				rel.BuildIndex(i)
 			}
 		}
 	}

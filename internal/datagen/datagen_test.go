@@ -206,15 +206,15 @@ func TestPopulateBuildsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dim := st.MustRelation("dim")
-	if !dim.HasHashIndex(0) || !dim.HasSortedIndex(0) {
-		t.Error("PK indexes missing")
+	if !dim.HasIndex(0) {
+		t.Error("PK index missing")
 	}
-	if !dim.HasSortedIndex(1) {
-		t.Error("attribute sorted index missing")
+	if !dim.HasIndex(1) {
+		t.Error("attribute index missing")
 	}
 	fact := st.MustRelation("fact")
-	if !fact.HasHashIndex(1) {
-		t.Error("FK hash index missing")
+	if !fact.HasIndex(1) {
+		t.Error("FK index missing")
 	}
 }
 

@@ -413,7 +413,7 @@ func fallbackFixture(t *testing.T) *fixture {
 			}
 			rel.Append(expr.Row{expr.Int(int64(i)), n, m, expr.Int(int64(i % 20))})
 		}
-		rel.BuildHashIndex(3)
+		rel.BuildIndex(3)
 		rel.BuildColumns()
 		if rel.Col(1) == nil || !rel.Col(1).HasNulls() || rel.Col(2) != nil {
 			t.Fatalf("%s: fixture columns are not NULL-keyed and mixed-kind", x)
@@ -473,6 +473,93 @@ func TestDifferentialNullAndMixedKeys(t *testing.T) {
 					tag := fmt.Sprintf("%s/batch=%d/workers=%d/budget=%.1f", c.name, batch, workers, frac)
 					vec := runWorkers(f, c, workers, batch, budget, nil, -1)
 					compareRuns(t, tag, tup, vec, tup.res.Completed || (batch == 1 && workers == 1))
+				}
+			}
+		}
+	}
+}
+
+// TestJoinMethodsAgreeOnMixedKeys pins every join method in both
+// engines to a count worked out by hand over fallbackFixture. p_m and
+// q_m mix ints, integral floats and halves: 4.0 joins 4, 4.5 joins only
+// 4.5, and NULL joins nothing. p_m = r_k has 454 matching pairs and
+// p_m = q_m has 819. Engine-against-engine differentials cannot see a
+// shared wrong key, such as a float hashing as 0.
+func TestJoinMethodsAgreeOnMixedKeys(t *testing.T) {
+	f := fallbackFixture(t)
+	rels := []query.Relation{{Table: "p", Alias: "p"}, {Table: "q", Alias: "q"}, {Table: "r", Alias: "r"}}
+	q := &query.Query{Name: "mixed", Cat: f.cat, Relations: rels, Joins: []query.Join{
+		{ID: 0, LeftRel: 0, RightRel: 2, LeftCol: "p_m", RightCol: "r_k"},
+		{ID: 1, LeftRel: 0, RightRel: 1, LeftCol: "p_m", RightCol: "q_m"},
+	}}
+	methods := map[string]plan.JoinMethod{
+		"hash": plan.HashJoin, "merge": plan.MergeJoin, "nl": plan.NLJoin, "inl": plan.IndexNLJoin,
+	}
+	for _, c := range []struct {
+		join, inner int
+		want        int64
+	}{{0, 2, 454}, {1, 1, 819}} {
+		for name, m := range methods {
+			if m == plan.IndexNLJoin && c.inner != 2 {
+				continue // q_m is mixed-kind, so it has no index
+			}
+			p := plan.NewJoin(m, []int{c.join}, plan.NewScan(0, plan.SeqScan), plan.NewScan(c.inner, plan.SeqScan))
+			for _, vec := range []bool{false, true} {
+				res, err := New(q, f.store, cost.DefaultParams()).Vectorized(vec).Run(p, 0)
+				if err != nil {
+					t.Fatalf("join %d %s vectorized=%v: %v", c.join, name, vec, err)
+				}
+				if res.Rows != c.want {
+					t.Errorf("join %d %s vectorized=%v: %d rows, want %d", c.join, name, vec, res.Rows, c.want)
+				}
+			}
+		}
+	}
+}
+
+// A float that is not an integer keys by its bit pattern, so it can
+// share a hash bucket or index key with an int; the candidate recheck
+// must drop the pair. a_k holds 0.5 and 1, b_k the int whose value is
+// 0.5's bit pattern and 1: one true match.
+func TestJoinKeyCollisionRechecked(t *testing.T) {
+	c := catalog.New("collide", 1)
+	store := storage.NewStore()
+	for _, tb := range []struct {
+		name string
+		typ  catalog.ColType
+		keys []expr.Value
+	}{
+		{"a", catalog.Float64, []expr.Value{expr.Float(0.5), expr.Int(1)}},
+		{"b", catalog.Int64, []expr.Value{expr.Int(int64(math.Float64bits(0.5))), expr.Int(1)}},
+	} {
+		x := tb.name
+		c.AddTable(&catalog.Table{Name: x, BaseRows: 2, Columns: []catalog.Column{
+			{Name: x + "_id", Type: catalog.Int64, Dist: catalog.Serial},
+			{Name: x + "_k", Type: tb.typ},
+		}})
+		rel := storage.NewRelation(x, []string{x + "_id", x + "_k"})
+		for i, k := range tb.keys {
+			rel.Append(expr.Row{expr.Int(int64(i)), k})
+		}
+		if x == "b" {
+			rel.BuildIndex(1)
+		}
+		rel.BuildColumns()
+		store.Add(rel)
+	}
+	q := &query.Query{Name: "collide", Cat: c,
+		Relations: []query.Relation{{Table: "a", Alias: "a"}, {Table: "b", Alias: "b"}},
+		Joins:     []query.Join{{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "a_k", RightCol: "b_k"}}}
+	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.IndexNLJoin} {
+		for _, ends := range [][2]int{{0, 1}, {1, 0}} {
+			if m == plan.IndexNLJoin && ends[1] != 1 {
+				continue // only b_k is indexed
+			}
+			p := plan.NewJoin(m, []int{0}, plan.NewScan(ends[0], plan.SeqScan), plan.NewScan(ends[1], plan.SeqScan))
+			for _, vec := range []bool{false, true} {
+				res, err := New(q, store, cost.DefaultParams()).Vectorized(vec).Run(p, 0)
+				if err != nil || res.Rows != 1 {
+					t.Errorf("%v outer=%d vectorized=%v: %+v, %v; want 1 row", m, ends[0], vec, res, err)
 				}
 			}
 		}

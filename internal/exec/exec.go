@@ -657,14 +657,11 @@ func (e *Executor) resolveNames() {
 }
 
 // compileFilters binds the relation's filter predicates to positions.
-func (e *Executor) compileFilters(rel int, skip int) []boundFilter {
+func (e *Executor) compileFilters(rel int) []boundFilter {
 	r := &e.q.Relations[rel]
 	tab := e.q.Cat.MustTable(r.Table)
-	var out []boundFilter
-	for i, f := range r.Filters {
-		if i == skip {
-			continue
-		}
+	out := make([]boundFilter, 0, len(r.Filters))
+	for _, f := range r.Filters {
 		bf := boundFilter{
 			col: tab.ColumnIndex(f.Column),
 			op:  f.Op,

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -85,6 +87,103 @@ func TestIndexScanNEFilterFallsBack(t *testing.T) {
 	seq, _ := e2.Run(plan.NewScan(0, plan.SeqScan), 0)
 	if res.Rows != seq.Rows {
 		t.Fatalf("index scan rows %d != seq %d", res.Rows, seq.Rows)
+	}
+}
+
+// scanBoth runs a one-relation query as a scan by the given method in
+// both engines, failing the test unless they agree on rows and cost.
+func scanBoth(t *testing.T, f *fixture, sql string, m plan.ScanMethod) (*Result, error) {
+	t.Helper()
+	var out [2]*Result
+	var errs [2]error
+	for i, vec := range []bool{false, true} {
+		e := New(f.parse(t, sql), f.store, cost.DefaultParams()).Vectorized(vec)
+		out[i], errs[i] = e.Run(plan.NewScan(0, m), 0)
+	}
+	if (errs[0] == nil) != (errs[1] == nil) {
+		t.Fatalf("%s: tuple err %v, vectorized err %v", sql, errs[0], errs[1])
+	}
+	if errs[0] == nil && (out[0].Rows != out[1].Rows || out[0].Cost != out[1].Cost) {
+		t.Fatalf("%s: tuple %d rows cost %g, vectorized %d rows cost %g",
+			sql, out[0].Rows, out[0].Cost, out[1].Rows, out[1].Cost)
+	}
+	return out[0], errs[0]
+}
+
+// An index probe that matches no row is a valid driver, and the best
+// one: it costs one descent and fetches nothing, whatever the other
+// filters would fetch.
+func TestIndexScanEmptyProbeDrives(t *testing.T) {
+	f := newFixture(t)
+	descent := cost.DefaultParams().IdxDescend * log2g(40)
+	for _, sql := range []string{
+		`SELECT * FROM dim d WHERE d.d_attr = 99`,
+		`SELECT * FROM dim d WHERE d.d_attr = 99 AND d.d_id >= 1`,
+	} {
+		res, err := scanBoth(t, f, sql, plan.IndexScan)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if res.Rows != 0 || math.Abs(res.Cost-descent) > 1e-9 {
+			t.Errorf("%s: %d rows at cost %g, want 0 rows at one descent %g", sql, res.Rows, res.Cost, descent)
+		}
+	}
+}
+
+// Bounds at the int64 edges must not wrap: LT MinInt64 and GT MaxInt64
+// match nothing and are not ranges, so as the only filter they leave an
+// index scan with no driver; the other edge bounds are ranges.
+func TestIndexScanInt64EdgeBounds(t *testing.T) {
+	f := newFixture(t)
+	for _, c := range []struct {
+		op     expr.CmpOp
+		v      int64
+		rows   int64
+		ranged bool
+	}{
+		{expr.GT, math.MaxInt64, 0, false}, {expr.LT, math.MinInt64, 0, false},
+		{expr.GE, math.MaxInt64, 0, true}, {expr.LE, math.MinInt64, 0, true},
+		{expr.LE, math.MaxInt64, 40, true}, {expr.GE, math.MinInt64, 40, true},
+	} {
+		tag := fmt.Sprintf("d_attr %v %d", c.op, c.v)
+		q := f.parse(t, `SELECT * FROM dim d WHERE d.d_attr = 1`)
+		q.Relations[0].Filters = []query.FilterPred{{Column: "d_attr", Op: c.op, Value: c.v}}
+		for _, vec := range []bool{false, true} {
+			e := New(q, f.store, cost.DefaultParams()).Vectorized(vec)
+			seq, err := e.Run(plan.NewScan(0, plan.SeqScan), 0)
+			if err != nil || seq.Rows != c.rows {
+				t.Fatalf("%s: seq scan %+v, %v; want %d rows", tag, seq, err, c.rows)
+			}
+			idx, err := e.Run(plan.NewScan(0, plan.IndexScan), 0)
+			switch {
+			case !c.ranged && err == nil:
+				t.Errorf("%s: index scan with no range filter must fail to build", tag)
+			case c.ranged && (err != nil || idx.Rows != c.rows):
+				t.Errorf("%s: index scan %+v, %v; want %d rows", tag, idx, err, c.rows)
+			}
+		}
+	}
+}
+
+// Foreign-key columns are indexed like any other, so an equality filter
+// on one drives an index scan (the optimizer already prices it).
+func TestIndexScanOnForeignKey(t *testing.T) {
+	f := newFixture(t)
+	const sql = `SELECT * FROM fact f WHERE f.f_dim = 3`
+	seq, err := scanBoth(t, f, sql, plan.SeqScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := scanBoth(t, f, sql, plan.IndexScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Rows == 0 || idx.Rows != seq.Rows {
+		t.Fatalf("index scan rows %d, seq scan rows %d", idx.Rows, seq.Rows)
+	}
+	want := cost.DefaultParams().IdxDescend*log2g(600) + cost.DefaultParams().IdxTuple*float64(seq.Rows)
+	if math.Abs(idx.Cost-want) > 1e-9 {
+		t.Errorf("index scan cost %g, want %g", idx.Cost, want)
 	}
 }
 
@@ -182,7 +281,7 @@ func TestResolveJoinColsReversedOrientation(t *testing.T) {
 
 func TestINLJoinRequiresIndex(t *testing.T) {
 	f := newFixture(t)
-	// Join on a column with no hash index: f_val is Uniform (indexed by
+	// Join on a column with no index: f_val is Uniform (indexed by
 	// datagen) so pick a synthetic store without indexes instead.
 	q := f.parse(t, joinSQL)
 	storeNoIdx := regenerateWithoutIndexes(t)

@@ -8,7 +8,7 @@ import (
 )
 
 // indexNLJoin streams the outer child, probing the inner base relation's
-// hash index per row; inner filters apply after the fetch (the index
+// index per row; inner filters apply after the fetch (the index
 // serves the join key only).
 type indexNLJoin struct {
 	joinBase
@@ -53,11 +53,11 @@ func (j *indexNLJoin) Next() (expr.Row, error) {
 				return nil, err
 			}
 			j.cur = row
-			k := row[j.jc.leftPos[0]]
-			if k.IsNull() {
+			k, ok := joinKey(&row[j.jc.leftPos[0]])
+			if !ok {
 				continue
 			}
-			j.matches = j.rel.HashLookup(j.jc.rightPos[0], k.I)
+			j.matches = j.rel.Lookup(j.jc.rightPos[0], k)
 			j.mi = 0
 			j.have = true
 		}
@@ -68,7 +68,8 @@ func (j *indexNLJoin) Next() (expr.Row, error) {
 			if _, err := j.meter.ChargeN(j.clsFetch, 1); err != nil {
 				return nil, err
 			}
-			if !matchAll(j.filters, inner) || !j.jc.residualsMatch(j.cur, inner) {
+			if !matchAll(j.filters, inner) || !sameKey(j.cur[j.jc.leftPos[0]], inner[j.jc.rightPos[0]]) ||
+				!j.jc.residualsMatch(j.cur, inner) {
 				continue
 			}
 			if _, err := j.meter.ChargeN(j.clsOut, 1); err != nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // vecIndexNLJoin streams outer batches, probing the inner relation's
-// hash index per outer row. In the default batched mode the fetch
+// index per outer row. In the default batched mode the fetch
 // charges of one probe's matches bill as one ChargeN before filtering;
 // in lockstep mode (armed faults) fetch and output charges interleave
 // per match exactly like the tuple engine, so kill points replay bit
@@ -90,7 +90,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 				continue
 			}
 			j.out.load(j.pb, i)
-			j.matches = j.rel.HashLookup(j.refs.r[0].col, k)
+			j.matches = j.rel.Lookup(j.refs.r[0].col, k)
 			j.mi = 0
 			j.have = true
 			if !j.ls {
@@ -149,9 +149,9 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 }
 
 // innerMatches applies the inner relation's filters and the join's
-// residual predicates to a fetched inner tuple (its one row ordinal).
+// predicates to a fetched inner tuple (its one row ordinal).
 func (j *vecIndexNLJoin) innerMatches(inner []int32) bool {
-	return matchOrd(j.rel, j.filters, j.kernels, inner[0]) && j.refs.residualsMatch(j.out.cur, inner)
+	return matchOrd(j.rel, j.filters, j.kernels, inner[0]) && j.refs.candidateMatch(j.out.cur, inner)
 }
 
 func (j *vecIndexNLJoin) Close() error {

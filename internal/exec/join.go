@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/expr"
@@ -46,6 +47,31 @@ func (jc *joinCols) residualsMatch(l, r expr.Row) bool {
 		}
 	}
 	return true
+}
+
+// joinKey is the hash key of a join-key value, false for NULL. An int
+// keys as itself and an integral float as the int it equals, so 3 and
+// 3.0 share a bucket; any other float keys by its bit pattern, which may
+// collide with an int, so bucket candidates are rechecked with sameKey.
+// Strings and bools key as their zero I field: all of them share one
+// bucket and only the recheck tells them apart.
+func joinKey(v *expr.Value) (int64, bool) {
+	switch v.K {
+	case expr.KindNull:
+		return 0, false
+	case expr.KindFloat:
+		if f := v.F; f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+			return int64(f), true
+		}
+		return int64(math.Float64bits(v.F)), true
+	}
+	return v.I, true
+}
+
+// sameKey rechecks two join keys that share a joinKey: two ints are
+// equal, anything else compares with expr.Equal.
+func sameKey(a, b expr.Value) bool {
+	return a.K == expr.KindInt && b.K == expr.KindInt || expr.Equal(a, b)
 }
 
 func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator, *schema, error) {
@@ -98,15 +124,15 @@ func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator,
 			return nil, nil, fmt.Errorf("exec: store missing relation %s", e.q.Relations[rel].Table)
 		}
 		innerCol := jc.rightPos[0]
-		if !relation.HasHashIndex(innerCol) {
-			return nil, nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
+		if !relation.HasIndex(innerCol) {
+			return nil, nil, fmt.Errorf("exec: no index on %s column %d for INL join",
 				relation.Name, innerCol)
 		}
 		op := &indexNLJoin{
 			joinBase:   base(e, meter, jc, lop, nil),
 			relIdx:     rel,
 			rel:        relation,
-			filters:    e.compileFilters(rel, -1),
+			filters:    e.compileFilters(rel),
 			clsDescend: meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
 			clsFetch:   meter.Class(e.params.IdxTuple),
 			clsOut:     meter.Class(e.params.Tuple),
@@ -185,11 +211,11 @@ func (h *hashJoin) Open() error {
 			return err
 		}
 		h.obs.RightRows++
-		k := row[h.jc.rightPos[0]]
-		if k.IsNull() {
+		k, ok := joinKey(&row[h.jc.rightPos[0]])
+		if !ok {
 			continue
 		}
-		h.table[k.I] = append(h.table[k.I], row)
+		h.table[k] = append(h.table[k], row)
 	}
 	return nil
 }
@@ -199,7 +225,7 @@ func (h *hashJoin) Next() (expr.Row, error) {
 		for h.mi < len(h.matches) {
 			r := h.matches[h.mi]
 			h.mi++
-			if !h.jc.residualsMatch(h.cur, r) {
+			if !sameKey(h.cur[h.jc.leftPos[0]], r[h.jc.rightPos[0]]) || !h.jc.residualsMatch(h.cur, r) {
 				continue
 			}
 			if _, err := h.meter.ChargeN(h.clsOut, 1); err != nil {
@@ -220,12 +246,12 @@ func (h *hashJoin) Next() (expr.Row, error) {
 			return nil, err
 		}
 		h.obs.LeftRows++
-		k := row[h.jc.leftPos[0]]
-		if k.IsNull() {
+		k, ok := joinKey(&row[h.jc.leftPos[0]])
+		if !ok {
 			continue
 		}
 		h.cur = row
-		h.matches = h.table[k.I]
+		h.matches = h.table[k]
 		h.mi = 0
 	}
 }

@@ -268,7 +268,7 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 		for h.me >= 0 && !h.out.full() {
 			r := h.mp.tuple(h.me)
 			h.me = h.mp.next[h.me]
-			if !h.refs.residualsMatch(h.out.cur, r) {
+			if !h.refs.candidateMatch(h.out.cur, r) {
 				continue
 			}
 			h.out.emit(r)
@@ -310,7 +310,7 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			// the join has no residual predicates, matches only need to be
 			// counted — the whole probe batch runs as one tight loop over
 			// the columnar key vector with no tuple loads or emits.
-			if h.pkeys != nil && h.out.discard && len(h.refs.ids) == 1 {
+			if h.pkeys != nil && h.out.discard && len(h.refs.ids) == 1 && !h.refs.rowKey {
 				m := h.fastProbe(b)
 				h.outPending += m
 				h.obs.OutRows += m

@@ -246,8 +246,7 @@ func TestINLInnerCountFollowsStore(t *testing.T) {
 		dim.Append(expr.Row{expr.Int(int64(i + 1)), expr.Int(1)})
 	}
 	rebuild := func(r *storage.Relation) {
-		r.BuildHashIndex(0)
-		r.BuildSortedIndex(0)
+		r.BuildIndex(0)
 		r.BuildColumns()
 	}
 	rebuild(dim)

@@ -3,11 +3,11 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -22,7 +22,7 @@ func (e *Executor) buildScan(n *plan.Node, meter *Meter, res *Result) (operator,
 	seq := func() (operator, *schema, error) {
 		return &seqScan{
 			rel:     relation,
-			filters: e.compileFilters(rel, -1),
+			filters: e.compileFilters(rel),
 			meter:   meter,
 			params:  e,
 			cls:     meter.Class(e.params.SeqTuple),
@@ -90,75 +90,50 @@ func (s *seqScan) Next() (expr.Row, error) {
 
 func (s *seqScan) Close() error { return nil }
 
-// planIndexScan selects the driving predicate: the filter whose index
-// probe matches the fewest rows (the executor's analogue of the cost
-// model's best-single-filter selectivity). It returns the matching row
-// ordinals and the driving filter's index (whose residuals the caller
-// compiles). Shared by the tuple and vectorized builders.
-func (e *Executor) planIndexScan(rel int, relation *storage.Relation) ([]int32, int, error) {
+// planIndexScan selects the driving predicate: the indexed range
+// filter whose probe matches the fewest rows (the executor's analogue of
+// the cost model's best-single-filter selectivity). It probes with the
+// [lo, hi] bounds compileFilters derives; IN-lists, NE and the empty
+// LT MinInt64 / GT MaxInt64 are not ranges and stay residuals. An empty
+// probe is a valid, and the best, driver. It returns the matching row
+// ordinals and the residual filters, all but the driver. Shared by the
+// tuple and vectorized builders.
+func (e *Executor) planIndexScan(rel int, relation *storage.Relation) ([]int32, []boundFilter, error) {
 	r := &e.q.Relations[rel]
 	if len(r.Filters) == 0 {
-		return nil, -1, fmt.Errorf("exec: index scan on %s without filters", r.Alias)
+		return nil, nil, fmt.Errorf("exec: index scan on %s without filters", r.Alias)
 	}
-	bestIdx, bestCount := -1, int(^uint(0)>>1)
+	filters := e.compileFilters(rel)
+	bestIdx := -1
 	var bestRows []int32
-	for i, f := range r.Filters {
-		col := relation.ColumnIndex(f.Column)
-		if col < 0 || !relation.HasSortedIndex(col) {
+	for i, f := range filters {
+		if !f.ranged || !relation.HasIndex(f.col) {
 			continue
 		}
-		rows := indexProbe(relation, col, f)
-		if rows == nil {
-			continue
-		}
-		if len(rows) < bestCount {
-			bestIdx, bestCount, bestRows = i, len(rows), rows
+		rows := relation.RangeLookup(f.col, f.lo, f.hi)
+		if bestIdx < 0 || len(rows) < len(bestRows) {
+			bestIdx, bestRows = i, rows
 		}
 	}
 	if bestIdx < 0 {
-		return nil, -1, fmt.Errorf("exec: no usable index for %s", r.Alias)
+		return nil, nil, fmt.Errorf("exec: no usable index for %s", r.Alias)
 	}
-	return bestRows, bestIdx, nil
+	return bestRows, slices.Delete(filters, bestIdx, bestIdx+1), nil
 }
 
 func (e *Executor) buildIndexScan(rel int, relation *storage.Relation, meter *Meter) (operator, error) {
-	rows, bestIdx, err := e.planIndexScan(rel, relation)
+	rows, filters, err := e.planIndexScan(rel, relation)
 	if err != nil {
 		return nil, err
 	}
 	return &indexScan{
 		rel:     relation,
 		rows:    rows,
-		filters: e.compileFilters(rel, bestIdx),
+		filters: filters,
 		meter:   meter,
 		params:  e,
 		cls:     meter.Class(e.params.IdxTuple),
 	}, nil
-}
-
-// indexProbe returns the matching row ordinals for a filter through the
-// sorted index, or nil if the operator cannot be served by a range.
-func indexProbe(relation *storage.Relation, col int, f query.FilterPred) []int32 {
-	if f.IsIn() {
-		return nil // IN-lists run as residual filters
-	}
-	v := expr.Int(f.Value)
-	vPrev := expr.Int(f.Value - 1)
-	vNext := expr.Int(f.Value + 1)
-	switch f.Op {
-	case expr.EQ:
-		return relation.RangeLookup(col, &v, &v)
-	case expr.LT:
-		return relation.RangeLookup(col, nil, &vPrev)
-	case expr.LE:
-		return relation.RangeLookup(col, nil, &v)
-	case expr.GT:
-		return relation.RangeLookup(col, &vNext, nil)
-	case expr.GE:
-		return relation.RangeLookup(col, &v, nil)
-	default:
-		return nil // NE is not a range
-	}
 }
 
 // indexScan charges one descent plus IdxTuple per fetched row, applying

@@ -74,14 +74,13 @@ func (c *colRef) value(ord int32) expr.Value {
 	return c.rel.Rows[ord][c.col]
 }
 
-// key returns the hash key at ord — the value's I, exactly what the
-// tuple engine keys its table on — and false for NULL.
+// key returns the hash key at ord — the value's joinKey, exactly what
+// the tuple engine keys its table on — and false for NULL.
 func (c *colRef) key(ord int32) (int64, bool) {
 	if c.typed(ord) {
 		return c.ints[ord], true
 	}
-	v := &c.rel.Rows[ord][c.col]
-	return v.I, v.K != expr.KindNull
+	return joinKey(&c.rel.Rows[ord][c.col])
 }
 
 // clean returns the column's NULL-free int vector, or nil.
@@ -400,6 +399,10 @@ func slotOf(n *plan.Node, rel int) int {
 type joinRefs struct {
 	ids  []int
 	l, r []colRef
+	// rowKey marks a physical key read from rows on either side: its
+	// hash or index candidates share a joinKey, not necessarily a value,
+	// and candidateMatch rechecks them.
+	rowKey bool
 }
 
 // resolveJoinRefs resolves the join predicates of node n. It fails, as
@@ -432,6 +435,7 @@ func (e *Executor) resolveJoinRefs(n *plan.Node) (*joinRefs, error) {
 		jr.l = append(jr.l, l)
 		jr.r = append(jr.r, r)
 	}
+	jr.rowKey = jr.l[0].ints == nil || jr.r[0].ints == nil
 	return jr, nil
 }
 
@@ -447,6 +451,13 @@ func (jr *joinRefs) residualsMatch(l, r []int32) bool {
 	return true
 }
 
+// candidateMatch checks a hash or index candidate pair: the physical
+// key again when it was read from rows, then the residuals.
+func (jr *joinRefs) candidateMatch(l, r []int32) bool {
+	a, b := &jr.l[0], &jr.r[0]
+	return (!jr.rowKey || equalAt(a, l[a.slot], b, r[b.slot])) && jr.residualsMatch(l, r)
+}
+
 func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
 	rel := n.Scan.Rel
 	r := &e.q.Relations[rel]
@@ -455,7 +466,7 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 		return nil, fmt.Errorf("exec: store missing relation %s", r.Table)
 	}
 	seq := func() (batchOperator, error) {
-		filters := e.compileFilters(rel, -1)
+		filters := e.compileFilters(rel)
 		return &vecSeqScan{
 			rel:     relation,
 			filters: filters,
@@ -480,14 +491,14 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 				fmt.Sprintf("indexscan→seqscan rel=%s (%v)", r.Alias, ferr))
 			return seq()
 		}
-		rows, bestIdx, err := e.planIndexScan(rel, relation)
+		rows, filters, err := e.planIndexScan(rel, relation)
 		if err != nil {
 			return nil, err
 		}
 		return &vecIndexScan{
 			rel:     relation,
 			rows:    rows,
-			filters: e.compileFilters(rel, bestIdx),
+			filters: filters,
 			meter:   meter,
 			ex:      e,
 			cls:     meter.Class(e.params.IdxTuple),
@@ -549,11 +560,11 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 		}
 		relation := refs.r[0].rel
 		innerCol := refs.r[0].col
-		if !relation.HasHashIndex(innerCol) {
-			return nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
+		if !relation.HasIndex(innerCol) {
+			return nil, fmt.Errorf("exec: no index on %s column %d for INL join",
 				relation.Name, innerCol)
 		}
-		filters := e.compileFilters(rel, -1)
+		filters := e.compileFilters(rel)
 		return &vecIndexNLJoin{
 			vecJoinBase: vecJoinBase{e: e, meter: meter, refs: refs, left: lop, rw: 1},
 			relIdx:      rel,

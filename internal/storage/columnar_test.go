@@ -112,17 +112,14 @@ func TestBuildColumnsAllNull(t *testing.T) {
 // every derived structure so reads fail loudly (or rebuild correctly).
 func TestAppendInvalidatesDerivedStructures(t *testing.T) {
 	r := sample()
-	r.BuildHashIndex(1)
-	r.BuildSortedIndex(0)
+	r.BuildIndex(1)
+	r.BuildIndex(0)
 	r.BuildColumns()
 
 	r.Append(expr.Row{expr.Int(100), expr.Int(0)})
 
-	if r.HasHashIndex(1) {
-		t.Error("hash index must be discarded by Append")
-	}
-	if r.HasSortedIndex(0) {
-		t.Error("sorted index must be discarded by Append")
+	if r.HasIndex(1) || r.HasIndex(0) {
+		t.Error("indexes must be discarded by Append")
 	}
 	if r.HasColumns() || r.Col(0) != nil {
 		t.Error("column vectors must be discarded by Append")
@@ -130,17 +127,17 @@ func TestAppendInvalidatesDerivedStructures(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("HashLookup on a discarded index must panic, not miss rows")
+				t.Error("Lookup on a discarded index must panic, not miss rows")
 			}
 		}()
-		r.HashLookup(1, 0)
+		r.Lookup(1, 0)
 	}()
 
 	// Rebuilding after the append sees the new row everywhere.
-	r.BuildHashIndex(1)
+	r.BuildIndex(1)
 	r.BuildColumns()
-	if got := len(r.HashLookup(1, 0)); got != 5 {
-		t.Errorf("rebuilt hash index matches = %d, want 5", got)
+	if got := len(r.Lookup(1, 0)); got != 5 {
+		t.Errorf("rebuilt index matches = %d, want 5", got)
 	}
 	if c := r.Col(0); c == nil || c.Ints[10] != 100 {
 		t.Errorf("rebuilt column missing appended row: %+v", c)

@@ -1,13 +1,15 @@
 // Package storage implements the in-memory store backing the executor:
-// per-table row slices plus hash and sorted indexes on single columns,
-// and typed column vectors (see columnar.go) built at load time for the
+// per-table row slices, one sorted index per indexed int column, and
+// typed column vectors (see columnar.go) built at load time for the
 // vectorized engine. The store is immutable after loading, matching the
 // paper's read-only OLAP setting; appending after derived structures
 // exist discards them so they can never be silently stale.
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -22,10 +24,18 @@ type Relation struct {
 	// Rows is the tuple storage.
 	Rows []expr.Row
 
-	hashIdx   map[int]map[int64][]int32
-	sortedIdx map[int][]int32
-	colIdx    map[string]int
-	cols      []*Column
+	idx    []*index // by column ordinal; nil entries are unindexed
+	colIdx map[string]int
+	cols   []*Column
+}
+
+// index is one int column's index in CSR form: keys holds the distinct
+// values in ascending order, and the rows whose value is keys[i] are
+// ords[offs[i]:offs[i+1]], in ascending ordinal order.
+type index struct {
+	keys []int64
+	offs []int32
+	ords []int32
 }
 
 // NewRelation creates an empty relation with the given column names.
@@ -34,13 +44,7 @@ func NewRelation(name string, cols []string) *Relation {
 	for i, c := range cols {
 		colIdx[c] = i
 	}
-	return &Relation{
-		Name:      name,
-		Cols:      cols,
-		hashIdx:   make(map[int]map[int64][]int32),
-		sortedIdx: make(map[int][]int32),
-		colIdx:    colIdx,
-	}
+	return &Relation{Name: name, Cols: cols, colIdx: colIdx}
 }
 
 // ColumnIndex returns the ordinal of the named column, or -1. Lookups
@@ -67,103 +71,114 @@ func (r *Relation) ColumnIndex(name string) int {
 // those derived structures rather than leaving them silently stale:
 // index probes over a half-indexed relation would drop the new rows
 // without any error. Callers that append post-build must re-run
-// BuildHashIndex/BuildSortedIndex/BuildColumns before using them again
-// (the accessors panic loudly on a discarded index).
+// BuildIndex/BuildColumns before using them again (the lookups panic
+// loudly on a discarded index).
 func (r *Relation) Append(row expr.Row) {
 	if len(row) != len(r.Cols) {
 		panic(fmt.Sprintf("storage: row width %d != %d for %s", len(row), len(r.Cols), r.Name))
 	}
-	if len(r.hashIdx) > 0 || len(r.sortedIdx) > 0 || r.cols != nil {
-		r.invalidateDerived()
-	}
+	r.idx, r.cols = nil, nil
 	r.Rows = append(r.Rows, row)
-}
-
-// invalidateDerived drops every structure derived from the rows.
-func (r *Relation) invalidateDerived() {
-	if len(r.hashIdx) > 0 {
-		r.hashIdx = make(map[int]map[int64][]int32)
-	}
-	if len(r.sortedIdx) > 0 {
-		r.sortedIdx = make(map[int][]int32)
-	}
-	r.cols = nil
 }
 
 // NumRows returns the relation cardinality.
 func (r *Relation) NumRows() int { return len(r.Rows) }
 
-// BuildHashIndex builds (or rebuilds) a hash index on an int64 column.
-func (r *Relation) BuildHashIndex(col int) {
-	idx := make(map[int64][]int32, len(r.Rows))
+// BuildIndex builds (or rebuilds) the index on an int64 column by
+// sorting (value, ordinal) pairs. It panics on a non-int value.
+func (r *Relation) BuildIndex(col int) {
+	type entry struct {
+		key int64
+		ord int32
+	}
+	es := make([]entry, len(r.Rows))
 	for i, row := range r.Rows {
 		v := row[col]
 		if v.K != expr.KindInt {
-			panic(fmt.Sprintf("storage: hash index on non-int column %s.%s", r.Name, r.Cols[col]))
+			panic(fmt.Sprintf("storage: index on non-int column %s.%s", r.Name, r.Cols[col]))
 		}
-		idx[v.I] = append(idx[v.I], int32(i))
+		es[i] = entry{v.I, int32(i)}
 	}
-	r.hashIdx[col] = idx
-}
-
-// HashLookup returns the row ordinals whose column equals key, or nil.
-// It panics if no hash index exists on the column.
-func (r *Relation) HashLookup(col int, key int64) []int32 {
-	idx, ok := r.hashIdx[col]
-	if !ok {
-		panic(fmt.Sprintf("storage: no hash index on %s column %d", r.Name, col))
-	}
-	return idx[key]
-}
-
-// HasHashIndex reports whether a hash index exists on the column.
-func (r *Relation) HasHashIndex(col int) bool {
-	_, ok := r.hashIdx[col]
-	return ok
-}
-
-// BuildSortedIndex builds a sorted index (row ordinals ordered by the
-// column value) enabling range scans.
-func (r *Relation) BuildSortedIndex(col int) {
-	idx := make([]int32, len(r.Rows))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return expr.Compare(r.Rows[idx[a]][col], r.Rows[idx[b]][col]) < 0
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
 	})
-	r.sortedIdx[col] = idx
+	distinct := 0
+	for i := range es {
+		if i == 0 || es[i].key != es[i-1].key {
+			distinct++
+		}
+	}
+	x := &index{
+		keys: make([]int64, 0, distinct),
+		offs: make([]int32, 0, distinct+1),
+		ords: make([]int32, len(es)),
+	}
+	for i, e := range es {
+		if i == 0 || e.key != es[i-1].key {
+			x.keys = append(x.keys, e.key)
+			x.offs = append(x.offs, int32(i))
+		}
+		x.ords[i] = e.ord
+	}
+	x.offs = append(x.offs, int32(len(es)))
+	if r.idx == nil {
+		r.idx = make([]*index, len(r.Cols))
+	}
+	r.idx[col] = x
 }
 
-// HasSortedIndex reports whether a sorted index exists on the column.
-func (r *Relation) HasSortedIndex(col int) bool {
-	_, ok := r.sortedIdx[col]
-	return ok
+// HasIndex reports whether an index exists on the column.
+func (r *Relation) HasIndex(col int) bool {
+	return col < len(r.idx) && r.idx[col] != nil
 }
 
-// RangeLookup returns the row ordinals with lo ≤ value ≤ hi in column
-// order, using the sorted index. Nil bounds are unbounded.
-func (r *Relation) RangeLookup(col int, lo, hi *expr.Value) []int32 {
-	idx, ok := r.sortedIdx[col]
-	if !ok {
-		panic(fmt.Sprintf("storage: no sorted index on %s column %d", r.Name, col))
+func (r *Relation) mustIndex(col int) *index {
+	if !r.HasIndex(col) {
+		panic(fmt.Sprintf("storage: no index on %s column %d", r.Name, col))
 	}
-	start := 0
-	if lo != nil {
-		start = sort.Search(len(idx), func(i int) bool {
-			return expr.Compare(r.Rows[idx[i]][col], *lo) >= 0
-		})
+	return r.idx[col]
+}
+
+// Lookup returns the row ordinals whose column equals key, ascending,
+// or nil. It first tries position key − keys[0], which hits on every
+// dense column (serial keys and foreign keys into them), and falls back
+// to binary search. It panics if the column has no index.
+func (r *Relation) Lookup(col int, key int64) []int32 {
+	x := r.mustIndex(col)
+	if len(x.keys) == 0 {
+		return nil
 	}
-	end := len(idx)
-	if hi != nil {
-		end = sort.Search(len(idx), func(i int) bool {
-			return expr.Compare(r.Rows[idx[i]][col], *hi) > 0
-		})
+	i := uint64(key) - uint64(x.keys[0])
+	if i >= uint64(len(x.keys)) || x.keys[i] != key {
+		j, ok := slices.BinarySearch(x.keys, key)
+		if !ok {
+			return nil
+		}
+		i = uint64(j)
+	}
+	return x.ords[x.offs[i]:x.offs[i+1]]
+}
+
+// RangeLookup returns the row ordinals with lo ≤ value ≤ hi, ordered by
+// (value, ordinal), or nil when none match. It panics if the column has
+// no index.
+func (r *Relation) RangeLookup(col int, lo, hi int64) []int32 {
+	x := r.mustIndex(col)
+	if lo > hi {
+		return nil
+	}
+	start, _ := slices.BinarySearch(x.keys, lo)
+	end, found := slices.BinarySearch(x.keys, hi)
+	if found {
+		end++
 	}
 	if start >= end {
 		return nil
 	}
-	return idx[start:end]
+	return x.ords[x.offs[start]:x.offs[end]]
 }
 
 // Store is a named collection of relations.

@@ -1,6 +1,11 @@
 package storage
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,21 +55,15 @@ func TestColumnIndexZeroValueFallback(t *testing.T) {
 
 func TestHashIndex(t *testing.T) {
 	r := sample()
-	r.BuildHashIndex(1)
-	if !r.HasHashIndex(1) || r.HasHashIndex(0) {
-		t.Fatal("HasHashIndex broken")
+	r.BuildIndex(1)
+	if !r.HasIndex(1) || r.HasIndex(0) {
+		t.Fatal("HasIndex broken")
 	}
-	// v = i%3, so key 0 matches ids 0,3,6,9.
-	got := r.HashLookup(1, 0)
-	if len(got) != 4 {
-		t.Fatalf("HashLookup(0) = %v, want 4 rows", got)
+	// v = i%3, so key 0 matches ids 0,3,6,9, in that order.
+	if got := r.Lookup(1, 0); !slices.Equal(got, []int32{0, 3, 6, 9}) {
+		t.Fatalf("Lookup(0) = %v, want [0 3 6 9]", got)
 	}
-	for _, ord := range got {
-		if r.Rows[ord][1].I != 0 {
-			t.Errorf("row %d has v=%d, want 0", ord, r.Rows[ord][1].I)
-		}
-	}
-	if r.HashLookup(1, 99) != nil {
+	if r.Lookup(1, 99) != nil || r.Lookup(1, -1) != nil {
 		t.Error("missing key should return nil")
 	}
 }
@@ -76,7 +75,7 @@ func TestHashLookupWithoutIndexPanics(t *testing.T) {
 			t.Fatal("lookup without index should panic")
 		}
 	}()
-	r.HashLookup(0, 1)
+	r.Lookup(0, 1)
 }
 
 func TestHashIndexOnNonIntPanics(t *testing.T) {
@@ -84,10 +83,10 @@ func TestHashIndexOnNonIntPanics(t *testing.T) {
 	r.Append(expr.Row{expr.Str("x")})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("hash index on string column should panic")
+			t.Fatal("index on string column should panic")
 		}
 	}()
-	r.BuildHashIndex(0)
+	r.BuildIndex(0)
 }
 
 func TestSortedIndexRange(t *testing.T) {
@@ -95,33 +94,18 @@ func TestSortedIndexRange(t *testing.T) {
 	for _, v := range []int64{5, 1, 9, 3, 7} {
 		r.Append(expr.Row{expr.Int(v)})
 	}
-	r.BuildSortedIndex(0)
-	if !r.HasSortedIndex(0) || r.HasSortedIndex(1) {
-		t.Fatal("HasSortedIndex broken")
+	r.BuildIndex(0)
+	if !r.HasIndex(0) || r.HasIndex(1) {
+		t.Fatal("HasIndex broken")
 	}
-
-	lo, hi := expr.Int(3), expr.Int(7)
-	got := r.RangeLookup(0, &lo, &hi)
-	if len(got) != 3 {
-		t.Fatalf("range [3,7] = %d rows, want 3", len(got))
+	// Values 3, 5, 7 sit at ordinals 3, 0, 4.
+	if got := r.RangeLookup(0, 3, 7); !slices.Equal(got, []int32{3, 0, 4}) {
+		t.Fatalf("range [3,7] = %v, want [3 0 4]", got)
 	}
-	prev := int64(-1)
-	for _, ord := range got {
-		v := r.Rows[ord][0].I
-		if v < 3 || v > 7 {
-			t.Errorf("value %d outside [3,7]", v)
-		}
-		if v < prev {
-			t.Error("range results not ordered")
-		}
-		prev = v
-	}
-
-	if got := r.RangeLookup(0, nil, nil); len(got) != 5 {
+	if got := r.RangeLookup(0, math.MinInt64, math.MaxInt64); len(got) != 5 {
 		t.Errorf("unbounded range = %d rows, want 5", len(got))
 	}
-	lo2 := expr.Int(100)
-	if r.RangeLookup(0, &lo2, nil) != nil {
+	if r.RangeLookup(0, 100, math.MaxInt64) != nil || r.RangeLookup(0, 7, 3) != nil {
 		t.Error("empty range should be nil")
 	}
 }
@@ -133,7 +117,7 @@ func TestRangeLookupWithoutIndexPanics(t *testing.T) {
 			t.Fatal("range lookup without index should panic")
 		}
 	}()
-	r.RangeLookup(0, nil, nil)
+	r.RangeLookup(0, 0, 1)
 }
 
 func TestStore(t *testing.T) {
@@ -159,60 +143,144 @@ func TestMustRelationPanics(t *testing.T) {
 	NewStore().MustRelation("missing")
 }
 
-// Property: hash index lookups return exactly the rows a full scan finds.
+// indexed builds a one-column relation over vals with its index.
+func indexed(vals []int64) *Relation {
+	r := NewRelation("p", []string{"v"})
+	for _, v := range vals {
+		r.Append(expr.Row{expr.Int(v)})
+	}
+	r.BuildIndex(0)
+	return r
+}
+
+// scanOrds is the ordinals of vals that match, in ascending order.
+func scanOrds(vals []int64, match func(int64) bool) []int32 {
+	var out []int32
+	for i, v := range vals {
+		if match(v) {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// checkLookup compares Lookup of each key with a scan: it must return
+// the ordinals holding the key in ascending order (the order index-NL
+// joins emit in).
+func checkLookup(r *Relation, vals, keys []int64) error {
+	for _, key := range keys {
+		want := scanOrds(vals, func(v int64) bool { return v == key })
+		if got := r.Lookup(0, key); !slices.Equal(got, want) {
+			return fmt.Errorf("vals %v: Lookup(%d) = %v, want %v", vals, key, got, want)
+		}
+	}
+	return nil
+}
+
+// checkRange compares RangeLookup(lo, hi) with a scan: it must return
+// the ordinals in [lo, hi] ordered by (value, ordinal).
+func checkRange(r *Relation, vals []int64, lo, hi int64) error {
+	want := scanOrds(vals, func(v int64) bool { return lo <= v && v <= hi })
+	slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+	if got := r.RangeLookup(0, lo, hi); !slices.Equal(got, want) {
+		return fmt.Errorf("vals %v: RangeLookup(%d, %d) = %v, want %v", vals, lo, hi, got, want)
+	}
+	return nil
+}
+
+// probeKeys is every value, its neighbours and key: hits on the dense
+// position guess, hits by binary search, and misses on either side.
+func probeKeys(vals []int64, key int64) []int64 {
+	keys := []int64{key}
+	for _, v := range vals {
+		keys = append(keys, v, v-1, v+1)
+	}
+	return keys
+}
+
+// edge maps a quick-generated value onto a small domain (forcing
+// duplicate keys), the int64 extremes, or itself.
+func edge(x int64) int64 {
+	switch x & 7 {
+	case 0:
+		return math.MinInt64
+	case 1:
+		return math.MaxInt64
+	case 2:
+		return x
+	}
+	return x % 16
+}
+
+// edgeVals truncates quick's values to 200 and maps each through edge.
+func edgeVals(vals []int64) []int64 {
+	if len(vals) > 200 {
+		vals = vals[:200]
+	}
+	for i := range vals {
+		vals[i] = edge(vals[i])
+	}
+	return vals
+}
+
+// Property: Lookup (the point access the former hash index served)
+// returns exactly the rows a full scan finds, in ascending ordinal
+// order, including at the int64 edges.
 func TestHashIndexMatchesScanProperty(t *testing.T) {
 	f := func(vals []int64, key int64) bool {
-		if len(vals) > 200 {
-			vals = vals[:200]
+		vals = edgeVals(vals)
+		if err := checkLookup(indexed(vals), vals, probeKeys(vals, edge(key))); err != nil {
+			t.Log(err)
+			return false
 		}
-		r := NewRelation("p", []string{"v"})
-		for _, v := range vals {
-			v %= 16 // force collisions
-			r.Append(expr.Row{expr.Int(v)})
-		}
-		key %= 16
-		r.BuildHashIndex(0)
-		want := 0
-		for _, row := range r.Rows {
-			if row[0].I == key {
-				want++
-			}
-		}
-		return len(r.HashLookup(0, key)) == want
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: sorted index range lookups agree with a scan filter.
+// Property: RangeLookup (the range access the former sorted permutation
+// served) returns exactly the rows a full scan finds, ordered by
+// (value, ordinal), including at the int64 edges.
 func TestSortedIndexMatchesScanProperty(t *testing.T) {
-	f := func(vals []int64, a, b int64) bool {
-		if len(vals) > 200 {
-			vals = vals[:200]
+	f := func(vals []int64, lo, hi int64) bool {
+		vals = edgeVals(vals)
+		if err := checkRange(indexed(vals), vals, edge(lo), edge(hi)); err != nil {
+			t.Log(err)
+			return false
 		}
-		if a > b {
-			a, b = b, a
-		}
-		r := NewRelation("p", []string{"v"})
-		for _, v := range vals {
-			r.Append(expr.Row{expr.Int(v % 64)})
-		}
-		a, b = a%64, b%64
-		if a > b {
-			a, b = b, a
-		}
-		r.BuildSortedIndex(0)
-		lo, hi := expr.Int(a), expr.Int(b)
-		want := 0
-		for _, row := range r.Rows {
-			if row[0].I >= a && row[0].I <= b {
-				want++
-			}
-		}
-		return len(r.RangeLookup(0, &lo, &hi)) == want
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzIndex checks the index against a scan over arbitrary int64 values
+// (eight little-endian bytes each) and bounds.
+func FuzzIndex(f *testing.F) {
+	le := func(vs ...int64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	f.Add(le(3, 1, 3, 2), int64(3), int64(1), int64(2))
+	f.Add(le(math.MaxInt64, math.MinInt64, 0, math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), int64(math.MaxInt64))
+	f.Add(le(-1, 0, 1), int64(0), int64(1), int64(-1))
+	f.Fuzz(func(t *testing.T, data []byte, key, lo, hi int64) {
+		var vals []int64
+		for ; len(data) >= 8 && len(vals) < 256; data = data[8:] {
+			vals = append(vals, int64(binary.LittleEndian.Uint64(data)))
+		}
+		r := indexed(vals)
+		if err := checkLookup(r, vals, probeKeys(vals, key)); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRange(r, vals, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
