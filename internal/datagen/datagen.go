@@ -96,18 +96,15 @@ func generateTable(cat *catalog.Catalog, t *catalog.Table, opts Options) (*stora
 		gens[i] = g
 	}
 
+	// Append copies the values into the relation's column vectors, so
+	// one row buffer serves every row.
+	row := make(expr.Row, len(t.Columns))
 	for r := int64(0); r < n; r++ {
-		row := make(expr.Row, len(t.Columns))
 		for i := range gens {
 			row[i] = gens[i](r)
 		}
 		rel.Append(row)
 	}
-
-	// Column vectors are part of the storage layout, not an opt-in
-	// index: every generated relation gets them so the vectorized
-	// engine's kernels run columnar by default.
-	rel.BuildColumns()
 
 	if opts.BuildIndexes {
 		// The PK, every FK and every generated attribute get an index,

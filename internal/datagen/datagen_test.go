@@ -154,7 +154,8 @@ func TestPopulateSerialPK(t *testing.T) {
 		t.Fatal(err)
 	}
 	dim := st.MustRelation("dim")
-	for i, row := range dim.Rows {
+	for i := range dim.NumRows() {
+		row := dim.Row(i)
 		if row[0].I != int64(i+1) {
 			t.Fatalf("PK row %d = %d, want %d", i, row[0].I, i+1)
 		}
@@ -167,7 +168,8 @@ func TestPopulateFKIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fact := st.MustRelation("fact")
-	for _, row := range fact.Rows {
+	for ord := range fact.NumRows() {
+		row := fact.Row(ord)
 		fk := row[1].I
 		if fk < 1 || fk > 50 {
 			t.Fatalf("FK value %d outside dim key range", fk)
@@ -179,9 +181,9 @@ func TestPopulateDeterminism(t *testing.T) {
 	a, _ := Populate(smallCatalog(), Options{Seed: 9})
 	b, _ := Populate(smallCatalog(), Options{Seed: 9})
 	ra, rb := a.MustRelation("fact"), b.MustRelation("fact")
-	for i := range ra.Rows {
-		for j := range ra.Rows[i] {
-			if ra.Rows[i][j] != rb.Rows[i][j] {
+	for i := range ra.NumRows() {
+		for j := range ra.Cols {
+			if ra.Value(i, j) != rb.Value(i, j) {
 				t.Fatalf("row %d col %d differs across identical seeds", i, j)
 			}
 		}
@@ -189,8 +191,8 @@ func TestPopulateDeterminism(t *testing.T) {
 	c, _ := Populate(smallCatalog(), Options{Seed: 10})
 	diff := false
 	rc := c.MustRelation("fact")
-	for i := range ra.Rows {
-		if ra.Rows[i][1] != rc.Rows[i][1] || ra.Rows[i][2] != rc.Rows[i][2] {
+	for i := range ra.NumRows() {
+		if ra.Value(i, 1) != rc.Value(i, 1) || ra.Value(i, 2) != rc.Value(i, 2) {
 			diff = true
 			break
 		}
@@ -220,7 +222,9 @@ func TestPopulateBuildsIndexes(t *testing.T) {
 
 func TestPopulateUniformRange(t *testing.T) {
 	st, _ := Populate(smallCatalog(), Options{Seed: 3})
-	for _, row := range st.MustRelation("dim").Rows {
+	dim := st.MustRelation("dim")
+	for ord := range dim.NumRows() {
+		row := dim.Row(ord)
 		if v := row[1].I; v < 1 || v > 5 {
 			t.Fatalf("uniform value %d outside [1,5]", v)
 		}
@@ -230,7 +234,9 @@ func TestPopulateUniformRange(t *testing.T) {
 func TestPopulateZipfSkewInFK(t *testing.T) {
 	st, _ := Populate(smallCatalog(), Options{Seed: 5})
 	counts := map[int64]int{}
-	for _, row := range st.MustRelation("fact").Rows {
+	fact := st.MustRelation("fact")
+	for ord := range fact.NumRows() {
+		row := fact.Row(ord)
 		counts[row[1].I]++
 	}
 	max := 0

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -414,7 +416,6 @@ func fallbackFixture(t *testing.T) *fixture {
 			rel.Append(expr.Row{expr.Int(int64(i)), n, m, expr.Int(int64(i % 20))})
 		}
 		rel.BuildIndex(3)
-		rel.BuildColumns()
 		if rel.Col(1) == nil || !rel.Col(1).HasNulls() || rel.Col(2) != nil {
 			t.Fatalf("%s: fixture columns are not NULL-keyed and mixed-kind", x)
 		}
@@ -519,49 +520,97 @@ func TestJoinMethodsAgreeOnMixedKeys(t *testing.T) {
 
 // A float that is not an integer keys by its bit pattern, so it can
 // share a hash bucket or index key with an int; the candidate recheck
-// must drop the pair. a_k holds 0.5 and 1, b_k the int whose value is
-// 0.5's bit pattern and 1: one true match.
+// must drop the pair. In the first input a_k holds 0.5 and 1, b_k the
+// int whose value is 0.5's bit pattern and 1: one true match. In the
+// second a_k holds NaN and 2^53, b_k 7 and 2^53+1: NaN equals no number
+// and 2^53 is not 2^53+1, though float64(2^53+1) is 2^53, so no method
+// may match, and the filter a_k = 7 passes no row. In the third, two
+// NaNs with different payloads are equal, as in every method.
 func TestJoinKeyCollisionRechecked(t *testing.T) {
-	c := catalog.New("collide", 1)
-	store := storage.NewStore()
-	for _, tb := range []struct {
-		name string
-		typ  catalog.ColType
-		keys []expr.Value
+	nan2 := expr.Float(math.Float64frombits(0x7ff8000000000002))
+	for _, in := range []struct {
+		a, b           []expr.Value
+		join           int64
+		filter, passed int64 // a_k = filter passes that many rows
 	}{
-		{"a", catalog.Float64, []expr.Value{expr.Float(0.5), expr.Int(1)}},
-		{"b", catalog.Int64, []expr.Value{expr.Int(int64(math.Float64bits(0.5))), expr.Int(1)}},
+		{[]expr.Value{expr.Float(0.5), expr.Int(1)}, []expr.Value{expr.Int(int64(math.Float64bits(0.5))), expr.Int(1)}, 1, 1, 1},
+		{[]expr.Value{expr.Float(math.NaN()), expr.Float(1 << 53)}, []expr.Value{expr.Int(7), expr.Int(1<<53 + 1)}, 0, 7, 0},
+		{[]expr.Value{expr.Float(math.NaN()), expr.Float(0.5)}, []expr.Value{nan2, expr.Float(0.5)}, 2, 0, 0},
 	} {
-		x := tb.name
-		c.AddTable(&catalog.Table{Name: x, BaseRows: 2, Columns: []catalog.Column{
-			{Name: x + "_id", Type: catalog.Int64, Dist: catalog.Serial},
-			{Name: x + "_k", Type: tb.typ},
-		}})
-		rel := storage.NewRelation(x, []string{x + "_id", x + "_k"})
-		for i, k := range tb.keys {
-			rel.Append(expr.Row{expr.Int(int64(i)), k})
-		}
-		if x == "b" {
-			rel.BuildIndex(1)
-		}
-		rel.BuildColumns()
-		store.Add(rel)
-	}
-	q := &query.Query{Name: "collide", Cat: c,
-		Relations: []query.Relation{{Table: "a", Alias: "a"}, {Table: "b", Alias: "b"}},
-		Joins:     []query.Join{{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "a_k", RightCol: "b_k"}}}
-	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.IndexNLJoin} {
-		for _, ends := range [][2]int{{0, 1}, {1, 0}} {
-			if m == plan.IndexNLJoin && ends[1] != 1 {
-				continue // only b_k is indexed
+		c := catalog.New("collide", 1)
+		store := storage.NewStore()
+		for _, tb := range []struct {
+			name string
+			keys []expr.Value
+		}{{"a", in.a}, {"b", in.b}} {
+			x := tb.name
+			c.AddTable(&catalog.Table{Name: x, BaseRows: 2, Columns: []catalog.Column{
+				{Name: x + "_id", Type: catalog.Int64, Dist: catalog.Serial},
+				{Name: x + "_k", Type: catalog.Float64},
+			}})
+			rel := storage.NewRelation(x, []string{x + "_id", x + "_k"})
+			for i, k := range tb.keys {
+				rel.Append(expr.Row{expr.Int(int64(i)), k})
 			}
-			p := plan.NewJoin(m, []int{0}, plan.NewScan(ends[0], plan.SeqScan), plan.NewScan(ends[1], plan.SeqScan))
-			for _, vec := range []bool{false, true} {
-				res, err := New(q, store, cost.DefaultParams()).Vectorized(vec).Run(p, 0)
-				if err != nil || res.Rows != 1 {
-					t.Errorf("%v outer=%d vectorized=%v: %+v, %v; want 1 row", m, ends[0], vec, res, err)
+			if k := rel.Col(1); k != nil && k.Kind == expr.KindInt {
+				rel.BuildIndex(1)
+			}
+			store.Add(rel)
+		}
+		q := &query.Query{Name: "collide", Cat: c,
+			Relations: []query.Relation{{Table: "a", Alias: "a"}, {Table: "b", Alias: "b"}},
+			Joins:     []query.Join{{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "a_k", RightCol: "b_k"}}}
+		for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NLJoin, plan.IndexNLJoin} {
+			for _, ends := range [][2]int{{0, 1}, {1, 0}} {
+				if m == plan.IndexNLJoin && (ends[1] != 1 || !store.MustRelation("b").HasIndex(1)) {
+					continue // only an int b_k is indexed
+				}
+				p := plan.NewJoin(m, []int{0}, plan.NewScan(ends[0], plan.SeqScan), plan.NewScan(ends[1], plan.SeqScan))
+				for _, vec := range []bool{false, true} {
+					res, err := New(q, store, cost.DefaultParams()).Vectorized(vec).Run(p, 0)
+					if err != nil || res.Rows != in.join {
+						t.Errorf("a_k %v, b_k %v: %v outer=%d vectorized=%v: %+v, %v; want %d rows",
+							in.a, in.b, m, ends[0], vec, res, err, in.join)
+					}
 				}
 			}
 		}
+		q.Relations[0].Filters = []query.FilterPred{{Column: "a_k", Op: expr.EQ, Value: in.filter}}
+		for _, vec := range []bool{false, true} {
+			res, err := New(q, store, cost.DefaultParams()).Vectorized(vec).Run(plan.NewScan(0, plan.SeqScan), 0)
+			if err != nil || res.Rows != in.passed {
+				t.Errorf("a_k %v: seq scan a_k = %d vectorized=%v: %+v, %v; want %d rows", in.a, in.filter, vec, res, err, in.passed)
+			}
+		}
+	}
+}
+
+// TrueJoinSel is the ground truth discovery converges to, so it must
+// count what the executor joins: a NULL key matches nothing, and a join
+// column that is not an int vector is an error, not a guess.
+func TestTrueJoinSelAgreesWithHashJoin(t *testing.T) {
+	fb, fk := fallbackFixture(t), newFixture(t)
+	pq := func(l, r string) *query.Query {
+		return &query.Query{Name: "pq", Cat: fb.cat,
+			Relations: []query.Relation{{Table: "p", Alias: "p"}, {Table: "q", Alias: "q"}},
+			Joins:     []query.Join{{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: l, RightCol: r}}}
+	}
+	for _, c := range []struct {
+		f *fixture
+		q *query.Query
+	}{{fb, pq("p_n", "q_n")}, {fk, fk.parse(t, joinSQL+` AND f.f_val <= 40`)}} {
+		p := plan.NewJoin(plan.HashJoin, []int{0}, plan.NewScan(0, plan.SeqScan), plan.NewScan(1, plan.SeqScan))
+		res, err := New(c.q, c.f.store, cost.DefaultParams()).Run(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.f.truthJoinCount(t, c.q); res.Rows != want || want == 0 {
+			t.Errorf("%s = %s: hash join %d rows, TrueJoinSel·|L|·|R| = %d",
+				c.q.Joins[0].LeftCol, c.q.Joins[0].RightCol, res.Rows, want)
+		}
+	}
+	mixed := pq("p_m", "q_m")
+	if _, err := stats.TrueJoinSel(fb.store, mixed, mixed.Joins[0]); !errors.Is(err, stats.ErrNonIntColumn) {
+		t.Errorf("p_m = q_m: TrueJoinSel error %v, want ErrNonIntColumn", err)
 	}
 }

@@ -300,7 +300,7 @@ func (e *Executor) innerCount(relIdx int, rel *storage.Relation, filters []bound
 }
 
 // countMatching counts rel's rows passing every filter, through the
-// relation's column kernels when they are built.
+// relation's column kernels when every filter has one.
 func countMatching(rel *storage.Relation, filters []boundFilter) int64 {
 	if len(filters) == 0 {
 		return int64(rel.NumRows())
@@ -318,8 +318,8 @@ func countMatching(rel *storage.Relation, filters []boundFilter) int64 {
 		}
 		return n
 	}
-	for _, row := range rel.Rows {
-		if matchAll(filters, row) {
+	for ord := range rel.NumRows() {
+		if matchAll(filters, rel, ord) {
 			n++
 		}
 	}
@@ -716,28 +716,26 @@ type boundFilter struct {
 	lo, hi int64
 }
 
-// matchAll reports whether the row passes every filter, routing
-// int-valued columns through the precompiled range fast path.
-func matchAll(filters []boundFilter, row expr.Row) bool {
+// matchAll reports whether row ord of rel passes every filter, routing
+// int values through the precompiled range fast path.
+func matchAll(filters []boundFilter, rel *storage.Relation, ord int) bool {
 	for i := range filters {
 		f := &filters[i]
-		if f.ranged {
-			if v := &row[f.col]; v.K == expr.KindInt {
-				if v.I < f.lo || v.I > f.hi {
-					return false
-				}
-				continue
+		v := rel.Value(ord, f.col)
+		if f.ranged && v.K == expr.KindInt {
+			if v.I < f.lo || v.I > f.hi {
+				return false
 			}
+			continue
 		}
-		if !f.eval(row) {
+		if !f.eval(v) {
 			return false
 		}
 	}
 	return true
 }
 
-func (f boundFilter) eval(row expr.Row) bool {
-	v := row[f.col]
+func (f boundFilter) eval(v expr.Value) bool {
 	if v.IsNull() {
 		return false
 	}

@@ -199,7 +199,8 @@ func TestInFilterExecution(t *testing.T) {
 	rel := f.store.MustRelation("dim")
 	ci := rel.ColumnIndex("d_attr")
 	var want int64
-	for _, row := range rel.Rows {
+	for ord := range rel.NumRows() {
+		row := rel.Row(ord)
 		if row[ci].I == 1 || row[ci].I == 3 {
 			want++
 		}
@@ -345,8 +346,10 @@ func TestJoinWithResidualPredicate(t *testing.T) {
 	fd, fv := frel.ColumnIndex("f_dim"), frel.ColumnIndex("f_val")
 	di, da := drel.ColumnIndex("d_id"), drel.ColumnIndex("d_attr")
 	var want int64
-	for _, fr := range frel.Rows {
-		for _, dr := range drel.Rows {
+	for fo := range frel.NumRows() {
+		fr := frel.Row(fo)
+		for do := range drel.NumRows() {
+			dr := drel.Row(do)
 			if fr[fd].I == dr[di].I && fr[fv].I == dr[da].I {
 				want++
 			}
@@ -369,8 +372,8 @@ func regenerateWithoutIndexes(t *testing.T) *storage.Store {
 	for _, name := range f.store.Names() {
 		old := f.store.MustRelation(name)
 		rel := storage.NewRelation(old.Name, old.Cols)
-		for _, row := range old.Rows {
-			rel.Append(row)
+		for ord := range old.NumRows() {
+			rel.Append(old.Row(ord))
 		}
 		stripped.Add(rel)
 	}

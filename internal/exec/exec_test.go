@@ -75,11 +75,11 @@ func (f *fixture) truthJoinCount(t testing.TB, q *query.Query) int64 {
 func countFiltered(store *storage.Store, q *query.Query, rel int) int64 {
 	relation := store.MustRelation(q.Relations[rel].Table)
 	var n int64
-	for _, row := range relation.Rows {
+	for ord := range relation.NumRows() {
 		ok := true
 		for _, fp := range q.Relations[rel].Filters {
-			cmp := boundFilter{col: relation.ColumnIndex(fp.Column), op: fp.Op, val: expr.Int(fp.Value)}
-			if !cmp.eval(row) {
+			cmp := boundFilter{op: fp.Op, val: expr.Int(fp.Value)}
+			if !cmp.eval(relation.Value(ord, relation.ColumnIndex(fp.Column))) {
 				ok = false
 				break
 			}

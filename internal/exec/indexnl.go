@@ -53,7 +53,7 @@ func (j *indexNLJoin) Next() (expr.Row, error) {
 				return nil, err
 			}
 			j.cur = row
-			k, ok := joinKey(&row[j.jc.leftPos[0]])
+			k, ok := joinKey(row[j.jc.leftPos[0]])
 			if !ok {
 				continue
 			}
@@ -62,13 +62,14 @@ func (j *indexNLJoin) Next() (expr.Row, error) {
 			j.have = true
 		}
 		for j.mi < len(j.matches) {
-			inner := j.rel.Rows[j.matches[j.mi]]
+			ord := int(j.matches[j.mi])
 			j.mi++
 			// Random fetch per matched (pre-filter) row.
 			if _, err := j.meter.ChargeN(j.clsFetch, 1); err != nil {
 				return nil, err
 			}
-			if !matchAll(j.filters, inner) || !sameKey(j.cur[j.jc.leftPos[0]], inner[j.jc.rightPos[0]]) ||
+			inner := j.rel.Row(ord)
+			if !matchAll(j.filters, j.rel, ord) || !sameKey(j.cur[j.jc.leftPos[0]], inner[j.jc.rightPos[0]]) ||
 				!j.jc.residualsMatch(j.cur, inner) {
 				continue
 			}

@@ -51,16 +51,20 @@ func (jc *joinCols) residualsMatch(l, r expr.Row) bool {
 
 // joinKey is the hash key of a join-key value, false for NULL. An int
 // keys as itself and an integral float as the int it equals, so 3 and
-// 3.0 share a bucket; any other float keys by its bit pattern, which may
-// collide with an int, so bucket candidates are rechecked with sameKey.
-// Strings and bools key as their zero I field: all of them share one
-// bucket and only the recheck tells them apart.
-func joinKey(v *expr.Value) (int64, bool) {
+// 3.0 share a bucket; every NaN keys as one NaN, which equals only NaN;
+// any other float keys by its bit pattern, which may collide with an
+// int, so bucket candidates are rechecked with sameKey. Strings and
+// bools key as their zero I field: all of them share one bucket and only
+// the recheck tells them apart.
+func joinKey(v expr.Value) (int64, bool) {
 	switch v.K {
 	case expr.KindNull:
 		return 0, false
 	case expr.KindFloat:
-		if f := v.F; f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+		switch f := v.F; {
+		case f != f:
+			return int64(math.Float64bits(math.NaN())), true
+		case f == math.Trunc(f) && f >= -1<<63 && f < 1<<63:
 			return int64(f), true
 		}
 		return int64(math.Float64bits(v.F)), true
@@ -211,7 +215,7 @@ func (h *hashJoin) Open() error {
 			return err
 		}
 		h.obs.RightRows++
-		k, ok := joinKey(&row[h.jc.rightPos[0]])
+		k, ok := joinKey(row[h.jc.rightPos[0]])
 		if !ok {
 			continue
 		}
@@ -246,7 +250,7 @@ func (h *hashJoin) Next() (expr.Row, error) {
 			return nil, err
 		}
 		h.obs.LeftRows++
-		k, ok := joinKey(&row[h.jc.leftPos[0]])
+		k, ok := joinKey(row[h.jc.leftPos[0]])
 		if !ok {
 			continue
 		}

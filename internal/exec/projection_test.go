@@ -182,14 +182,14 @@ func TestResidualOnBottomJoinColumn(t *testing.T) {
 				t.Fatalf("%s: bottom join carries %d ordinal vectors, want ff and d", c.name, len(batch.ords))
 			}
 			for i := 0; i < batch.n; i++ {
-				fr, dr := fact.Rows[batch.ords[0][i]], dim.Rows[batch.ords[1][i]]
+				fr, dr := fact.Row(int(batch.ords[0][i])), dim.Row(int(batch.ords[1][i]))
 				if !expr.Equal(fr[1], dr[0]) {
 					t.Fatalf("%s: bottom row %d joins ff.f_dim=%v with d.d_id=%v", c.name, i, fr[1], dr[0])
 				}
 			}
 			rows += batch.n
 		}
-		if want := len(fact.Rows); rows != want {
+		if want := fact.NumRows(); rows != want {
 			t.Fatalf("%s: bottom join produced %d rows, want %d", c.name, rows, want)
 		}
 		op.Close()
@@ -245,20 +245,17 @@ func TestINLInnerCountFollowsStore(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		dim.Append(expr.Row{expr.Int(int64(i + 1)), expr.Int(1)})
 	}
-	rebuild := func(r *storage.Relation) {
-		r.BuildIndex(0)
-		r.BuildColumns()
-	}
-	rebuild(dim)
+	dim.BuildIndex(0)
 	check("after Append")
 
 	// Replace dim with a relation of the same row count whose filter
 	// column now passes everywhere.
 	repl := storage.NewRelation(dim.Name, dim.Cols)
-	for _, row := range dim.Rows {
+	for o := range dim.NumRows() {
+		row := dim.Row(o)
 		repl.Append(expr.Row{row[0], expr.Int(1)})
 	}
-	rebuild(repl)
+	repl.BuildIndex(0)
 	f.store.Add(repl)
 	check("after Store.Add")
 }

@@ -70,19 +70,19 @@ func (s *seqScan) Open() error {
 }
 
 func (s *seqScan) Next() (expr.Row, error) {
-	for s.pos < len(s.rel.Rows) {
+	for s.pos < s.rel.NumRows() {
 		if s.pos&cancelCheckMask == 0 {
 			if ferr := s.params.faults.Check(faultinject.SiteScanTuple); ferr != nil {
 				return nil, opError("seqscan", ferr)
 			}
 		}
-		row := s.rel.Rows[s.pos]
+		ord := s.pos
 		s.pos++
 		if _, err := s.meter.ChargeN(s.cls, 1); err != nil {
 			return nil, err
 		}
-		if matchAll(s.filters, row) {
-			return row, nil
+		if matchAll(s.filters, s.rel, ord) {
+			return s.rel.Row(ord), nil
 		}
 	}
 	return nil, io.EOF
@@ -160,13 +160,13 @@ func (s *indexScan) Open() error {
 
 func (s *indexScan) Next() (expr.Row, error) {
 	for s.pos < len(s.rows) {
-		row := s.rel.Rows[s.rows[s.pos]]
+		ord := int(s.rows[s.pos])
 		s.pos++
 		if _, err := s.meter.ChargeN(s.cls, 1); err != nil {
 			return nil, err
 		}
-		if matchAll(s.filters, row) {
-			return row, nil
+		if matchAll(s.filters, s.rel, ord) {
+			return s.rel.Row(ord), nil
 		}
 	}
 	return nil, io.EOF

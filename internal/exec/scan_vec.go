@@ -32,12 +32,11 @@ type colKernel struct {
 }
 
 // compileKernels compiles the filter conjunction against the
-// relation's column vectors. It returns nil — sending the scan down the
-// row-at-a-time path — unless every filter lands on a clean int column:
-// partial vectorization would still touch every row and just add
-// bookkeeping.
+// relation's column vectors. It returns nil — sending the scan to
+// matchAll — unless every filter lands on a clean int column: partial
+// vectorization would still touch every row and just add bookkeeping.
 func compileKernels(rel *storage.Relation, filters []boundFilter) []colKernel {
-	if len(filters) == 0 || !rel.HasColumns() {
+	if len(filters) == 0 {
 		return nil
 	}
 	ks := make([]colKernel, 0, len(filters))
@@ -126,10 +125,10 @@ func (k *colKernel) refine(sel []int32) []int32 {
 }
 
 // matchOrd reports whether row ord of rel passes every filter: through
-// the compiled column kernels when there are any, else on the row.
+// the compiled column kernels when there are any, else through Value.
 func matchOrd(rel *storage.Relation, filters []boundFilter, kernels []colKernel, ord int32) bool {
 	if kernels == nil {
-		return len(filters) == 0 || matchAll(filters, rel.Rows[ord])
+		return matchAll(filters, rel, int(ord))
 	}
 	for i := range kernels {
 		if !kernels[i].match(int(ord)) {
@@ -142,9 +141,9 @@ func matchOrd(rel *storage.Relation, filters []boundFilter, kernels []colKernel,
 // vecSeqScan reads the relation in windows of up to cap rows: each
 // batch is the window's row ordinals, one ChargeN bills the whole
 // window, and filters narrow it to the ordinals that pass, through
-// compiled columnar kernels (row-at-a-time fallback when the relation
-// has no clean columnar projection for a filter column). No row is
-// touched unless a filter needs it.
+// compiled columnar kernels (value-at-a-time fallback through
+// Relation.Value when a filter column is not a clean int vector). No
+// value is read unless a filter needs it.
 //
 // With cursor set (morsel mode) the window start is claimed from the
 // shared atomic scan cursor instead of private state, so any number of
@@ -182,7 +181,7 @@ func (s *vecSeqScan) batch(sel []int32) *rowBatch {
 }
 
 func (s *vecSeqScan) NextBatch() (*rowBatch, error) {
-	total := len(s.rel.Rows)
+	total := s.rel.NumRows()
 	for {
 		var pos int
 		if s.cursor != nil {
@@ -228,7 +227,7 @@ func (s *vecSeqScan) NextBatch() (*rowBatch, error) {
 			k := 0
 			for i := pos; i < end; i++ {
 				sel[k] = int32(i)
-				if matchAll(s.filters, s.rel.Rows[i]) {
+				if matchAll(s.filters, s.rel, i) {
 					k++
 				}
 			}
@@ -291,7 +290,7 @@ func (s *vecIndexScan) NextBatch() (*rowBatch, error) {
 		if len(s.filters) > 0 {
 			sel := s.sel[:0]
 			for _, o := range window {
-				if matchAll(s.filters, s.rel.Rows[o]) {
+				if matchAll(s.filters, s.rel, int(o)) {
 					sel = append(sel, o)
 				}
 			}

@@ -36,9 +36,9 @@ type rowBatch struct {
 // colRef is one column read resolved when its operator is built: the
 // slot of the column's base relation in a batch's ordinal tuple and the
 // column's ordinal in that relation. A clean int column is read from
-// its typed vector; a NULL key, or a column with no columnar projection
-// (Relation.Col nil), is read from the row. Every column kind thus runs
-// through the same operators.
+// its typed vector; a NULL key, or a column with no typed int vector,
+// through Relation.Value. Every column kind runs through the same
+// operators.
 type colRef struct {
 	slot  int
 	col   int
@@ -71,7 +71,7 @@ func (c *colRef) value(ord int32) expr.Value {
 	if c.typed(ord) {
 		return expr.Int(c.ints[ord])
 	}
-	return c.rel.Rows[ord][c.col]
+	return c.rel.Value(int(ord), c.col)
 }
 
 // key returns the hash key at ord — the value's joinKey, exactly what
@@ -80,7 +80,7 @@ func (c *colRef) key(ord int32) (int64, bool) {
 	if c.typed(ord) {
 		return c.ints[ord], true
 	}
-	return joinKey(&c.rel.Rows[ord][c.col])
+	return joinKey(c.rel.Value(int(ord), c.col))
 }
 
 // clean returns the column's NULL-free int vector, or nil.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -30,15 +31,37 @@ func TestCompareInts(t *testing.T) {
 	}
 }
 
+// Ints and floats compare exactly, not through float64, and NaN equals
+// only NaN, above every number (+Inf and MaxInt64 included).
 func TestCompareMixedNumeric(t *testing.T) {
-	if Compare(Int(1), Float(1.5)) != -1 {
-		t.Error("1 < 1.5 expected")
+	nan, inf := Float(math.NaN()), Float(math.Inf(1))
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Int(1), Float(1.5), -1},
+		{Float(2.0), Int(2), 0},
+		{Float(3.5), Int(3), 1},
+		{Float(1 << 53), Int(1<<53 + 1), -1},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-1 << 63), 0},
+		{Float(-0.5), Int(0), -1},
+		{Float(-1.5), Int(-1), -1},
+		{nan, Int(7), 1},
+		{nan, Int(math.MaxInt64), 1},
+		{nan, inf, 1},
+		{nan, Float(math.Float64frombits(0x7ff8000000000002)), 0},
+		{inf, Int(math.MaxInt64), 1},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
 	}
-	if Compare(Float(2.0), Int(2)) != 0 {
-		t.Error("2.0 == 2 expected")
-	}
-	if Compare(Float(3.5), Int(3)) != 1 {
-		t.Error("3.5 > 3 expected")
+	if Equal(nan, Int(7)) || !Equal(nan, nan) {
+		t.Error("NaN must equal only NaN")
 	}
 }
 

@@ -5,7 +5,9 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -55,14 +57,6 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 // Truthy reports whether v is a true boolean; NULL and non-bools are false.
 func (v Value) Truthy() bool { return v.K == KindBool && v.B }
 
-// AsFloat converts numeric values to float64 for mixed comparisons.
-func (v Value) AsFloat() float64 {
-	if v.K == KindFloat {
-		return v.F
-	}
-	return float64(v.I)
-}
-
 // String renders the value for traces and test failures.
 func (v Value) String() string {
 	switch v.K {
@@ -82,9 +76,10 @@ func (v Value) String() string {
 }
 
 // Compare orders two values: -1, 0, +1. NULL sorts before everything.
-// Numeric kinds compare numerically across int/float; comparing a
-// numeric with a string or bool panics, since the planner type-checks
-// expressions before execution.
+// Numeric kinds compare exactly across int/float; NaN equals only NaN
+// and sorts above every number, so numbers are totally ordered.
+// Comparing a numeric with a string or bool panics, since the planner
+// type-checks expressions before execution.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -101,13 +96,7 @@ func Compare(a, b Value) int {
 		if a.K != KindString || b.K != KindString {
 			panic("expr: comparing string with non-string")
 		}
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.S, b.S)
 	case a.K == KindBool || b.K == KindBool:
 		if a.K != KindBool || b.K != KindBool {
 			panic("expr: comparing bool with non-bool")
@@ -119,24 +108,44 @@ func Compare(a, b Value) int {
 			return 1
 		}
 		return 0
-	case a.K == KindInt && b.K == KindInt:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
-	default:
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+	case a.K == KindFloat && b.K == KindFloat:
+		return compareFloats(a.F, b.F)
+	case a.K == KindFloat:
+		return compareFloatInt(a.F, b.I)
+	case b.K == KindFloat:
+		return -compareFloatInt(b.F, a.I)
 	}
+	return cmp.Compare(a.I, b.I)
+}
+
+// compareFloats orders two floats with NaN equal to NaN and above every
+// number.
+func compareFloats(a, b float64) int {
+	switch {
+	case a != a && b != b:
+		return 0
+	case a != a:
+		return 1
+	case b != b:
+		return -1
+	}
+	return cmp.Compare(a, b)
+}
+
+// compareFloatInt compares f with i exactly, with NaN above every
+// number: converting i to float64 would round above 2^53.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= 1<<63:
+		return 1
+	case f < -1<<63:
+		return -1
+	}
+	t := math.Trunc(f) // in int64 range, so int64(t) is exact
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
 }
 
 // Equal reports value equality under Compare semantics; NULL equals

@@ -13,8 +13,11 @@
 package stats
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -94,20 +97,32 @@ func FromData(cat *catalog.Catalog, st *storage.Store, buckets int) (*Stats, err
 		}
 		ts := &TableStats{Rows: float64(rel.NumRows()), Cols: make(map[string]*ColStats)}
 		for i := range t.Columns {
-			vals := make([]int64, rel.NumRows())
-			for r, row := range rel.Rows {
-				if row[i].K != expr.KindInt {
-					return nil, fmt.Errorf("stats: non-int column %s.%s", t.Name, t.Columns[i].Name)
-				}
-				vals[r] = row[i].I
+			c, err := intColumn(rel, i, false)
+			if err != nil {
+				return nil, err
 			}
-			ts.Cols[t.Columns[i].Name] = buildColStats(vals, buckets)
+			ts.Cols[t.Columns[i].Name] = buildColStats(c.Ints, buckets)
 		}
 		s.tables[t.Name] = ts
 	}
 	return s, nil
 }
 
+// ErrNonIntColumn reports a FromData column or TrueJoinSel join column
+// that is not an int vector (FromData also requires it NULL-free).
+var ErrNonIntColumn = errors.New("stats: non-int column")
+
+// intColumn returns column i of rel if it is an int vector, and
+// NULL-free unless nulls is set.
+func intColumn(rel *storage.Relation, i int, nulls bool) (*storage.Column, error) {
+	c := rel.Col(i)
+	if c == nil || c.Kind != expr.KindInt || !nulls && c.HasNulls() {
+		return nil, fmt.Errorf("%w %s.%s", ErrNonIntColumn, rel.Name, rel.Cols[i])
+	}
+	return c, nil
+}
+
+// buildColStats summarizes vals, which it does not modify.
 func buildColStats(vals []int64, buckets int) *ColStats {
 	cs := &ColStats{}
 	if len(vals) == 0 {
@@ -267,17 +282,19 @@ func (s *Stats) JoinSelEstimate(q *query.Query, j query.Join) float64 {
 
 // TrueJoinSel measures the actual selectivity of a join from data: the
 // fraction of the filtered cross product that satisfies the predicate.
-// This is the ground truth qa that discovery algorithms converge to.
+// This is the ground truth qa that discovery algorithms converge to. A
+// NULL key matches nothing, as in every join method; a join column that
+// is not an int vector is an ErrNonIntColumn.
 func TrueJoinSel(st *storage.Store, q *query.Query, j query.Join) (float64, error) {
-	lRows, err := filteredRows(st, q, j.LeftRel)
+	lOrds, err := filteredRows(st, q, j.LeftRel)
 	if err != nil {
 		return 0, err
 	}
-	rRows, err := filteredRows(st, q, j.RightRel)
+	rOrds, err := filteredRows(st, q, j.RightRel)
 	if err != nil {
 		return 0, err
 	}
-	if len(lRows) == 0 || len(rRows) == 0 {
+	if len(lOrds) == 0 || len(rOrds) == 0 {
 		return 0, nil
 	}
 	lrel := st.MustRelation(q.Relations[j.LeftRel].Table)
@@ -287,15 +304,24 @@ func TrueJoinSel(st *storage.Store, q *query.Query, j query.Join) (float64, erro
 	if lc < 0 || rc < 0 {
 		return 0, fmt.Errorf("stats: join column missing for join %d", j.ID)
 	}
-	counts := make(map[int64]int64, len(rRows))
-	for _, row := range rRows {
-		counts[row[rc].I]++
+	lk, lerr := intColumn(lrel, lc, true)
+	rk, rerr := intColumn(rrel, rc, true)
+	if err := cmp.Or(lerr, rerr); err != nil {
+		return 0, err
+	}
+	counts := make(map[int64]int64, len(rOrds))
+	for _, o := range rOrds {
+		if !rk.Null(o) {
+			counts[rk.Ints[o]]++
+		}
 	}
 	var matches int64
-	for _, row := range lRows {
-		matches += counts[row[lc].I]
+	for _, o := range lOrds {
+		if !lk.Null(o) {
+			matches += counts[lk.Ints[o]]
+		}
 	}
-	return float64(matches) / (float64(len(lRows)) * float64(len(rRows))), nil
+	return float64(matches) / (float64(len(lOrds)) * float64(len(rOrds))), nil
 }
 
 // evalFilter evaluates a filter predicate against a column value.
@@ -315,28 +341,24 @@ func evalFilter(f query.FilterPred, v expr.Value) bool {
 	return c.Eval(nil).Truthy()
 }
 
-func filteredRows(st *storage.Store, q *query.Query, rel int) ([]expr.Row, error) {
+// filteredRows returns the ordinals of the query relation's rows that
+// pass all of its filters.
+func filteredRows(st *storage.Store, q *query.Query, rel int) ([]int, error) {
 	r := &q.Relations[rel]
 	relation := st.Relation(r.Table)
 	if relation == nil {
 		return nil, fmt.Errorf("stats: store missing relation %s", r.Table)
 	}
-	var out []expr.Row
-	for _, row := range relation.Rows {
-		ok := true
-		for _, f := range r.Filters {
-			ci := relation.ColumnIndex(f.Column)
-			if ci < 0 {
-				return nil, fmt.Errorf("stats: filter column %s.%s missing", r.Table, f.Column)
-			}
-			if !evalFilter(f, row[ci]) {
-				ok = false
-				break
-			}
+	out := make([]int, relation.NumRows())
+	for ord := range out {
+		out[ord] = ord
+	}
+	for _, f := range r.Filters {
+		ci := relation.ColumnIndex(f.Column)
+		if ci < 0 {
+			return nil, fmt.Errorf("stats: filter column %s.%s missing", r.Table, f.Column)
 		}
-		if ok {
-			out = append(out, row)
-		}
+		out = slices.DeleteFunc(out, func(ord int) bool { return !evalFilter(f, relation.Value(ord, ci)) })
 	}
 	return out, nil
 }

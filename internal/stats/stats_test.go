@@ -164,7 +164,8 @@ func TestFromDataExactCounts(t *testing.T) {
 	rel := st.MustRelation("fact")
 	ci := rel.ColumnIndex("f_val")
 	truth := 0.0
-	for _, row := range rel.Rows {
+	for ord := range rel.NumRows() {
+		row := rel.Row(ord)
 		if row[ci].I <= 25 {
 			truth++
 		}

@@ -1,30 +1,27 @@
-// Columnar projections of the row store. Each relation can carry typed
-// column vectors — contiguous []int64 / []float64 values, or
-// dictionary-encoded strings — built once at load time alongside the
-// row view. The vectorized executor's joins pass row ordinals, not
-// values, and read a key, residual or filter column at an ordinal from
-// these vectors; the row view serves the tuple engine, index builds and
-// the columns the vectors cannot hold (NULL values, mixed kinds). The
-// two views must stay in sync: Append invalidates the vectors (see
-// storage.go) and BuildColumns rebuilds them.
+// Column vectors: the storage of a relation. Each column is contiguous
+// []int64 / []float64 values, or dictionary-encoded strings, plus a NULL
+// bitmap, filled one value per Append. The vectorized executor's kernels
+// and joins read them directly; Value and Row read any column, typed or
+// not. A column whose values mix kinds keeps them as a []expr.Value
+// vector instead and has no typed projection (Col returns nil).
 package storage
 
 import (
 	"repro/internal/expr"
 )
 
-// Column is the typed columnar projection of one relation column. At
-// most one of Ints/Floats/Codes is populated, per Kind:
+// Column is the typed vector of one relation column. At most one of
+// Ints/Floats/Codes is populated, per Kind:
 //
 //	KindInt    → Ints[i] is the value of row i (0 where NULL)
 //	KindFloat  → Floats[i] likewise
 //	KindString → Codes[i] indexes Dict (0 where NULL)
 //
 // NULLs are word-packed in a separate bitmap; a set bit means the row's
-// value is NULL and the typed slot holds the zero value. Columns with
-// mixed value kinds (or kinds outside the three above) have no columnar
-// projection — Relation.Col returns nil for them and readers fall back
-// to the row view.
+// value is NULL and the typed slot holds the zero value. The first
+// non-NULL value fixes Kind (an all-NULL column stays KindInt). The
+// first value of another kind, or of a kind outside the three above,
+// moves the column to an untyped []expr.Value vector for good.
 type Column struct {
 	Kind   expr.Kind
 	Ints   []int64
@@ -34,6 +31,8 @@ type Column struct {
 
 	nulls   []uint64 // nil when the column has no NULLs
 	numNull int
+	codes   map[string]int32 // Dict's inverse, KindString only
+	mixed   []expr.Value     // every value once kinds mix; the typed fields are then empty
 }
 
 // HasNulls reports whether any row is NULL in this column.
@@ -57,105 +56,86 @@ func (c *Column) NullWords() []uint64 { return c.nulls }
 // String decodes the dictionary value of row i (KindString columns).
 func (c *Column) String(i int) string { return c.Dict[c.Codes[i]] }
 
-// BuildColumns (re)builds the typed column vectors from the current
-// rows. Call it once after loading; Append discards the vectors along
-// with the other derived structures.
-func (r *Relation) BuildColumns() {
-	cols := make([]*Column, len(r.Cols))
-	for ci := range r.Cols {
-		cols[ci] = buildColumn(r.Rows, ci)
-	}
-	r.cols = cols
-}
-
-// HasColumns reports whether column vectors have been built.
-func (r *Relation) HasColumns() bool { return r.cols != nil }
-
 // Col returns the typed vector for column ordinal i, or nil when the
-// vectors are not built, the ordinal is out of range, or the column is
-// not columnarizable (mixed value kinds). Callers must treat a nil as
-// "use the row view".
+// ordinal is out of range or the column mixes value kinds. Callers must
+// treat a nil as "read through Value".
 func (r *Relation) Col(i int) *Column {
-	if r.cols == nil || i < 0 || i >= len(r.cols) {
+	if i < 0 || i >= len(r.cols) || r.cols[i].mixed != nil {
 		return nil
 	}
 	return r.cols[i]
 }
 
-// buildColumn projects one column ordinal out of the rows, or returns
-// nil when the column mixes value kinds. An all-NULL (or empty) column
-// is typed as KindInt so kernels still have a vector to run over.
-func buildColumn(rows []expr.Row, ci int) *Column {
-	kind := expr.KindNull
-	for _, row := range rows {
-		k := row[ci].K
-		if k == expr.KindNull {
-			continue
-		}
-		if kind == expr.KindNull {
-			kind = k
-			continue
-		}
-		if kind != k {
-			return nil // mixed kinds: no columnar projection
-		}
+// append stores v as row i, the column's next row.
+func (c *Column) append(v expr.Value, i int) {
+	null := v.K == expr.KindNull
+	if c.mixed == nil && !null && v.K != c.Kind {
+		c.rekind(v.K, i)
 	}
-	switch kind {
-	case expr.KindNull:
-		kind = expr.KindInt
-	case expr.KindInt, expr.KindFloat, expr.KindString:
+	if c.mixed != nil {
+		c.mixed = append(c.mixed, v)
+		return
+	}
+	switch c.Kind {
+	case expr.KindInt:
+		c.Ints = append(c.Ints, v.I)
+	case expr.KindFloat:
+		c.Floats = append(c.Floats, v.F)
 	default:
-		return nil
-	}
-
-	n := len(rows)
-	c := &Column{Kind: kind}
-	setNull := func(i int) {
-		if c.nulls == nil {
-			c.nulls = make([]uint64, (n+63)/64)
+		code, ok := c.codes[v.S]
+		switch {
+		case null:
+			code = 0
+		case !ok:
+			code = int32(len(c.Dict))
+			c.Dict = append(c.Dict, v.S)
+			c.codes[v.S] = code
 		}
-		c.nulls[uint(i)>>6] |= 1 << (uint(i) & 63)
+		c.Codes = append(c.Codes, code)
+	}
+	if null || c.nulls != nil {
+		for len(c.nulls) <= i>>6 {
+			c.nulls = append(c.nulls, 0)
+		}
+	}
+	if null {
+		c.nulls[i>>6] |= 1 << (i & 63)
 		c.numNull++
 	}
-	switch kind {
-	case expr.KindInt:
-		c.Ints = make([]int64, n)
-		for i, row := range rows {
-			if v := row[ci]; v.K == expr.KindNull {
-				setNull(i)
-			} else {
-				c.Ints[i] = v.I
-			}
+}
+
+// rekind prepares the column for row n's value of kind k ≠ Kind. When
+// the n rows so far are all NULL and k is float or string, their zero
+// slots move to a vector of kind k; a second kind, or a kind outside
+// the three, moves the column to the untyped vector.
+func (c *Column) rekind(k expr.Kind, n int) {
+	switch {
+	case c.numNull < n || k != expr.KindFloat && k != expr.KindString:
+		vals := make([]expr.Value, n, n+1)
+		for i := range vals {
+			vals[i] = c.value(i)
 		}
-	case expr.KindFloat:
-		c.Floats = make([]float64, n)
-		for i, row := range rows {
-			if v := row[ci]; v.K == expr.KindNull {
-				setNull(i)
-			} else {
-				c.Floats[i] = v.F
-			}
-		}
-	case expr.KindString:
-		c.Codes = make([]int32, n)
-		codes := make(map[string]int32)
+		*c = Column{mixed: vals}
+	case k == expr.KindFloat:
+		c.Kind, c.Ints, c.Floats = k, nil, make([]float64, n)
+	default:
 		// Code 0 is reserved for NULL slots so Codes' zero value never
 		// aliases a real dictionary entry.
-		c.Dict = []string{""}
-		for i, row := range rows {
-			v := row[ci]
-			if v.K == expr.KindNull {
-				setNull(i)
-				continue
-			}
-			code, ok := codes[v.S]
-			if !ok {
-				code = int32(len(c.Dict))
-				c.Dict = append(c.Dict, v.S)
-				codes[v.S] = code
-			}
-			c.Codes[i] = code
-		}
+		c.Kind, c.Ints, c.Codes, c.Dict, c.codes = k, nil, make([]int32, n), []string{""}, map[string]int32{}
 	}
-	return c
+}
+
+// value returns row i's value.
+func (c *Column) value(i int) expr.Value {
+	switch {
+	case c.mixed != nil:
+		return c.mixed[i]
+	case c.Null(i):
+		return expr.Null
+	case c.Kind == expr.KindFloat:
+		return expr.Float(c.Floats[i])
+	case c.Kind == expr.KindString:
+		return expr.Str(c.String(i))
+	}
+	return expr.Int(c.Ints[i])
 }

@@ -1,9 +1,9 @@
 // Package storage implements the in-memory store backing the executor:
-// per-table row slices, one sorted index per indexed int column, and
-// typed column vectors (see columnar.go) built at load time for the
-// vectorized engine. The store is immutable after loading, matching the
-// paper's read-only OLAP setting; appending after derived structures
-// exist discards them so they can never be silently stale.
+// per-table typed column vectors (see columnar.go), which are the
+// storage itself — Append copies each value into its column and keeps
+// no row — plus one sorted index per indexed int column. The store is
+// immutable after loading, matching the paper's read-only OLAP setting;
+// an Append after BuildIndex discards the indexes so they are never stale.
 package storage
 
 import (
@@ -15,18 +15,17 @@ import (
 	"repro/internal/expr"
 )
 
-// Relation holds the rows of one table plus any secondary indexes.
+// Relation holds one table as one column per attribute, plus indexes.
 type Relation struct {
 	// Name is the table name.
 	Name string
 	// Cols are the column names in row order.
 	Cols []string
-	// Rows is the tuple storage.
-	Rows []expr.Row
 
+	n      int
+	cols   []*Column
 	idx    []*index // by column ordinal; nil entries are unindexed
 	colIdx map[string]int
-	cols   []*Column
 }
 
 // index is one int column's index in CSR form: keys holds the distinct
@@ -40,11 +39,12 @@ type index struct {
 
 // NewRelation creates an empty relation with the given column names.
 func NewRelation(name string, cols []string) *Relation {
-	colIdx := make(map[string]int, len(cols))
+	r := &Relation{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols)), cols: make([]*Column, len(cols))}
 	for i, c := range cols {
-		colIdx[c] = i
+		r.colIdx[c] = i
+		r.cols[i] = &Column{Kind: expr.KindInt}
 	}
-	return &Relation{Name: name, Cols: cols, colIdx: colIdx}
+	return r
 }
 
 // ColumnIndex returns the ordinal of the named column, or -1. Lookups
@@ -65,39 +65,55 @@ func (r *Relation) ColumnIndex(name string) int {
 	return -1
 }
 
-// Append adds a row; it must have exactly len(Cols) values.
-//
-// Appending after indexes or column vectors have been built discards
-// those derived structures rather than leaving them silently stale:
-// index probes over a half-indexed relation would drop the new rows
-// without any error. Callers that append post-build must re-run
-// BuildIndex/BuildColumns before using them again (the lookups panic
-// loudly on a discarded index).
+// Append copies row's values into the columns; it must have exactly
+// len(Cols) values and is not retained. Appending discards every index
+// rather than leaving it silently stale: an index probe would drop the
+// new rows without any error. Callers that append after BuildIndex must
+// re-run it (Lookup panics loudly on a discarded index).
 func (r *Relation) Append(row expr.Row) {
 	if len(row) != len(r.Cols) {
 		panic(fmt.Sprintf("storage: row width %d != %d for %s", len(row), len(r.Cols), r.Name))
 	}
-	r.idx, r.cols = nil, nil
-	r.Rows = append(r.Rows, row)
+	if r.cols == nil { // a zero-value Relation
+		*r = *NewRelation(r.Name, r.Cols)
+	}
+	for i, c := range r.cols {
+		c.append(row[i], r.n)
+	}
+	r.n++
+	r.idx = nil
 }
 
 // NumRows returns the relation cardinality.
-func (r *Relation) NumRows() int { return len(r.Rows) }
+func (r *Relation) NumRows() int { return r.n }
 
-// BuildIndex builds (or rebuilds) the index on an int64 column by
-// sorting (value, ordinal) pairs. It panics on a non-int value.
+// Value returns column col's value at row ordinal ord.
+func (r *Relation) Value(ord, col int) expr.Value { return r.cols[col].value(ord) }
+
+// Row materializes row ord as a fresh slice.
+func (r *Relation) Row(ord int) expr.Row {
+	row := make(expr.Row, len(r.cols))
+	for i, c := range r.cols {
+		row[i] = c.value(ord)
+	}
+	return row
+}
+
+// BuildIndex builds (or rebuilds) the index on an int column by sorting
+// (value, ordinal) pairs. It panics unless the column is a NULL-free
+// int vector.
 func (r *Relation) BuildIndex(col int) {
+	c := r.Col(col)
+	if c == nil || c.Kind != expr.KindInt || c.HasNulls() {
+		panic(fmt.Sprintf("storage: index on non-int column %s.%s", r.Name, r.Cols[col]))
+	}
 	type entry struct {
 		key int64
 		ord int32
 	}
-	es := make([]entry, len(r.Rows))
-	for i, row := range r.Rows {
-		v := row[col]
-		if v.K != expr.KindInt {
-			panic(fmt.Sprintf("storage: index on non-int column %s.%s", r.Name, r.Cols[col]))
-		}
-		es[i] = entry{v.I, int32(i)}
+	es := make([]entry, len(c.Ints))
+	for i, v := range c.Ints {
+		es[i] = entry{v, int32(i)}
 	}
 	slices.SortFunc(es, func(a, b entry) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
