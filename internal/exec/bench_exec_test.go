@@ -87,6 +87,15 @@ func BenchmarkHashJoin(b *testing.B) {
 	benchRun(b, q, f.store, p, 0)
 }
 
+// BenchmarkHashJoinStringKeys hash-joins 4000 rows on distinct string
+// keys to 4000 (stringKeyQuery): the table is only fast if string keys
+// spread over many buckets.
+func BenchmarkHashJoinStringKeys(b *testing.B) {
+	q, store := stringKeyQuery(4000, 4000)
+	p := plan.NewJoin(plan.HashJoin, []int{0}, plan.NewScan(0, plan.SeqScan), plan.NewScan(1, plan.SeqScan))
+	benchRun(b, q, store, p, 0)
+}
+
 func BenchmarkIndexNL(b *testing.B) {
 	f := newBenchFixture(b)
 	q := f.parse(b, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id`)

@@ -585,6 +585,78 @@ func TestJoinKeyCollisionRechecked(t *testing.T) {
 	}
 }
 
+// stringKeyQuery hand-builds tables a (left rows) and b (right rows)
+// keyed by distinct strings a_s, b_s and by bools a_b, b_b. a_s is
+// "k<i mod left/2>" and b_s "k<7i mod left>", so about half of b's keys
+// find two a rows each and the rest find none.
+func stringKeyQuery(left, right int) (*query.Query, *storage.Store) {
+	c := catalog.New("strkeys", 1)
+	store := storage.NewStore()
+	for _, tb := range []struct {
+		name string
+		rows int
+		s    func(int) string
+		b    func(int) bool
+	}{
+		{"a", left, func(i int) string { return fmt.Sprintf("k%d", i%(left/2)) }, func(i int) bool { return i%2 == 0 }},
+		{"b", right, func(i int) string { return fmt.Sprintf("k%d", 7*i%left) }, func(i int) bool { return i%3 == 0 }},
+	} {
+		x := tb.name
+		c.AddTable(&catalog.Table{Name: x, BaseRows: int64(tb.rows), Columns: []catalog.Column{
+			{Name: x + "_id", Type: catalog.Int64, Dist: catalog.Serial},
+			{Name: x + "_s", Type: catalog.String},
+			{Name: x + "_b", Type: catalog.Int64},
+		}})
+		rel := storage.NewRelation(x, []string{x + "_id", x + "_s", x + "_b"})
+		for i := 0; i < tb.rows; i++ {
+			rel.Append(expr.Row{expr.Int(int64(i)), expr.Str(tb.s(i)), expr.Bool(tb.b(i))})
+		}
+		store.Add(rel)
+	}
+	q := &query.Query{Name: "strkeys", Cat: c,
+		Relations: []query.Relation{{Table: "a", Alias: "a"}, {Table: "b", Alias: "b"}},
+		Joins: []query.Join{
+			{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "a_s", RightCol: "b_s"},
+			{ID: 1, LeftRel: 0, RightRel: 1, LeftCol: "a_b", RightCol: "b_b"},
+		}}
+	return q, store
+}
+
+// TestStringKeyJoinMatchesNLJoin joins on distinct string keys and on
+// bool keys with the hash and merge joins, in both engines and from
+// either side: each must return the tuple NL join's rows, at the same
+// cost in both engines.
+func TestStringKeyJoinMatchesNLJoin(t *testing.T) {
+	q, store := stringKeyQuery(300, 200)
+	for _, join := range []int{0, 1} {
+		for _, ends := range [][2]int{{0, 1}, {1, 0}} {
+			run := func(m plan.JoinMethod, vec bool) *Result {
+				p := plan.NewJoin(m, []int{join}, plan.NewScan(ends[0], plan.SeqScan), plan.NewScan(ends[1], plan.SeqScan))
+				res, err := New(q, store, cost.DefaultParams()).Vectorized(vec).Run(p, 0)
+				if err != nil {
+					t.Fatalf("join %d outer=%d %v vectorized=%v: %v", join, ends[0], m, vec, err)
+				}
+				return res
+			}
+			want := run(plan.NLJoin, false)
+			if want.Rows == 0 {
+				t.Fatalf("join %d: the NL join matches no row", join)
+			}
+			for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NLJoin} {
+				tup, vec := run(m, false), run(m, true)
+				for _, got := range []*Result{tup, vec} {
+					if got.Rows != want.Rows {
+						t.Errorf("join %d outer=%d %v vectorized=%v: %d rows, NL join %d", join, ends[0], m, got == vec, got.Rows, want.Rows)
+					}
+				}
+				if tup.Cost != vec.Cost {
+					t.Errorf("join %d outer=%d %v: cost %v in the tuple engine, %v vectorized", join, ends[0], m, tup.Cost, vec.Cost)
+				}
+			}
+		}
+	}
+}
+
 // TrueJoinSel is the ground truth discovery converges to, so it must
 // count what the executor joins: a NULL key matches nothing, and a join
 // column that is not an int vector is an error, not a guess.

@@ -52,14 +52,26 @@ func (jc *joinCols) residualsMatch(l, r expr.Row) bool {
 // joinKey is the hash key of a join-key value, false for NULL. An int
 // keys as itself and an integral float as the int it equals, so 3 and
 // 3.0 share a bucket; every NaN keys as one NaN, which equals only NaN;
-// any other float keys by its bit pattern, which may collide with an
-// int, so bucket candidates are rechecked with sameKey. Strings and
-// bools key as their zero I field: all of them share one bucket and only
-// the recheck tells them apart.
+// any other float keys by its bit pattern. A string keys by the 64-bit
+// FNV-1a hash of its bytes, the hash datagen seeds its streams with, and
+// a bool as 0 or 1. Keys of different values may collide, so bucket
+// candidates are rechecked with sameKey.
 func joinKey(v expr.Value) (int64, bool) {
 	switch v.K {
 	case expr.KindNull:
 		return 0, false
+	case expr.KindString:
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(v.S); i++ {
+			h ^= uint64(v.S[i])
+			h *= 1099511628211
+		}
+		return int64(h), true
+	case expr.KindBool:
+		if v.B {
+			return 1, true
+		}
+		return 0, true
 	case expr.KindFloat:
 		switch f := v.F; {
 		case f != f:

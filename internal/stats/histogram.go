@@ -25,41 +25,24 @@ type Bucket struct {
 	NDV float64
 }
 
-// buildHistogram constructs an equi-depth histogram from an ascending
-// sorted value slice. Equal values never straddle a bucket boundary.
-func buildHistogram(sorted []int64, buckets int) *Histogram {
-	n := len(sorted)
-	if n == 0 {
+// runHistogram constructs an equi-depth histogram from a column's
+// runs: keys ascending, with offs[i+1]−offs[i] rows holding keys[i].
+// A bucket closes at the first run at which it holds at least n/buckets
+// rows, so equal values never straddle a bucket boundary.
+func runHistogram(keys []int64, offs []int32, buckets int) *Histogram {
+	if len(keys) == 0 {
 		return &Histogram{}
 	}
-	if buckets > n {
-		buckets = n
-	}
+	n := int(offs[len(keys)])
+	buckets = min(buckets, n)
 	h := &Histogram{Total: float64(n)}
-	target := n / buckets
-	if target < 1 {
-		target = 1
-	}
-	i := 0
-	for i < n {
-		j := i + target
-		if j > n {
-			j = n
+	target := max(n/buckets, 1)
+	first := 0 // the open bucket's first run
+	for k := range keys {
+		if count := int(offs[k+1] - offs[first]); count >= target || k == len(keys)-1 {
+			h.Buckets = append(h.Buckets, Bucket{Lo: keys[first], Hi: keys[k], Count: float64(count), NDV: float64(k - first + 1)})
+			first = k + 1
 		}
-		// Extend so equal values stay together.
-		for j < n && sorted[j] == sorted[j-1] {
-			j++
-		}
-		b := Bucket{Lo: sorted[i], Hi: sorted[j-1], Count: float64(j - i)}
-		ndv := 1
-		for k := i + 1; k < j; k++ {
-			if sorted[k] != sorted[k-1] {
-				ndv++
-			}
-		}
-		b.NDV = float64(ndv)
-		h.Buckets = append(h.Buckets, b)
-		i = j
 	}
 	return h
 }

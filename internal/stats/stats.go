@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -97,11 +96,11 @@ func FromData(cat *catalog.Catalog, st *storage.Store, buckets int) (*Stats, err
 		}
 		ts := &TableStats{Rows: float64(rel.NumRows()), Cols: make(map[string]*ColStats)}
 		for i := range t.Columns {
-			c, err := intColumn(rel, i, false)
-			if err != nil {
+			if _, err := intColumn(rel, i, false); err != nil {
 				return nil, err
 			}
-			ts.Cols[t.Columns[i].Name] = buildColStats(c.Ints, buckets)
+			keys, offs := rel.Runs(i)
+			ts.Cols[t.Columns[i].Name] = colStats(keys, offs, buckets)
 		}
 		s.tables[t.Name] = ts
 	}
@@ -122,24 +121,18 @@ func intColumn(rel *storage.Relation, i int, nulls bool) (*storage.Column, error
 	return c, nil
 }
 
-// buildColStats summarizes vals, which it does not modify.
-func buildColStats(vals []int64, buckets int) *ColStats {
+// colStats summarizes a column from its runs (storage.Relation.Runs):
+// the first and last keys bound it, each key is one distinct value, and
+// the histogram walks the runs.
+func colStats(keys []int64, offs []int32, buckets int) *ColStats {
 	cs := &ColStats{}
-	if len(vals) == 0 {
+	if len(keys) == 0 {
 		cs.NDV = 1
 		return cs
 	}
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	cs.Min, cs.Max = sorted[0], sorted[len(sorted)-1]
-	ndv := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
-			ndv++
-		}
-	}
-	cs.NDV = float64(ndv)
-	cs.Hist = buildHistogram(sorted, buckets)
+	cs.Min, cs.Max = keys[0], keys[len(keys)-1]
+	cs.NDV = float64(len(keys))
+	cs.Hist = runHistogram(keys, offs, buckets)
 	return cs
 }
 

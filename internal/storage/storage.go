@@ -99,20 +99,110 @@ func (r *Relation) Row(ord int) expr.Row {
 	return row
 }
 
-// BuildIndex builds (or rebuilds) the index on an int column by sorting
-// (value, ordinal) pairs. It panics unless the column is a NULL-free
-// int vector.
+// BuildIndex builds (or rebuilds) the index on an int column: by a
+// counting sort when the column's key span is below 4n, by sorting
+// (value, ordinal) pairs otherwise (see group). It panics unless the
+// column is a NULL-free int vector.
 func (r *Relation) BuildIndex(col int) {
+	x := group(r.cleanInts(col))
+	if r.idx == nil {
+		r.idx = make([]*index, len(r.Cols))
+	}
+	r.idx[col] = x
+}
+
+// Runs returns an int column's values grouped into runs of equal
+// values: keys holds the distinct values in ascending order, and
+// offs[i+1]−offs[i] rows hold keys[i]. An indexed column returns its
+// index's arrays, which are read-only; any other column is grouped as
+// BuildIndex groups it, and nothing is kept. It panics unless the
+// column is a NULL-free int vector.
+func (r *Relation) Runs(col int) (keys []int64, offs []int32) {
+	if r.HasIndex(col) {
+		return r.idx[col].keys, r.idx[col].offs
+	}
+	x := group(r.cleanInts(col))
+	return x.keys, x.offs
+}
+
+// cleanInts returns column col's int vector, panicking unless it is a
+// NULL-free int column.
+func (r *Relation) cleanInts(col int) []int64 {
 	c := r.Col(col)
 	if c == nil || c.Kind != expr.KindInt || c.HasNulls() {
 		panic(fmt.Sprintf("storage: index on non-int column %s.%s", r.Name, r.Cols[col]))
 	}
+	return c.Ints
+}
+
+// denseFactor bounds the key span that group counts instead of sorting:
+// a span below denseFactor·n keeps the count array (4 bytes a slot) at
+// most 16 bytes a row, the size of a comparison sort's (key, ordinal)
+// entry.
+const denseFactor = 4
+
+// group returns vals in CSR form. When the key span hi − lo is below
+// denseFactor·len(vals), as on serial keys, foreign keys and bounded
+// attribute ranges, it counts each key's rows in linear time;
+// otherwise it sorts (value, ordinal) pairs. Both arms produce the same
+// arrays.
+func group(vals []int64) *index {
+	if len(vals) > 0 {
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		// The uint64 difference is exact for every int64 pair, MinInt64
+		// and MaxInt64 included.
+		if span := uint64(hi) - uint64(lo); span < denseFactor*uint64(len(vals)) {
+			return countGroup(vals, lo, span+1)
+		}
+	}
+	return sortGroup(vals)
+}
+
+// countGroup groups vals, whose keys all lie in [lo, lo+span), by a
+// counting sort: one pass counts each key's rows, one turns the counts
+// into run starts, and one places the ordinals in ascending order.
+func countGroup(vals []int64, lo int64, span uint64) *index {
+	starts := make([]int32, span)
+	for _, v := range vals {
+		starts[uint64(v)-uint64(lo)]++
+	}
+	distinct := 0
+	for _, n := range starts {
+		if n != 0 {
+			distinct++
+		}
+	}
+	x := &index{
+		keys: make([]int64, 0, distinct),
+		offs: make([]int32, 0, distinct+1),
+		ords: make([]int32, len(vals)),
+	}
+	at := int32(0)
+	for k, n := range starts {
+		if n != 0 {
+			x.keys = append(x.keys, int64(uint64(lo)+uint64(k)))
+			x.offs = append(x.offs, at)
+			starts[k] = at
+			at += n
+		}
+	}
+	x.offs = append(x.offs, at)
+	for i, v := range vals {
+		k := uint64(v) - uint64(lo)
+		x.ords[starts[k]] = int32(i)
+		starts[k]++
+	}
+	return x
+}
+
+// sortGroup groups vals by sorting (value, ordinal) pairs.
+func sortGroup(vals []int64) *index {
 	type entry struct {
 		key int64
 		ord int32
 	}
-	es := make([]entry, len(c.Ints))
-	for i, v := range c.Ints {
+	es := make([]entry, len(vals))
+	for i, v := range vals {
 		es[i] = entry{v, int32(i)}
 	}
 	slices.SortFunc(es, func(a, b entry) int {
@@ -140,10 +230,7 @@ func (r *Relation) BuildIndex(col int) {
 		x.ords[i] = e.ord
 	}
 	x.offs = append(x.offs, int32(len(es)))
-	if r.idx == nil {
-		r.idx = make([]*index, len(r.Cols))
-	}
-	r.idx[col] = x
+	return x
 }
 
 // HasIndex reports whether an index exists on the column.

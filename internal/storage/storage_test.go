@@ -270,10 +270,17 @@ func FuzzIndex(f *testing.F) {
 	f.Add(le(3, 1, 3, 2), int64(3), int64(1), int64(2))
 	f.Add(le(math.MaxInt64, math.MinInt64, 0, math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), int64(math.MaxInt64))
 	f.Add(le(-1, 0, 1), int64(0), int64(1), int64(-1))
+	// Spans below 4n, which the counting sort groups.
+	f.Add(le(5, 3, 5, 4, 3, 7, 9, 3), int64(5), int64(4), int64(7))
+	f.Add(le(math.MinInt64+2, math.MinInt64, math.MinInt64+2, math.MinInt64+1), int64(math.MinInt64), int64(math.MinInt64), int64(math.MinInt64+1))
+	f.Add(le(math.MaxInt64, math.MaxInt64-3, math.MaxInt64-1, math.MaxInt64), int64(math.MaxInt64), int64(math.MaxInt64-1), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, data []byte, key, lo, hi int64) {
 		var vals []int64
 		for ; len(data) >= 8 && len(vals) < 256; data = data[8:] {
 			vals = append(vals, int64(binary.LittleEndian.Uint64(data)))
+		}
+		if err := checkArms(vals); err != nil {
+			t.Fatal(err)
 		}
 		r := indexed(vals)
 		if err := checkLookup(r, vals, probeKeys(vals, key)); err != nil {
@@ -283,4 +290,80 @@ func FuzzIndex(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// checkArms groups vals by the counting sort and by the comparison sort
+// and requires identical arrays, and requires group to agree with both.
+// The counting sort runs whenever its count array stays small, also
+// above the span group would count, so both arms meet on more inputs.
+func checkArms(vals []int64) error {
+	sorted := sortGroup(vals)
+	arms := []*index{group(vals)}
+	if len(vals) > 0 {
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		if span := uint64(hi) - uint64(lo); span < max(denseFactor*uint64(len(vals)), 1<<12) {
+			arms = append(arms, countGroup(vals, lo, span+1))
+		}
+	}
+	for _, x := range arms {
+		if !slices.Equal(x.keys, sorted.keys) || !slices.Equal(x.offs, sorted.offs) || !slices.Equal(x.ords, sorted.ords) {
+			return fmt.Errorf("vals %v: grouped %v %v %v, sorted %v %v %v",
+				vals, x.keys, x.offs, x.ords, sorted.keys, sorted.offs, sorted.ords)
+		}
+	}
+	return nil
+}
+
+// Property: at key spans 4n−1 (the widest the counting sort takes), 4n
+// and 4n+1 (the narrowest it leaves to the comparison sort), both arms
+// give identical arrays and the index matches a scan.
+func TestIndexArmsAgreeAtDenseBoundProperty(t *testing.T) {
+	f := func(lo int64, draws []uint32, n uint8) bool {
+		size := int(n)%100 + 2
+		for _, extra := range []int64{-1, 0, 1} {
+			span := denseFactor*int64(size) + extra
+			base := min(lo, math.MaxInt64-span)
+			vals := []int64{base + span, base}
+			for i := 2; i < size; i++ {
+				var d int64
+				if len(draws) > 0 {
+					d = int64(draws[i%len(draws)]) % (span + 1)
+				}
+				vals = append(vals, base+d)
+			}
+			if err := checkArms(vals); err != nil {
+				t.Log(err)
+				return false
+			}
+			if err := checkLookup(indexed(vals), vals, probeKeys(vals, base)); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Dense windows ending at MinInt64 and at MaxInt64 take the counting
+// arm (span 5 < 4·6) without overflowing, and agree with the
+// comparison sort and a scan.
+func TestIndexArmsAgreeAtInt64Edges(t *testing.T) {
+	for _, vals := range [][]int64{
+		{math.MinInt64 + 5, math.MinInt64, math.MinInt64 + 2, math.MinInt64, math.MinInt64 + 5, math.MinInt64 + 1},
+		{math.MaxInt64 - 5, math.MaxInt64, math.MaxInt64 - 2, math.MaxInt64, math.MaxInt64 - 5, math.MaxInt64 - 1},
+	} {
+		if err := checkArms(vals); err != nil {
+			t.Error(err)
+		}
+		r := indexed(vals)
+		if err := checkLookup(r, vals, probeKeys(vals, vals[0])); err != nil {
+			t.Error(err)
+		}
+		if err := checkRange(r, vals, math.MinInt64, math.MaxInt64); err != nil {
+			t.Error(err)
+		}
+	}
 }
