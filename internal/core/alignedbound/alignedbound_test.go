@@ -287,3 +287,30 @@ func BenchmarkPlannerColdDecision(b *testing.B) {
 		decide()
 	}
 }
+
+// BenchmarkPlannerAcrossEpochs times what a lazy server's planner pays
+// after a refinement bump: a warm planner re-decides every root-slice
+// contour of 5D_Q91's res-8 lazy surface. Each iteration advances the
+// epoch the planner reads, over an unchanged surface, so the source's
+// contours stay warm and what is timed is the planner's share of the
+// bump: every decision recomputed, with the probe memo as earlier
+// epochs left it.
+func BenchmarkPlannerAcrossEpochs(b *testing.B) {
+	spec, err := workload.ByName("5D_Q91")
+	if err != nil {
+		b.Fatal(err)
+	}
+	lazy, err := spec.LazySpaceWith(1.0, ess.Config{Res: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := &epochSource{ContourSource: lazy}
+	pl := NewPlanner(src)
+	pl.Prime()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.epoch.Add(1)
+		pl.Prime()
+	}
+}

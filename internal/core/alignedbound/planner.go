@@ -10,6 +10,7 @@ import (
 	"repro/internal/core/bouquet"
 	"repro/internal/core/discovery"
 	"repro/internal/ess"
+	"repro/internal/optimizer"
 )
 
 // LeaderExec is one chosen leader execution on a contour: a spill-mode
@@ -45,13 +46,18 @@ type Decision struct {
 // on the contour, the learned-dimension slice, and the source's
 // refinement epoch, so they are shared across discovery runs (and across
 // goroutines in MSO sweeps) and recomputed exactly when online
-// refinement publishes a new overlay.
+// refinement publishes a new overlay. The cache holds the current
+// epoch's decisions only: the first Decide at a newer epoch drops the
+// older ones, and a caller still at an older epoch is answered with a
+// decision that is computed but not stored.
 //
 // Replacement candidates are drawn from the plans appearing on the
 // contour being decided (in canonical signature order) plus the
 // optimizer probe — a pure function of the contour itself, so eager and
 // lazy sources over the same surface decide identically regardless of
-// how much of the grid either has materialized.
+// how much of the grid either has materialized. A probe depends only on
+// its location and the remaining dimensions, never on the epoch, so the
+// planner memoizes probes for its whole life.
 type Planner struct {
 	// S is the contour provider.
 	S ess.ContourSource
@@ -60,22 +66,43 @@ type Planner struct {
 	// the engine hook of §6.1.
 	UseOptimizer bool
 
-	mu    sync.Mutex
-	cache map[decisionKey]*Decision
-	ev    *ess.Evaluator
+	mu sync.Mutex
+	// epoch is the refinement epoch whose decisions cache holds.
+	epoch  uint64
+	cache  map[decisionKey]*Decision
+	probes map[probeKey][]probeClass
+	ev     *ess.Evaluator
 }
 
 type decisionKey struct {
 	slice   string
 	contour int
-	epoch   uint64
+}
+
+// probeKey identifies an optimizer probe: the grid location whose
+// environment it costs under, and the remaining-dimension mask that
+// defines its spill classes.
+type probeKey struct {
+	pt   int32
+	mask uint16
+}
+
+// probeClass is one spill class's winner in a memoized probe. It keeps
+// no plan tree: the winner's cost is all that decides whether it
+// replaces anything, and its pool ID, −1 until a decision first picks
+// it, is all a decision records.
+type probeClass struct {
+	joinID, planID int32
+	cost           float64
 }
 
 // NewPlanner creates a planner over the source with optimizer probes on.
 func NewPlanner(src ess.ContourSource) *Planner {
 	return &Planner{
 		S: src, UseOptimizer: true,
-		cache: make(map[decisionKey]*Decision), ev: src.NewEvaluator(),
+		cache:  make(map[decisionKey]*Decision),
+		probes: make(map[probeKey][]probeClass),
+		ev:     src.NewEvaluator(),
 	}
 }
 
@@ -95,9 +122,17 @@ func (p *Planner) Prime() {
 // Decide returns the alignment decision for the contour of the slice
 // identified by learned (learned[d] ≥ 0 pins dimension d).
 func (p *Planner) Decide(learned []int, contourIdx int) *Decision {
-	key := decisionKey{slice: sliceKeyOf(learned), contour: contourIdx, epoch: p.S.Epoch()}
+	epoch := p.S.Epoch()
+	key := decisionKey{slice: sliceKeyOf(learned), contour: contourIdx}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if epoch < p.epoch {
+		return p.compute(learned, contourIdx)
+	}
+	if epoch > p.epoch {
+		clear(p.cache)
+		p.epoch = epoch
+	}
 	if d, ok := p.cache[key]; ok {
 		return d
 	}
@@ -354,19 +389,8 @@ func (p *Planner) induceAlignment(ic *ess.Contour, remMask uint16, dim, coord in
 				qBest = q
 			}
 		}
-		qry := src.Query()
-		remaining := map[int]bool{}
-		for d, joinID := range qry.EPPs {
-			if remMask&(1<<uint(d)) != 0 {
-				remaining[joinID] = true
-			}
-		}
-		env := p.ev.Env(qBest)
-		perClass := src.Optimizer().BestPerSpillClass(env, remaining)
-		if pl, ok := perClass[qry.EPPs[dim]]; ok && pl.Cost < bestCost {
-			bestCost = pl.Cost
-			bestPlan = src.AddPlan(pl.Root)
-			bestOpt = src.CostAt(qBest)
+		if c, pid, ok := p.probe(qBest, remMask, src.Query().EPPs[dim], bestCost); ok {
+			bestCost, bestPlan, bestOpt = c, pid, src.CostAt(qBest)
 		}
 	}
 
@@ -374,6 +398,57 @@ func (p *Planner) induceAlignment(ic *ess.Contour, remMask uint16, dim, coord in
 		return -1, 0, math.Inf(1)
 	}
 	return bestPlan, bestCost, bestCost / bestOpt
+}
+
+// probe returns the cost and pool ID of the cheapest plan of joinID's
+// spill class at pt, when that plan is cheaper than below; ok is false
+// otherwise. The per-class winners of each (pt, remMask) are memoized,
+// and a winner is interned into the pool only when it is first chosen,
+// so the pool grows exactly as it would with a fresh probe every time.
+// A chosen winner not yet interned, whose probe ran in an earlier call,
+// re-runs that probe for its plan tree. Callers hold p.mu.
+func (p *Planner) probe(pt int32, remMask uint16, joinID int, below float64) (float64, int32, bool) {
+	key := probeKey{pt: pt, mask: remMask}
+	classes, memo := p.probes[key]
+	var fresh map[int]*optimizer.Plan
+	if !memo {
+		fresh = p.runProbe(pt, remMask)
+		classes = make([]probeClass, 0, len(fresh))
+		for id, pl := range fresh {
+			classes = append(classes, probeClass{joinID: int32(id), planID: -1, cost: pl.Cost})
+		}
+		p.probes[key] = classes
+	}
+	for i := range classes {
+		c := &classes[i]
+		if int(c.joinID) != joinID {
+			continue
+		}
+		if !(c.cost < below) {
+			break
+		}
+		if c.planID < 0 {
+			if fresh == nil {
+				fresh = p.runProbe(pt, remMask)
+			}
+			c.planID = p.S.AddPlan(fresh[joinID].Root)
+		}
+		return c.cost, c.planID, true
+	}
+	return 0, -1, false
+}
+
+// runProbe asks the optimizer for the cheapest plan per spill class of
+// the remaining dimensions, costed at pt.
+func (p *Planner) runProbe(pt int32, remMask uint16) map[int]*optimizer.Plan {
+	qry := p.S.Query()
+	remaining := map[int]bool{}
+	for d, joinID := range qry.EPPs {
+		if remMask&(1<<uint(d)) != 0 {
+			remaining[joinID] = true
+		}
+	}
+	return p.S.Optimizer().BestPerSpillClass(p.ev.Env(pt), remaining)
 }
 
 func sortExecs(execs []LeaderExec) {

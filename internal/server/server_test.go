@@ -551,8 +551,47 @@ func TestGracefulDrain(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ExecLatency = 5 * time.Millisecond
 	cfg.DrainTimeout = 5 * time.Second
-	s := newTestServer(t, cfg)
+	drainInFlight(t, newTestServer(t, cfg), DiscoverRequest{Workload: "EQ", Algorithm: "spillbound", QA: 3})
+}
 
+// TestGracefulDrainLazy drains a lazy server with a snapshot directory
+// while an AlignedBound discovery is in flight. The request still
+// completes, feeds its observations back (a refinement round and a
+// delta appended to the snapshot), and leaves no goroutine behind.
+func TestGracefulDrainLazy(t *testing.T) {
+	cfg := lazyConfig(t)
+	cfg.SnapshotDir = t.TempDir()
+	cfg.ExecLatency = 5 * time.Millisecond
+	cfg.DrainTimeout = 5 * time.Second
+	s := newTestServer(t, cfg)
+	snap := filepath.Join(cfg.SnapshotDir, "EQ.lazy.snap")
+	base, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainInFlight(t, s, DiscoverRequest{Workload: "EQ", Algorithm: "alignedbound", QA: 30})
+
+	if s.metrics.refineObs.Load() == 0 {
+		t.Fatal("the in-flight discovery fed no observations")
+	}
+	if n := s.workloads["EQ"].lazy.Profile().Refinements; n == 0 {
+		t.Fatal("the in-flight discovery applied no refinement")
+	}
+	grown, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Size() <= base.Size() {
+		t.Fatal("the in-flight discovery appended no delta")
+	}
+}
+
+// drainInFlight serves s on a loopback listener, cancels it while req is
+// in flight, and checks that the request completes, the drain finishes,
+// new connections are refused, and the goroutine count returns to where
+// it was before Serve.
+func drainInFlight(t *testing.T, s *Server, req DiscoverRequest) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +610,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		raw, _ := json.Marshal(DiscoverRequest{Workload: "EQ", Algorithm: "spillbound", QA: 3})
+		raw, _ := json.Marshal(req)
 		resp, err := http.Post(base+"/discover", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			inflight <- result{err: err}
