@@ -229,7 +229,7 @@ func BenchmarkSpaceBuild6DExact(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := spec.SpaceWith(1.0, ess.Config{Res: 5, Exact: true}); err != nil {
+		if _, err := spec.SpaceWith(1.0, ess.Config{Res: 5, Theta: ess.ThetaExact}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,14 +82,13 @@ func main() {
 // sweepCfg carries the POSP sweep tuning flags to space builds.
 type sweepCfg struct {
 	res    int
-	exact  bool
 	theta  float64
 	coarse int
 	mode   string // -ess-mode: eager | lazy
 }
 
 func (c sweepCfg) config() ess.Config {
-	return ess.Config{Res: c.res, Exact: c.exact, Theta: c.theta, CoarseStep: c.coarse}
+	return ess.Config{Res: c.res, Theta: c.theta, CoarseStep: c.coarse}
 }
 
 // source builds the named workload's contour provider per -ess-mode.
@@ -139,7 +138,6 @@ func run(args []string) error {
 	outcomeCacheBytes := fs.Int64("outcome-cache-bytes", 0, "byte budget for serve's deterministic outcome cache (0 = 64 MiB, negative disables)")
 	execWorkers := fs.Int("exec-workers", 0, "intra-query morsel workers for real executions: table3 applies it directly, serve uses it as the per-request exec_workers cap (0 = defaults: 1 local, 8 serve)")
 	essMode := fs.String("ess-mode", "eager", "contour provider: eager (full POSP sweep up front) or lazy (demand-driven)")
-	exact := fs.Bool("exact", false, "force the exact one-DP-per-point POSP sweep")
 	theta := fs.Float64("theta", 0, "recost fallback gate width (0 = default, <0 = exact)")
 	coarse := fs.Int("coarse", 0, "phase-1 coarse lattice stride (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -192,10 +190,10 @@ func run(args []string) error {
 	if err := workload.CheckMode(*essMode); err != nil {
 		return fmt.Errorf("-ess-mode: %w", err)
 	}
-	cfg := sweepCfg{res: *res, exact: *exact, theta: *theta, coarse: *coarse, mode: *essMode}
+	cfg := sweepCfg{res: *res, theta: *theta, coarse: *coarse, mode: *essMode}
 	h := experiments.New(experiments.Options{
 		Scale: *scale, Res: *res, Lambda: *lambda, StrideHighD: *stride,
-		Exact: *exact, Theta: *theta, ExecWorkers: *execWorkers, EssMode: *essMode,
+		Theta: *theta, ExecWorkers: *execWorkers, EssMode: *essMode,
 	})
 
 	type exp struct {

@@ -121,7 +121,7 @@ func TestRunMSO(t *testing.T) {
 
 func TestRunMSOExactSweep(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run([]string{"-res", "5", "-exact", "mso", "-query", "EQ", "-alg", "planbouquet"})
+		return run([]string{"-res", "5", "-theta", "-1", "mso", "-query", "EQ", "-alg", "planbouquet"})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,14 +69,9 @@ type Planner struct {
 	mu sync.Mutex
 	// epoch is the refinement epoch whose decisions cache holds.
 	epoch  uint64
-	cache  map[decisionKey]*Decision
+	cache  map[string]*Decision
 	probes map[probeKey][]probeClass
 	ev     *ess.Evaluator
-}
-
-type decisionKey struct {
-	slice   string
-	contour int
 }
 
 // probeKey identifies an optimizer probe: the grid location whose
@@ -100,7 +95,7 @@ type probeClass struct {
 func NewPlanner(src ess.ContourSource) *Planner {
 	return &Planner{
 		S: src, UseOptimizer: true,
-		cache:  make(map[decisionKey]*Decision),
+		cache:  make(map[string]*Decision),
 		probes: make(map[probeKey][]probeClass),
 		ev:     src.NewEvaluator(),
 	}
@@ -123,7 +118,8 @@ func (p *Planner) Prime() {
 // identified by learned (learned[d] ≥ 0 pins dimension d).
 func (p *Planner) Decide(learned []int, contourIdx int) *Decision {
 	epoch := p.S.Epoch()
-	key := decisionKey{slice: sliceKeyOf(learned), contour: contourIdx}
+	var buf [64]byte
+	key := appendDecisionKey(buf[:0], learned, contourIdx)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if epoch < p.epoch {
@@ -133,23 +129,20 @@ func (p *Planner) Decide(learned []int, contourIdx int) *Decision {
 		clear(p.cache)
 		p.epoch = epoch
 	}
-	if d, ok := p.cache[key]; ok {
+	// Looking a hit up through string(key) does not allocate; only a
+	// stored miss copies the key.
+	if d, ok := p.cache[string(key)]; ok {
 		return d
 	}
 	d := p.compute(learned, contourIdx)
-	p.cache[key] = d
+	p.cache[string(key)] = d
 	return d
 }
 
-// sliceKeyOf encodes a learned-dimension vector as a cache key. Varint
-// encoding is self-delimiting, so high grid indexes cannot collide the
-// way the single-byte encoding did (byte(v+1) maps 255 and -1 alike).
-func sliceKeyOf(learned []int) string {
-	b := make([]byte, 0, len(learned)*2)
-	for _, v := range learned {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return string(b)
+// appendDecisionKey appends the decision cache key of a slice's contour
+// to b: the slice key, then the contour index's varint.
+func appendDecisionKey(b []byte, learned []int, contourIdx int) []byte {
+	return binary.AppendVarint(ess.AppendSliceKey(b, learned), int64(contourIdx))
 }
 
 // compute builds the decision: per-dimension spill geometry, induced

@@ -190,7 +190,7 @@ func TestPlannerCacheKeepsCurrentEpoch(t *testing.T) {
 	if p.epoch != 2 || len(p.cache) != 1 {
 		t.Fatalf("older-epoch Decide was stored: cache epoch %d with %d decisions", p.epoch, len(p.cache))
 	}
-	if _, ok := p.cache[decisionKey{slice: sliceKeyOf(root), contour: 1}]; ok {
+	if _, ok := p.cache[string(appendDecisionKey(nil, root, 1))]; ok {
 		t.Fatal("older-epoch decision is in the cache")
 	}
 
@@ -266,10 +266,26 @@ func TestPlannerDecideAcrossRefinementBump(t *testing.T) {
 	}
 	for _, l := range slices {
 		for ci := 0; ci < src.NumContours(); ci++ {
-			got := p.cache[decisionKey{slice: sliceKeyOf(l), contour: ci}]
+			got := p.cache[string(appendDecisionKey(nil, l, ci))]
 			if want := NewPlanner(src).Decide(l, ci); !reflect.DeepEqual(got, want) {
 				t.Fatalf("slice %v contour %d: cached %+v, fresh planner %+v", l, ci, got, want)
 			}
 		}
+	}
+}
+
+// TestPlannerCachedDecisionAllocatesNothing: a Decide answered from the
+// cache builds its key in a stack buffer and looks it up without
+// copying it, so a warm decision allocates nothing.
+func TestPlannerCachedDecisionAllocatesNothing(t *testing.T) {
+	p := NewPlanner(testutil.Space2D(t, 8))
+	learned := []int{3, -1}
+	want := p.Decide(learned, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if p.Decide(learned, 1) != want {
+			t.Fatal("warm Decide missed the cache")
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm Decide: %v allocs, want 0", allocs)
 	}
 }

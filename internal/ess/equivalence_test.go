@@ -32,7 +32,7 @@ func lowDimSuite() []workload.Spec {
 func TestThetaExactMatchesExactAcrossWorkloads(t *testing.T) {
 	for _, spec := range lowDimSuite() {
 		t.Run(spec.Name, func(t *testing.T) {
-			exact, err := spec.SpaceWith(1.0, ess.Config{Exact: true})
+			exact, err := spec.SpaceWith(1.0, ess.Config{Theta: ess.ThetaExact})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,7 +36,7 @@ func FuzzLoad(f *testing.F) {
 	// Sparse base frame plus refinement deltas, and mutations aimed at
 	// the delta decoder: truncated tails, flipped delta payload bytes,
 	// and a delta frame with no base in front of it.
-	ls, err := BuildLazy(s.Q, s.BaseEnv, s.Model, Config{Res: 6, Exact: true})
+	ls, err := BuildLazy(s.Q, s.BaseEnv, s.Model, Config{Res: 6, Theta: ThetaExact})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func FuzzLoad(f *testing.F) {
 				t.Fatal("accepted snapshot with degenerate cost surface")
 			}
 		}
-		lz, err := LoadLazy(bytes.NewReader(data), s.Q, s.BaseEnv, s.Model, Config{Exact: true})
+		lz, err := LoadLazy(bytes.NewReader(data), s.Q, s.BaseEnv, s.Model, Config{Theta: ThetaExact})
 		if err != nil {
 			return // rejected cleanly — the only acceptable failure mode
 		}

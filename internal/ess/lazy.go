@@ -1,6 +1,7 @@
 package ess
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -25,7 +26,7 @@ import (
 // DP runs at the 2^D surrounding lattice corners and the off-lattice
 // point is covered by recosting the corners' plans under PR 2's
 // log-interpolated anchor gate — or exactly when the gate fails or the
-// configuration demands it (Config.Exact / ThetaExact). Unlike the
+// configuration demands it (ThetaExact, or CoarseStep ≤ 1). Unlike the
 // eager sweep there are no global relaxation/repair phases, so
 // eager-vs-lazy bit equality is only guaranteed in exact mode; in
 // recost mode each contour point's membership is verified directly
@@ -244,7 +245,7 @@ func BuildLazy(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config)
 	ls := &LazySpace{
 		inner:     s,
 		cfg:       cfg,
-		exactMode: cfg.Exact || cfg.Theta <= 0 || cfg.CoarseStep <= 1,
+		exactMode: cfg.exact(),
 		theta:     cfg.Theta,
 		lat:       newLattice(cfg.Res, max(cfg.CoarseStep, 2)),
 		flags:     make([]atomic.Uint32, g.NumPoints()),
@@ -641,29 +642,19 @@ func (ls *LazySpace) solveRecost(pt int32) error {
 
 // --- contour materialization ------------------------------------------
 
-// contourKey builds the memo key: the learned vector (nil normalized to
-// all-free) followed by the contour index, varint encoded.
+// contourKey builds the memo key: the learned vector's slice key (nil
+// normalized to all-free) followed by the contour index's varint.
 func (ls *LazySpace) contourKey(learned []int, ci int) string {
 	D := ls.inner.Grid.D
 	b := make([]byte, 0, (D+1)*2)
-	for d := 0; d < D; d++ {
-		v := -1
-		if learned != nil {
-			v = learned[d]
+	if learned == nil {
+		for range D {
+			b = binary.AppendVarint(b, -1)
 		}
-		b = appendVarintKey(b, v)
+	} else {
+		b = AppendSliceKey(b, learned)
 	}
-	b = appendVarintKey(b, ci)
-	return string(b)
-}
-
-func appendVarintKey(b []byte, v int) []byte {
-	uv := uint64(v+1) << 1 // zig-zag-ish: -1 → 0
-	for uv >= 0x80 {
-		b = append(b, byte(uv)|0x80)
-		uv >>= 7
-	}
-	return append(b, byte(uv))
+	return string(binary.AppendVarint(b, int64(ci)))
 }
 
 // buildContour enumerates the points of contour ci on the slice. The

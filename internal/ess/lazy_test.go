@@ -27,7 +27,7 @@ func buildPair(t *testing.T, spec workload.Spec, cfg ess.Config) (*ess.Space, *e
 func TestLazyExactMatchesEagerContours(t *testing.T) {
 	for _, spec := range lowDimSuite() {
 		t.Run(spec.Name, func(t *testing.T) {
-			eager, lazy := buildPair(t, spec, ess.Config{Exact: true})
+			eager, lazy := buildPair(t, spec, ess.Config{Theta: ess.ThetaExact})
 
 			ec, lc := eager.ContourCosts(), lazy.ContourCosts()
 			if len(ec) != len(lc) {
@@ -74,7 +74,7 @@ func TestLazyExactMatchesEagerContours(t *testing.T) {
 // re-contouring with pinned dimensions must agree between providers.
 func TestLazySliceContoursMatchEager(t *testing.T) {
 	spec := lowDimSuite()[0]
-	eager, lazy := buildPair(t, spec, ess.Config{Exact: true})
+	eager, lazy := buildPair(t, spec, ess.Config{Theta: ess.ThetaExact})
 	g := eager.Grid
 
 	learned := make([]int, g.D)
@@ -163,7 +163,7 @@ func TestLazyRefinementOverlay(t *testing.T) {
 		t.Fatalf("refined points %d != changed %d", prof.RefinedPoints, changed)
 	}
 
-	exactRef, err := spec.SpaceWith(1.0, ess.Config{Exact: true})
+	exactRef, err := spec.SpaceWith(1.0, ess.Config{Theta: ess.ThetaExact})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -736,7 +736,7 @@ func LoadLazy(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model,
 
 // LoadLazyWith reconstructs a lazy space saved with LazySpace.Save and
 // grown with AppendDelta. The grid geometry comes from the frame; cfg
-// supplies the settle policy (Exact/Theta/CoarseStep) for points the
+// supplies the settle policy (Theta/CoarseStep) for points the
 // snapshot does not cover. The origin and terminus are re-solved
 // exactly and checked against the recorded values, so a frame from a
 // different environment is rejected up front; Strict additionally

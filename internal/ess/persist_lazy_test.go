@@ -33,7 +33,7 @@ func lazySnapshotBytes(t *testing.T, ls *LazySpace) []byte {
 }
 
 func TestLazySnapshotRoundTrip(t *testing.T) {
-	ls := buildLazyFrom(t, 8, Config{Exact: true})
+	ls := buildLazyFrom(t, 8, Config{Theta: ThetaExact})
 	// Settle a representative set: every full-grid contour.
 	for ci := 0; ci < ls.NumContours(); ci++ {
 		ls.ContourAt(nil, ci)
@@ -41,7 +41,7 @@ func TestLazySnapshotRoundTrip(t *testing.T) {
 	raw := lazySnapshotBytes(t, ls)
 
 	got, err := LoadLazyWith(bytes.NewReader(raw), ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{Strict: true})
+		Config{Theta: ThetaExact}, LoadOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLazySnapshotDeltaAppend(t *testing.T) {
 }
 
 func TestLazyDeltaTornTailIsCorrupt(t *testing.T) {
-	ls := buildLazyFrom(t, 8, Config{Exact: true})
+	ls := buildLazyFrom(t, 8, Config{Theta: ThetaExact})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lazy.snap")
 	mark := make(map[int32]bool)
@@ -161,7 +161,7 @@ func TestLazyDeltaTornTailIsCorrupt(t *testing.T) {
 	// The torn tail is on disk (append is deliberately non-atomic) and
 	// the loader must quarantine the whole snapshot, not skip the tail.
 	if _, err := LoadLazyFile(path, ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{}); !errors.Is(err, ErrCorrupt) {
+		Config{Theta: ThetaExact}, LoadOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn delta tail: got %v, want ErrCorrupt", err)
 	}
 
@@ -170,7 +170,7 @@ func TestLazyDeltaTornTailIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := LoadLazyFile(path, ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{Strict: true}); err != nil {
+		Config{Theta: ThetaExact}, LoadOptions{Strict: true}); err != nil {
 		t.Fatalf("rebuilt snapshot does not load: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestLazyDeltaTornTailIsCorrupt(t *testing.T) {
 func TestDenseAndLazyLoadersRejectEachOther(t *testing.T) {
 	s := buildSpace(t, 8)
 	dense := snapshotBytes(t, s)
-	ls := buildLazyFrom(t, 8, Config{Exact: true})
+	ls := buildLazyFrom(t, 8, Config{Theta: ThetaExact})
 	sparse := lazySnapshotBytes(t, ls)
 
 	if _, err := Load(bytes.NewReader(sparse), s.Q, s.BaseEnv, s.Model); !errors.Is(err, ErrCorrupt) {
@@ -190,7 +190,7 @@ func TestDenseAndLazyLoadersRejectEachOther(t *testing.T) {
 }
 
 func TestLazyStrictLoadCatchesDrift(t *testing.T) {
-	ls := buildLazyFrom(t, 8, Config{Exact: true})
+	ls := buildLazyFrom(t, 8, Config{Theta: ThetaExact})
 	for ci := 0; ci < ls.NumContours(); ci++ {
 		ls.ContourAt(nil, ci)
 	}
@@ -223,7 +223,7 @@ func TestLazyStrictLoadCatchesDrift(t *testing.T) {
 		t.Fatal("save-time verification signed a drifted frame")
 	}
 	if _, err := LoadLazyWith(bytes.NewReader(raw), ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{Strict: true}); err == nil {
+		Config{Theta: ThetaExact}, LoadOptions{Strict: true}); err == nil {
 		t.Fatal("strict lazy load must catch point cost drift")
 	}
 
@@ -237,7 +237,7 @@ func TestLazyStrictLoadCatchesDrift(t *testing.T) {
 		t.Fatal("clean frame not signed")
 	}
 	if _, err := LoadLazyWith(bytes.NewReader(clean), ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{Strict: true}); err != nil {
+		Config{Theta: ThetaExact}, LoadOptions{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
 }

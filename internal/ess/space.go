@@ -25,8 +25,8 @@ const (
 	// the recost candidates tight on the geometric grid.
 	DefaultCoarseStep = 2
 	// ThetaExact (any Theta ≤ 0) disables recost acceptance entirely, so
-	// every grid point is settled by the exact DP — equivalent to
-	// Config.Exact, and guaranteed to reproduce the exact surface.
+	// every grid point is settled by the exact DP — the classic
+	// one-DP-per-point sweep, guaranteed to reproduce the exact surface.
 	ThetaExact = -1
 )
 
@@ -41,9 +41,6 @@ type Config struct {
 	CostRatio float64
 	// Workers bounds the parallelism of the POSP sweep (default NumCPU).
 	Workers int
-	// Exact forces the classic one-DP-per-point sweep, bypassing the
-	// recost-first pipeline.
-	Exact bool
 	// Theta is the recost acceptance threshold: an off-lattice point is
 	// settled without the DP only when the best pooled recost beats the
 	// runner-up by a factor ≥ 1+Theta (and the surrounding lattice
@@ -55,6 +52,11 @@ type Config struct {
 	// Zero means DefaultCoarseStep; values ≤ 1 force the exact sweep.
 	CoarseStep int
 }
+
+// exact reports whether the configuration asks for the exact sweep:
+// ThetaExact, or a coarse lattice of stride ≤ 1. It reads a config with
+// its defaults applied, where Theta 0 already means DefaultTheta.
+func (c Config) exact() bool { return c.Theta <= 0 || c.CoarseStep <= 1 }
 
 func (c Config) withDefaults() Config {
 	if c.SelMin == 0 {
@@ -147,8 +149,8 @@ type Space struct {
 	planSig   map[string]int32
 	basePlans int
 
-	// slices caches per-slice contour sets (sliceKey → []Contour). The
-	// values are pure functions of the immutable cost surface, so a
+	// slices caches per-slice contour sets (slice key → []Contour).
+	// The values are pure functions of the immutable cost surface, so a
 	// racing double-compute is benign; LoadOrStore keeps one winner.
 	slices sync.Map
 
@@ -324,7 +326,7 @@ func (s *Space) ContoursFor(learned []int) []Contour {
 	if all {
 		return s.Contours
 	}
-	key := sliceKey(learned)
+	key := string(AppendSliceKey(make([]byte, 0, len(learned)*2), learned))
 	if c, ok := s.slices.Load(key); ok {
 		return c.([]Contour)
 	}
@@ -340,16 +342,16 @@ func (s *Space) ContoursFor(learned []int) []Contour {
 	return c.([]Contour)
 }
 
-// sliceKey encodes a learned-dimension vector as a cache key. Varint
-// encoding is self-delimiting, so high grid indexes cannot collide the
-// way single-byte encodings do (byte(v+1) maps 255 and -1 to the same
-// key).
-func sliceKey(learned []int) string {
-	b := make([]byte, 0, len(learned)*2)
+// AppendSliceKey appends the cache key of a learned-dimension vector to
+// b: one varint per dimension. Varint encoding is self-delimiting, so
+// high grid indexes cannot collide the way single-byte encodings do
+// (byte(v+1) maps 255 and -1 to the same key), and further varints may
+// follow the key unambiguously.
+func AppendSliceKey(b []byte, learned []int) []byte {
 	for _, v := range learned {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	return string(b)
+	return b
 }
 
 // slicePoints enumerates the linear indexes of the slice in ascending

@@ -183,7 +183,7 @@ func (sw *sweeper) solve(w *sweepWorker, pt int32) (*PlanInfo, error) {
 func (s *Space) sweep(cfg Config) error {
 	sw := &sweeper{s: s, cfg: cfg, sigID: make(map[string]*PlanInfo)}
 	var err error
-	if cfg.Exact || cfg.Theta <= 0 || cfg.CoarseStep <= 1 {
+	if cfg.exact() {
 		err = sw.runExact()
 	} else {
 		sw.exact = make([]bool, s.Grid.NumPoints())

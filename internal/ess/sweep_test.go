@@ -70,17 +70,17 @@ func TestLatticeGeometry(t *testing.T) {
 
 func TestSliceKeyHighIndexRegression(t *testing.T) {
 	// byte(v+1) used to map 255 and -1 to the same byte.
-	if sliceKey([]int{255, -1}) == sliceKey([]int{-1, 255}) {
-		t.Fatal("sliceKey collides on 255 vs -1")
+	if string(AppendSliceKey(nil, []int{255, -1})) == string(AppendSliceKey(nil, []int{-1, 255})) {
+		t.Fatal("AppendSliceKey collides on 255 vs -1")
 	}
 	seen := map[string][]int{}
 	for _, learned := range [][]int{
 		{-1, -1}, {0, -1}, {-1, 0}, {255, -1}, {-1, 255},
 		{254, -1}, {256, -1}, {511, -1}, {255, 255}, {1000, 2},
 	} {
-		k := sliceKey(learned)
+		k := string(AppendSliceKey(nil, learned))
 		if prev, ok := seen[k]; ok {
-			t.Fatalf("sliceKey collision: %v vs %v", prev, learned)
+			t.Fatalf("AppendSliceKey collision: %v vs %v", prev, learned)
 		}
 		seen[k] = learned
 	}
@@ -114,7 +114,7 @@ func TestRecostStatsAccounting(t *testing.T) {
 }
 
 func TestExactConfigStats(t *testing.T) {
-	s := buildSpaceCfg(t, Config{Res: 6, Exact: true})
+	s := buildSpaceCfg(t, Config{Res: 6, Theta: ThetaExact})
 	st := s.Stats
 	if st.DPCalls != st.Points || st.LatticeDP != 0 || st.RecostPoints != 0 || st.Fallbacks != 0 {
 		t.Fatalf("exact sweep stats: %+v", st)
@@ -134,7 +134,7 @@ func TestRecostSurfaceValidates(t *testing.T) {
 // reproduce the exact surface bit-for-bit (costs, per-point plan
 // signatures, contours).
 func TestThetaExactReproducesExact(t *testing.T) {
-	exact := buildSpaceCfg(t, Config{Res: 8, Exact: true})
+	exact := buildSpaceCfg(t, Config{Res: 8, Theta: ThetaExact})
 	zero := buildSpaceCfg(t, Config{Res: 8, Theta: ThetaExact})
 	if err := zero.Validate(0); err != nil {
 		t.Fatal(err)
@@ -222,6 +222,6 @@ func TestSweepParallelWorkers(t *testing.T) {
 	}
 	// Worker count must not change the exact surface.
 	assertSameSurface(t,
-		buildSpaceCfg(t, Config{Res: 10, Workers: 8, Exact: true}),
-		buildSpaceCfg(t, Config{Res: 10, Workers: 3, Exact: true}))
+		buildSpaceCfg(t, Config{Res: 10, Workers: 8, Theta: ThetaExact}),
+		buildSpaceCfg(t, Config{Res: 10, Workers: 3, Theta: ThetaExact}))
 }

@@ -686,3 +686,47 @@ func TestTrueJoinSelAgreesWithHashJoin(t *testing.T) {
 		t.Errorf("p_m = q_m: TrueJoinSel error %v, want ErrNonIntColumn", err)
 	}
 }
+
+// TestDifferentialBuildRefusals pins that both engines refuse the same
+// plans the same way: a plan that cannot be built fails with the same
+// cause, wrapped as the build stage's *OperatorError, before any cost
+// is metered.
+func TestDifferentialBuildRefusals(t *testing.T) {
+	f := newFixture(t)
+	factOnly := storage.NewStore()
+	factOnly.Add(f.store.MustRelation("fact"))
+	noIdx := regenerateWithoutIndexes(t)
+	qJoin := f.parse(t, joinSQL)
+	qScan := f.parse(t, `SELECT * FROM fact ff WHERE ff.f_val <= 50`)
+	q3 := f.parse(t, `SELECT * FROM fact ff, dim d, dim2 e
+		WHERE ff.f_dim = d.d_id AND ff.f_dim2 = e.e_id`)
+	for _, c := range []struct {
+		name  string
+		q     *query.Query
+		store *storage.Store
+		p     *plan.Node
+		want  string
+	}{
+		{"missing relation", qJoin, factOnly, twoRelPlans(qJoin)["hash"],
+			"exec: store missing relation dim"},
+		{"index scan without index", qScan, noIdx, plan.NewScan(0, plan.IndexScan),
+			"exec: no usable index for ff"},
+		{"index-NL without index", qJoin, noIdx, twoRelPlans(qJoin)["inl"],
+			"exec: no index on dim column 0 for INL join"},
+		{"predicate not below children", q3, f.store, plan.NewJoin(plan.HashJoin, []int{1},
+			plan.NewScan(q3.RelIndex("ff"), plan.SeqScan),
+			plan.NewScan(q3.RelIndex("d"), plan.SeqScan)),
+			"exec: join 1 columns not found in children"},
+	} {
+		for _, vec := range []bool{false, true} {
+			res, err := New(c.q, c.store, cost.DefaultParams()).Vectorized(vec).Run(c.p, 0)
+			var oe *OperatorError
+			if !errors.As(err, &oe) || oe.Op != "build" || oe.Err.Error() != c.want {
+				t.Fatalf("%s (vectorized=%v): err %v, want the build stage's %q", c.name, vec, err, c.want)
+			}
+			if res == nil || res.Completed || res.Cost != 0 {
+				t.Fatalf("%s (vectorized=%v): refused plan returned %+v", c.name, vec, res)
+			}
+		}
+	}
+}

@@ -258,15 +258,6 @@ type Executor struct {
 	// allocates near-zero per execution.
 	pool bufPool
 
-	// schemas and joinCols hold the query's relation schemas and
-	// qualified join-column names, and joinOrds the join columns'
-	// ordinals in their relations (-1 if absent), resolved once (see
-	// resolveNames).
-	namesOnce sync.Once
-	schemas   []*schema
-	joinCols  [][2]string
-	joinOrds  [][2]int
-
 	// inner memoizes index-NL inner cardinalities (see innerCount).
 	innerMu sync.Mutex
 	inner   map[int]innerMemo
@@ -466,19 +457,24 @@ func (e *Executor) backoff(ctx context.Context, try int) error {
 // to one per 64 iterator steps.
 const cancelCheckMask = 63
 
-// driveOnce runs one execution attempt through the selected engine.
-func (e *Executor) driveOnce(ctx context.Context, root *plan.Node, budget float64, spill bool) (*Result, error) {
-	if e.vectorized {
-		return e.driveVec(ctx, root, budget, spill)
-	}
-	return e.driveTuple(ctx, root, budget, spill)
-}
-
-// driveTuple runs one tuple-at-a-time execution attempt. It never
-// panics: operator panics are recovered and converted to typed
-// *OperatorError values, and the returned Result always carries the
-// cost consumed so far, so even failed attempts are billable.
-func (e *Executor) driveTuple(ctx context.Context, root *plan.Node, budget float64, spill bool) (res *Result, err error) {
+// driveOnce runs one execution attempt. It never panics: operator
+// panics are recovered and converted to typed *OperatorError values,
+// and the returned Result always carries the cost consumed so far, so
+// even failed attempts are billable.
+//
+// Both engines run through this one loop. The tuple engine's root
+// yields one-row batches at capacity 1, so the step gates (cancel,
+// operator-panic and latency sites) fire before every Next, every 64th
+// row. With a fault injector armed the vectorized engine runs in
+// lockstep mode — capacity 1 — which reproduces the tuple engine's
+// charge / fault-check / emit interleaving exactly, so per-site fault
+// sequence numbers, kill points, and retry schedules replay bit for
+// bit. Unarmed runs use the configured batch size; every completed-run
+// observable is still bit-identical to tuple execution (cost metering
+// is a pure function of per-class tuple counts — see Meter), and a
+// budget-killed run differs only in Result.Rows, which no discovery
+// consumer reads.
+func (e *Executor) driveOnce(ctx context.Context, root *plan.Node, budget float64, spill bool) (res *Result, err error) {
 	meter := &Meter{Budget: budget}
 	res = &Result{JoinSel: make(map[int]float64)}
 	defer func() {
@@ -489,11 +485,27 @@ func (e *Executor) driveTuple(ctx context.Context, root *plan.Node, budget float
 			err = recoveredError(root.Signature(), r)
 		}
 	}()
-	op, _, err := e.build(root, meter, res)
+	capacity := e.batchSize
+	if e.faults != nil || !e.vectorized {
+		capacity = 1 // one-row tuple batches, or lockstep
+	}
+	op, err := e.buildRoot(root, meter, res, capacity)
 	if err != nil {
 		res.Cost = meter.Used + meter.Drifted
 		res.Drift = meter.Drifted
 		return res, opError("build", err)
+	}
+	if e.faults == nil {
+		markDiscardRoot(op)
+		// Morsel-driven parallel path: multiple workers share one budget
+		// and one result, splitting the driving scan into fixed windows.
+		// Armed faults force the sequential lockstep path above (capacity
+		// 1), so chaos replay stays bit-for-bit regardless of workers.
+		if e.workers > 1 {
+			if scan := morselScanOf(op); scan != nil {
+				return e.driveMorsels(ctx, op, scan, meter, res, spill)
+			}
+		}
 	}
 	steps := 0
 	err = func() error {
@@ -511,19 +523,39 @@ func (e *Executor) driveTuple(ctx context.Context, root *plan.Node, budget float
 				if d := e.faults.Drift(faultinject.SiteLatency); d > 0 {
 					meter.AddDrift(d * e.params.Tuple)
 				}
+			} else if capacity > 1 {
+				// Off-gate batches are whole windows of rows; keep
+				// cancellation latency comparable to the tuple engine's
+				// every-64-rows check.
+				if cerr := ctx.Err(); cerr != nil {
+					return opError("cancel", cerr)
+				}
 			}
 			steps++
-			_, err := op.Next()
+			b, err := op.NextBatch()
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			res.Rows++
+			res.Rows += int64(b.n)
 		}
 	}()
 	return e.epilogue(res, meter, op, err, op.Close(), spill)
+}
+
+// buildRoot builds the plan with the selected engine, as a batch
+// operator tree for driveOnce.
+func (e *Executor) buildRoot(root *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
+	if e.vectorized {
+		return build(e, vecEngine{e: e, meter: meter, cap: capacity}, root, meter, res)
+	}
+	op, err := build(e, tupleEngine{e: e, meter: meter}, root, meter, res)
+	if err != nil {
+		return nil, err
+	}
+	return &tupleRoot{operator: op}, nil
 }
 
 // epilogue is the shared post-drive accounting for both engines:
@@ -581,78 +613,6 @@ type joinObserver interface {
 func collectObservations(op any, into map[int]float64) {
 	if jo, ok := op.(joinObserver); ok {
 		jo.observations(into)
-	}
-}
-
-// schema maps qualified column names to row positions.
-type schema struct {
-	cols []string // "alias.column"
-}
-
-func (s *schema) indexOf(name string) int {
-	for i, c := range s.cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-func concatSchema(l, r *schema) *schema {
-	out := &schema{cols: make([]string, 0, len(l.cols)+len(r.cols))}
-	out.cols = append(out.cols, l.cols...)
-	out.cols = append(out.cols, r.cols...)
-	return out
-}
-
-// build compiles a plan node into an operator tree. res collects
-// degradation notes taken during compilation (e.g. index→seq-scan
-// fallback on persistent index faults).
-func (e *Executor) build(n *plan.Node, meter *Meter, res *Result) (operator, *schema, error) {
-	if n.IsScan() {
-		return e.buildScan(n, meter, res)
-	}
-	return e.buildJoin(n, meter, res)
-}
-
-// relSchema returns the full schema of query relation rel. It is
-// shared across runs and must not be modified.
-func (e *Executor) relSchema(rel int) *schema {
-	e.namesOnce.Do(e.resolveNames)
-	return e.schemas[rel]
-}
-
-// keyNames returns the qualified column names of join predicate id's
-// left and right sides.
-func (e *Executor) keyNames(id int) [2]string {
-	e.namesOnce.Do(e.resolveNames)
-	return e.joinCols[id]
-}
-
-// resolveNames builds every relation schema and join-column name of the
-// query once, so building a plan allocates no names.
-func (e *Executor) resolveNames() {
-	e.schemas = make([]*schema, len(e.q.Relations))
-	for rel := range e.q.Relations {
-		r := &e.q.Relations[rel]
-		tab := e.q.Cat.MustTable(r.Table)
-		s := &schema{cols: make([]string, len(tab.Columns))}
-		for i := range tab.Columns {
-			s.cols[i] = r.Alias + "." + tab.Columns[i].Name
-		}
-		e.schemas[rel] = s
-	}
-	e.joinCols = make([][2]string, len(e.q.Joins))
-	e.joinOrds = make([][2]int, len(e.q.Joins))
-	for i, j := range e.q.Joins {
-		e.joinCols[i] = [2]string{
-			e.q.Relations[j.LeftRel].Alias + "." + j.LeftCol,
-			e.q.Relations[j.RightRel].Alias + "." + j.RightCol,
-		}
-		e.joinOrds[i] = [2]int{
-			e.schemas[j.LeftRel].indexOf(e.joinCols[i][0]),
-			e.schemas[j.RightRel].indexOf(e.joinCols[i][1]),
-		}
 	}
 }
 

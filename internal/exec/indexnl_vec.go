@@ -59,7 +59,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 		return nil, io.EOF
 	}
 	j.out.reset()
-	key := &j.refs.l[0]
+	key := &j.refs.preds[0].l
 	for {
 		if !j.have {
 			if j.pb == nil || j.pi >= j.pb.n {
@@ -90,7 +90,7 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 				continue
 			}
 			j.out.load(j.pb, i)
-			j.matches = j.rel.Lookup(j.refs.r[0].col, k)
+			j.matches = j.rel.Lookup(j.refs.preds[0].r.col, k)
 			j.mi = 0
 			j.have = true
 			if !j.ls {

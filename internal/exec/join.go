@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -10,33 +9,98 @@ import (
 	"repro/internal/plan"
 )
 
-// joinCols resolves the join predicates of a node to positions in the
-// left and right child schemas. The first predicate is the physical
+// tupleEngine builds the tuple-at-a-time reference engine's operators.
+// Its rows are whole base-relation rows concatenated in slot order, so
+// a join reads a column at a fixed row position (see rowPos).
+type tupleEngine struct {
+	e     *Executor
+	meter *Meter
+}
+
+func (t tupleEngine) scan(s scanSpec) operator {
+	if s.index {
+		return &indexScan{rel: s.rel, rows: s.rows, filters: s.filters, meter: t.meter, params: t.e, cls: s.cls}
+	}
+	return &seqScan{rel: s.rel, filters: s.filters, meter: t.meter, params: t.e, cls: s.cls}
+}
+
+func (t tupleEngine) join(n *plan.Node, j joinSpec, left, right operator) operator {
+	jc := &joinCols{}
+	for _, p := range j.preds {
+		jc.ids = append(jc.ids, p.id)
+		jc.leftPos = append(jc.leftPos, t.e.rowPos(n.Left, p.l))
+		jc.rightPos = append(jc.rightPos, t.e.rowPos(n.Right, p.r))
+	}
+	b := joinBase{e: t.e, meter: t.meter, jc: jc, left: left, right: right}
+	switch n.Join.Method {
+	case plan.HashJoin:
+		return &hashJoin{joinBase: b, clsBuild: j.cls[0], clsProbe: j.cls[1], clsOut: j.cls[2]}
+	case plan.MergeJoin:
+		return &mergeJoin{joinBase: b, clsMerge: j.cls[0], clsOut: j.cls[1]}
+	case plan.NLJoin:
+		return &nlJoin{joinBase: b, clsMat: j.cls[0], clsPair: j.cls[1], clsOut: j.cls[2]}
+	default:
+		return &indexNLJoin{
+			joinBase:   b,
+			relIdx:     j.inner,
+			rel:        j.rel,
+			filters:    j.filters,
+			clsDescend: j.cls[0],
+			clsFetch:   j.cls[1],
+			clsOut:     j.cls[2],
+		}
+	}
+}
+
+// rowPos is the position of column ref in the tuple engine's rows of
+// subtree n: the widths of the relations in the slots before ref's
+// plus its column ordinal.
+func (e *Executor) rowPos(n *plan.Node, ref colRef) int {
+	pos, slot := ref.col, ref.slot
+	for !n.IsScan() {
+		if w := n.Left.NumRels(); slot >= w {
+			pos += e.rowWidth(n.Left)
+			n, slot = n.Right, slot-w
+		} else {
+			n = n.Left
+		}
+	}
+	return pos
+}
+
+// rowWidth is the width of the tuple engine's rows of subtree n.
+func (e *Executor) rowWidth(n *plan.Node) int {
+	if n.IsScan() {
+		return len(e.q.Cat.MustTable(e.q.Relations[n.Scan.Rel].Table).Columns)
+	}
+	return e.rowWidth(n.Left) + e.rowWidth(n.Right)
+}
+
+// tupleRoot runs a tuple-engine tree under the batch drive loop: each
+// batch is one row, counted and never read.
+type tupleRoot struct {
+	operator
+	b rowBatch
+}
+
+func (t *tupleRoot) NextBatch() (*rowBatch, error) {
+	if _, err := t.Next(); err != nil {
+		return nil, err
+	}
+	t.b.n = 1
+	return &t.b, nil
+}
+
+// observations implements joinObserver for the tree below.
+func (t *tupleRoot) observations(into map[int]float64) { collectObservations(t.operator, into) }
+
+// joinCols is a tuple join's predicates as row positions in its
+// children's rows. The first predicate is the physical
 // (hash/merge/index) key; the rest are residual conditions.
 type joinCols struct {
 	ids      []int
 	leftPos  []int
 	rightPos []int
-}
-
-func (e *Executor) resolveJoinCols(n *plan.Node, ls, rs *schema) (*joinCols, error) {
-	jc := &joinCols{}
-	for _, id := range n.Join.JoinIDs {
-		names := e.keyNames(id)
-		lName, rName := names[0], names[1]
-		lp, rp := ls.indexOf(lName), rs.indexOf(rName)
-		if lp < 0 || rp < 0 {
-			// The predicate may be oriented the other way round.
-			lp, rp = ls.indexOf(rName), rs.indexOf(lName)
-			if lp < 0 || rp < 0 {
-				return nil, fmt.Errorf("exec: join %d columns not found in children", id)
-			}
-		}
-		jc.ids = append(jc.ids, id)
-		jc.leftPos = append(jc.leftPos, lp)
-		jc.rightPos = append(jc.rightPos, rp)
-	}
-	return jc, nil
 }
 
 // residualsMatch checks predicates beyond the physical key.
@@ -90,75 +154,6 @@ func sameKey(a, b expr.Value) bool {
 	return a.K == expr.KindInt && b.K == expr.KindInt || expr.Equal(a, b)
 }
 
-func (e *Executor) buildJoin(n *plan.Node, meter *Meter, res *Result) (operator, *schema, error) {
-	lop, ls, err := e.build(n.Left, meter, res)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch n.Join.Method {
-	case plan.HashJoin, plan.MergeJoin, plan.NLJoin:
-		rop, rs, err := e.build(n.Right, meter, res)
-		if err != nil {
-			return nil, nil, err
-		}
-		jc, err := e.resolveJoinCols(n, ls, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		sch := concatSchema(ls, rs)
-		switch n.Join.Method {
-		case plan.HashJoin:
-			return &hashJoin{
-				joinBase: base(e, meter, jc, lop, rop),
-				clsBuild: meter.Class(e.params.HashBuild),
-				clsProbe: meter.Class(e.params.HashProbe),
-				clsOut:   meter.Class(e.params.Tuple),
-			}, sch, nil
-		case plan.MergeJoin:
-			return &mergeJoin{
-				joinBase: base(e, meter, jc, lop, rop),
-				clsMerge: meter.Class(e.params.Merge),
-				clsOut:   meter.Class(e.params.Tuple),
-			}, sch, nil
-		default:
-			return &nlJoin{
-				joinBase: base(e, meter, jc, lop, rop),
-				clsMat:   meter.Class(e.params.Mat),
-				clsPair:  meter.Class(e.params.NLPair),
-				clsOut:   meter.Class(e.params.Tuple),
-			}, sch, nil
-		}
-	case plan.IndexNLJoin:
-		rel := n.Right.Scan.Rel
-		rs := e.relSchema(rel)
-		jc, err := e.resolveJoinCols(n, ls, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		relation := e.store.Relation(e.q.Relations[rel].Table)
-		if relation == nil {
-			return nil, nil, fmt.Errorf("exec: store missing relation %s", e.q.Relations[rel].Table)
-		}
-		innerCol := jc.rightPos[0]
-		if !relation.HasIndex(innerCol) {
-			return nil, nil, fmt.Errorf("exec: no index on %s column %d for INL join",
-				relation.Name, innerCol)
-		}
-		op := &indexNLJoin{
-			joinBase:   base(e, meter, jc, lop, nil),
-			relIdx:     rel,
-			rel:        relation,
-			filters:    e.compileFilters(rel),
-			clsDescend: meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
-			clsFetch:   meter.Class(e.params.IdxTuple),
-			clsOut:     meter.Class(e.params.Tuple),
-		}
-		return op, concatSchema(ls, rs), nil
-	default:
-		return nil, nil, fmt.Errorf("exec: unknown join method")
-	}
-}
-
 // joinBase holds shared join operator state including the selectivity
 // monitor (§3.1's run-time monitoring).
 type joinBase struct {
@@ -171,10 +166,6 @@ type joinBase struct {
 	// exact marks that both inputs were fully consumed, making the
 	// observed selectivity exact.
 	exact bool
-}
-
-func base(e *Executor, meter *Meter, jc *joinCols, l, r operator) joinBase {
-	return joinBase{e: e, meter: meter, jc: jc, left: l, right: r}
 }
 
 // observations implements joinObserver, recursing into children.

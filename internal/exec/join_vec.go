@@ -202,7 +202,7 @@ func (h *vecHashJoin) Open() error {
 		return err
 	}
 	h.table = h.e.pool.getTable(h.rw)
-	key := &h.refs.r[0]
+	key := &h.refs.preds[0].r
 	ints := key.clean()
 	for {
 		b, err := h.right.NextBatch()
@@ -225,7 +225,7 @@ func (h *vecHashJoin) Open() error {
 			}
 		}
 	}
-	h.pkeys = h.refs.l[0].clean()
+	h.pkeys = h.refs.preds[0].l.clean()
 	h.pb, h.pi = nil, 0
 	h.mp, h.me = nil, -1
 	h.outPending = 0
@@ -248,7 +248,7 @@ func (h *vecHashJoin) flushOut() error {
 func (h *vecHashJoin) fastProbe(b *rowBatch) int64 {
 	matches := int64(0)
 	ints := h.pkeys
-	for _, o := range b.ords[h.refs.l[0].slot][:b.n] {
+	for _, o := range b.ords[h.refs.preds[0].l.slot][:b.n] {
 		p, e := h.table.lookup(ints[o])
 		for ; e >= 0; e = p.next[e] {
 			matches++
@@ -310,7 +310,7 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			// the join has no residual predicates, matches only need to be
 			// counted — the whole probe batch runs as one tight loop over
 			// the columnar key vector with no tuple loads or emits.
-			if h.pkeys != nil && h.out.discard && len(h.refs.ids) == 1 && !h.refs.rowKey {
+			if h.pkeys != nil && h.out.discard && len(h.refs.preds) == 1 && !h.refs.rowKey {
 				m := h.fastProbe(b)
 				h.outPending += m
 				h.obs.OutRows += m
@@ -329,13 +329,13 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 		// on a match.
 		i := h.pi
 		h.pi++
-		o := h.pb.ords[h.refs.l[0].slot][i]
+		o := h.pb.ords[h.refs.preds[0].l.slot][i]
 		var k int64
 		if h.pkeys != nil {
 			k = h.pkeys[o]
 		} else {
 			var ok bool
-			if k, ok = h.refs.l[0].key(o); !ok {
+			if k, ok = h.refs.preds[0].l.key(o); !ok {
 				h.mp, h.me = nil, -1
 				continue
 			}
@@ -403,11 +403,11 @@ func (m *vecMergeJoin) Open() error {
 		return err
 	}
 	var err error
-	m.lt, err = m.drainAndSort(m.left, &m.refs.l[0], len(m.out.cur))
+	m.lt, err = m.drainAndSort(m.left, &m.refs.preds[0].l, len(m.out.cur))
 	if err != nil {
 		return err
 	}
-	m.rt, err = m.drainAndSort(m.right, &m.refs.r[0], m.rw)
+	m.rt, err = m.drainAndSort(m.right, &m.refs.preds[0].r, m.rw)
 	if err != nil {
 		return err
 	}
@@ -460,7 +460,7 @@ func (m *vecMergeJoin) drainAndSort(op batchOperator, key *colRef, w int) (ordTu
 
 // rkey returns the merge key of the right tuple at sorted position i.
 func (m *vecMergeJoin) rkey(i int) expr.Value {
-	r := &m.refs.r[0]
+	r := &m.refs.preds[0].r
 	return r.value(m.rt.at(i)[r.slot])
 }
 
@@ -499,7 +499,7 @@ func (m *vecMergeJoin) NextBatch() (*rowBatch, error) {
 		}
 		l := m.lt.at(m.li)
 		m.li++
-		lk := m.refs.l[0].value(l[m.refs.l[0].slot])
+		lk := m.refs.preds[0].l.value(l[m.refs.preds[0].l.slot])
 		if lk.IsNull() {
 			if _, err := m.meter.ChargeN(m.clsMerge, 1); err != nil {
 				return nil, err
@@ -596,7 +596,7 @@ func (n *vecNLJoin) NextBatch() (*rowBatch, error) {
 		return nil, io.EOF
 	}
 	n.out.reset()
-	lk, rk := &n.refs.l[0], &n.refs.r[0]
+	lk, rk := &n.refs.preds[0].l, &n.refs.preds[0].r
 	for {
 		if !n.have {
 			if n.pb == nil || n.pi >= n.pb.n {

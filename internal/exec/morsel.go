@@ -1,7 +1,7 @@
 // Morsel-driven intra-query parallelism for the vectorized engine.
 //
 // A parallel run splits one budgeted execution across a bounded worker
-// pool inside a single driveVec call. The plan's blocking work (hash
+// pool inside a single driveOnce call. The plan's blocking work (hash
 // builds, inner materializations, index descents at Open) runs first,
 // sequentially, on the main meter — exactly as a sequential run would.
 // Then the root pipeline — the chain of joins descending left inputs to
@@ -18,7 +18,7 @@
 // count, and a budget kill bills exactly the budget (the sequential
 // clamp) no matter how the crossing interleaved.
 //
-// Armed fault injectors never reach this path: driveVec forces
+// Armed fault injectors never reach this path: driveOnce forces
 // sequential lockstep (capacity 1) so chaos schedules replay bit for
 // bit.
 package exec
@@ -284,7 +284,7 @@ func markExactChain(op batchOperator) {
 
 // driveMorsels runs one parallel execution attempt: sequential Open
 // (blocking phase) on the main meter, then the morsel loop, then the
-// shared epilogue — the exact frame driveVec's sequential path uses.
+// shared epilogue — the exact frame driveOnce's sequential path uses.
 func (e *Executor) driveMorsels(ctx context.Context, op batchOperator, scan *vecSeqScan, meter *Meter, res *Result, spill bool) (*Result, error) {
 	err := op.Open()
 	if err == nil {
@@ -350,7 +350,7 @@ func (e *Executor) runMorsels(ctx context.Context, op batchOperator, scan *vecSe
 	foldErr := shared.fold()
 	for _, p := range panics {
 		if p != nil {
-			// Re-panic on the drive goroutine: driveVec's recover converts
+			// Re-panic on the drive goroutine: driveOnce's recover converts
 			// it to a typed operator error, exactly like sequential panics.
 			panic(p)
 		}

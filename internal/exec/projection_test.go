@@ -67,10 +67,12 @@ func checkOrdinals(t *testing.T, e *Executor, tag string, n *plan.Node, op batch
 				c = c.Left
 			}
 		}
-		return e.relSchema(c.Scan.Rel).cols[ref.col]
+		r := &e.q.Relations[c.Scan.Rel]
+		return r.Alias + "." + e.q.Cat.MustTable(r.Table).Columns[ref.col].Name
 	}
-	for k, id := range b.refs.ids {
-		l, r := name(n.Left, b.refs.l[k]), name(n.Right, b.refs.r[k])
+	for _, p := range b.refs.preds {
+		id := p.id
+		l, r := name(n.Left, p.l), name(n.Right, p.r)
 		a, z := joinColName(e.q, id, true), joinColName(e.q, id, false)
 		if !(l == a && r == z) && !(l == z && r == a) {
 			t.Fatalf("%s: join %d resolved to %s = %s", tag, id, l, r)
@@ -111,7 +113,7 @@ func TestJoinOutputCarriesOrdinals(t *testing.T) {
 			}
 			for kind, root := range roots {
 				tag := fmt.Sprintf("%s/P%d/%s", name, id, kind)
-				op, err := e.buildVec(root, &Meter{}, &Result{}, DefaultBatchSize)
+				op, err := e.buildRoot(root, &Meter{}, &Result{}, DefaultBatchSize)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -158,7 +160,7 @@ func TestResidualOnBottomJoinColumn(t *testing.T) {
 		c := diffCase{name: "resid3/" + name, q: q,
 			p: plan.NewJoin(m, []int{1, 2}, bottom, plan.NewScan(2, plan.SeqScan))}
 		e := New(q, f.store, cost.DefaultParams())
-		op, err := e.buildVec(c.p, &Meter{}, &Result{}, DefaultBatchSize)
+		op, err := e.buildRoot(c.p, &Meter{}, &Result{}, DefaultBatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,10 @@
 package exec
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/expr"
-	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -155,7 +152,7 @@ func (o *outBuf) take() *rowBatch {
 }
 
 // bufPool recycles the vectorized engine's per-run scratch buffers
-// across driveVec attempts: int32 vectors (selection and ordinal
+// across execution attempts: int32 vectors (selection and ordinal
 // vectors, sort input arenas, NL inners), join output arenas and
 // hash-build tables. A plain mutex-guarded freelist beats sync.Pool
 // here — buffers are checked out a handful of times per query, never
@@ -283,167 +280,78 @@ func markDiscardRoot(op batchOperator) {
 	}
 }
 
-// driveVec runs one batch-at-a-time execution attempt. Semantics are
-// pinned to driveTuple's: same recovery, same billing, same epilogue.
-//
-// With a fault injector armed the engine runs in lockstep mode —
-// capacity 1 — which reproduces the tuple engine's charge / fault-check
-// / emit interleaving exactly, so per-site fault sequence numbers, kill
-// points, and retry schedules replay bit for bit. Unarmed runs use the
-// configured batch size; every completed-run observable is still
-// bit-identical to tuple execution (cost metering is a pure function of
-// per-class tuple counts — see Meter), and a budget-killed run differs
-// only in Result.Rows, which no discovery consumer reads.
-func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64, spill bool) (res *Result, err error) {
-	meter := &Meter{Budget: budget}
-	res = &Result{JoinSel: make(map[int]float64)}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Cost = meter.Used + meter.Drifted
-			res.Drift = meter.Drifted
-			res.Completed = false
-			err = recoveredError(root.Signature(), r)
-		}
-	}()
-	capacity := e.batchSize
-	if e.faults != nil {
-		capacity = 1 // lockstep: replay tuple-exact fault sequences
-	}
-	op, err := e.buildVec(root, meter, res, capacity)
-	if err != nil {
-		res.Cost = meter.Used + meter.Drifted
-		res.Drift = meter.Drifted
-		return res, opError("build", err)
-	}
-	if e.faults == nil {
-		markDiscardRoot(op)
-		// Morsel-driven parallel path: multiple workers share one budget
-		// and one result, splitting the driving scan into fixed windows.
-		// Armed faults force the sequential lockstep path above (capacity
-		// 1), so chaos replay stays bit-for-bit regardless of workers.
-		if e.workers > 1 {
-			if scan := morselScanOf(op); scan != nil {
-				return e.driveMorsels(ctx, op, scan, meter, res, spill)
-			}
-		}
-	}
-	steps := 0
-	err = func() error {
-		if err := op.Open(); err != nil {
-			return err
-		}
-		for {
-			if steps&cancelCheckMask == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return opError("cancel", cerr)
-				}
-				if ferr := e.faults.Check(faultinject.SiteOperatorPanic); ferr != nil {
-					panic(ferr)
-				}
-				if d := e.faults.Drift(faultinject.SiteLatency); d > 0 {
-					meter.AddDrift(d * e.params.Tuple)
-				}
-			} else if capacity > 1 {
-				// Off-gate batches are whole windows of rows; keep
-				// cancellation latency comparable to the tuple engine's
-				// every-64-rows check.
-				if cerr := ctx.Err(); cerr != nil {
-					return opError("cancel", cerr)
-				}
-			}
-			steps++
-			b, err := op.NextBatch()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			res.Rows += int64(b.n)
-		}
-	}()
-	return e.epilogue(res, meter, op, err, op.Close(), spill)
+// vecEngine builds the vectorized engine's batch operators at batch
+// capacity cap.
+type vecEngine struct {
+	e     *Executor
+	meter *Meter
+	cap   int
 }
 
-// buildVec compiles a plan node into a batch operator tree. It must
-// mirror build exactly: same fault-check sites, same degradation notes,
-// and — critically — the same meter class registration order, so the
-// metered total is the same function of tuple counts in both engines.
-func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
-	if n.IsScan() {
-		return e.buildScanVec(n, meter, res, capacity)
+func (v vecEngine) scan(s scanSpec) batchOperator {
+	if s.index {
+		return &vecIndexScan{rel: s.rel, rows: s.rows, filters: s.filters, meter: v.meter, ex: v.e, cls: s.cls, cap: v.cap}
 	}
-	return e.buildJoinVec(n, meter, res, capacity)
+	return &vecSeqScan{
+		rel:     s.rel,
+		filters: s.filters,
+		kernels: compileKernels(s.rel, s.filters),
+		meter:   v.meter,
+		ex:      v.e,
+		cls:     s.cls,
+		cap:     v.cap,
+	}
 }
 
-// slotOf returns the slot of query relation rel in the output tuples of
-// plan subtree n — its position among n's scans, left to right — or -1
-// when rel is not below n.
-func slotOf(n *plan.Node, rel int) int {
-	switch {
-	case n.Rels>>uint(rel)&1 == 0:
-		return -1
-	case n.IsScan():
-		return 0
+func (v vecEngine) join(n *plan.Node, j joinSpec, left, right batchOperator) batchOperator {
+	base := vecJoinBase{
+		e:     v.e,
+		meter: v.meter,
+		refs:  joinRefs{preds: j.preds, rowKey: j.preds[0].l.ints == nil || j.preds[0].r.ints == nil},
+		left:  left,
+		right: right,
+		rw:    n.Right.NumRels(),
 	}
-	if s := slotOf(n.Left, rel); s >= 0 {
-		return s
+	out := v.e.pool.getOut(n.Left.NumRels(), base.rw, v.cap)
+	switch n.Join.Method {
+	case plan.HashJoin:
+		return &vecHashJoin{vecJoinBase: base, clsBuild: j.cls[0], clsProbe: j.cls[1], clsOut: j.cls[2], out: out}
+	case plan.MergeJoin:
+		return &vecMergeJoin{vecJoinBase: base, clsMerge: j.cls[0], clsOut: j.cls[1], out: out}
+	case plan.NLJoin:
+		return &vecNLJoin{vecJoinBase: base, clsMat: j.cls[0], clsPair: j.cls[1], clsOut: j.cls[2], out: out}
+	default:
+		return &vecIndexNLJoin{
+			vecJoinBase: base,
+			relIdx:      j.inner,
+			rel:         j.rel,
+			filters:     j.filters,
+			kernels:     compileKernels(j.rel, j.filters),
+			clsDescend:  j.cls[0],
+			clsFetch:    j.cls[1],
+			clsOut:      j.cls[2],
+			out:         out,
+			ls:          v.e.faults != nil,
+		}
 	}
-	return n.Left.NumRels() + slotOf(n.Right, rel)
 }
 
-// joinRefs is a vectorized join's predicates resolved to column
-// references into its children's tuples: l into the left child's, r
-// into the right's. As in joinCols, the first predicate is the physical
-// key and the rest are residuals.
+// joinRefs is a vectorized join's predicates, oriented by build: their
+// column references read the children's tuples. As in joinSpec, the
+// first predicate is the physical key and the rest are residuals.
 type joinRefs struct {
-	ids  []int
-	l, r []colRef
+	preds []joinPred
 	// rowKey marks a physical key read from rows on either side: its
 	// hash or index candidates share a joinKey, not necessarily a value,
 	// and candidateMatch rechecks them.
 	rowKey bool
 }
 
-// resolveJoinRefs resolves the join predicates of node n. It fails, as
-// resolveJoinCols does, when a predicate's columns are not below the
-// children in either orientation.
-func (e *Executor) resolveJoinRefs(n *plan.Node) (*joinRefs, error) {
-	e.namesOnce.Do(e.resolveNames)
-	jr := &joinRefs{}
-	for _, id := range n.Join.JoinIDs {
-		j, cols := e.q.Joins[id], e.joinOrds[id]
-		lrel, rrel, lcol, rcol := j.LeftRel, j.RightRel, cols[0], cols[1]
-		ls, rs := slotOf(n.Left, lrel), slotOf(n.Right, rrel)
-		if ls < 0 || rs < 0 {
-			// The predicate may be oriented the other way round.
-			lrel, rrel, lcol, rcol = rrel, lrel, rcol, lcol
-			ls, rs = slotOf(n.Left, lrel), slotOf(n.Right, rrel)
-		}
-		if ls < 0 || rs < 0 || lcol < 0 || rcol < 0 {
-			return nil, fmt.Errorf("exec: join %d columns not found in children", id)
-		}
-		l, err := e.newColRef(lrel, ls, lcol)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.newColRef(rrel, rs, rcol)
-		if err != nil {
-			return nil, err
-		}
-		jr.ids = append(jr.ids, id)
-		jr.l = append(jr.l, l)
-		jr.r = append(jr.r, r)
-	}
-	jr.rowKey = jr.l[0].ints == nil || jr.r[0].ints == nil
-	return jr, nil
-}
-
 // residualsMatch checks the predicates beyond the physical key on a
 // left and a right tuple.
 func (jr *joinRefs) residualsMatch(l, r []int32) bool {
-	for k := 1; k < len(jr.ids); k++ {
-		a, b := &jr.l[k], &jr.r[k]
+	for k := 1; k < len(jr.preds); k++ {
+		a, b := &jr.preds[k].l, &jr.preds[k].r
 		if !equalAt(a, l[a.slot], b, r[b.slot]) {
 			return false
 		}
@@ -454,132 +362,8 @@ func (jr *joinRefs) residualsMatch(l, r []int32) bool {
 // candidateMatch checks a hash or index candidate pair: the physical
 // key again when it was read from rows, then the residuals.
 func (jr *joinRefs) candidateMatch(l, r []int32) bool {
-	a, b := &jr.l[0], &jr.r[0]
+	a, b := &jr.preds[0].l, &jr.preds[0].r
 	return (!jr.rowKey || equalAt(a, l[a.slot], b, r[b.slot])) && jr.residualsMatch(l, r)
-}
-
-func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
-	rel := n.Scan.Rel
-	r := &e.q.Relations[rel]
-	relation := e.store.Relation(r.Table)
-	if relation == nil {
-		return nil, fmt.Errorf("exec: store missing relation %s", r.Table)
-	}
-	seq := func() (batchOperator, error) {
-		filters := e.compileFilters(rel)
-		return &vecSeqScan{
-			rel:     relation,
-			filters: filters,
-			kernels: compileKernels(relation, filters),
-			meter:   meter,
-			ex:      e,
-			cls:     meter.Class(e.params.SeqTuple),
-			cap:     capacity,
-		}, nil
-	}
-	switch n.Scan.Method {
-	case plan.SeqScan:
-		return seq()
-	case plan.IndexScan:
-		// Degradation ladder rung 1, identical to the tuple builder: a
-		// persistent index-probe fault downgrades to a sequential scan.
-		if ferr := e.faults.Check(faultinject.SiteIndexProbe); ferr != nil {
-			if faultinject.IsTransient(ferr) {
-				return nil, opError("indexscan", ferr)
-			}
-			res.Degraded = append(res.Degraded,
-				fmt.Sprintf("indexscan→seqscan rel=%s (%v)", r.Alias, ferr))
-			return seq()
-		}
-		rows, filters, err := e.planIndexScan(rel, relation)
-		if err != nil {
-			return nil, err
-		}
-		return &vecIndexScan{
-			rel:     relation,
-			rows:    rows,
-			filters: filters,
-			meter:   meter,
-			ex:      e,
-			cls:     meter.Class(e.params.IdxTuple),
-			cap:     capacity,
-		}, nil
-	default:
-		return nil, fmt.Errorf("exec: unknown scan method")
-	}
-}
-
-func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, error) {
-	lop, err := e.buildVec(n.Left, meter, res, capacity)
-	if err != nil {
-		return nil, err
-	}
-	lw, rw := n.Left.NumRels(), n.Right.NumRels()
-	switch n.Join.Method {
-	case plan.HashJoin, plan.MergeJoin, plan.NLJoin:
-		rop, err := e.buildVec(n.Right, meter, res, capacity)
-		if err != nil {
-			return nil, err
-		}
-		refs, err := e.resolveJoinRefs(n)
-		if err != nil {
-			return nil, err
-		}
-		base := vecJoinBase{e: e, meter: meter, refs: refs, left: lop, right: rop, rw: rw}
-		out := e.pool.getOut(lw, rw, capacity)
-		switch n.Join.Method {
-		case plan.HashJoin:
-			return &vecHashJoin{
-				vecJoinBase: base,
-				clsBuild:    meter.Class(e.params.HashBuild),
-				clsProbe:    meter.Class(e.params.HashProbe),
-				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
-			}, nil
-		case plan.MergeJoin:
-			return &vecMergeJoin{
-				vecJoinBase: base,
-				clsMerge:    meter.Class(e.params.Merge),
-				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
-			}, nil
-		default:
-			return &vecNLJoin{
-				vecJoinBase: base,
-				clsMat:      meter.Class(e.params.Mat),
-				clsPair:     meter.Class(e.params.NLPair),
-				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
-			}, nil
-		}
-	case plan.IndexNLJoin:
-		rel := n.Right.Scan.Rel
-		refs, err := e.resolveJoinRefs(n)
-		if err != nil {
-			return nil, err
-		}
-		relation := refs.r[0].rel
-		innerCol := refs.r[0].col
-		if !relation.HasIndex(innerCol) {
-			return nil, fmt.Errorf("exec: no index on %s column %d for INL join",
-				relation.Name, innerCol)
-		}
-		filters := e.compileFilters(rel)
-		return &vecIndexNLJoin{
-			vecJoinBase: vecJoinBase{e: e, meter: meter, refs: refs, left: lop, rw: 1},
-			relIdx:      rel,
-			rel:         relation,
-			filters:     filters,
-			kernels:     compileKernels(relation, filters),
-			clsDescend:  meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
-			clsFetch:    meter.Class(e.params.IdxTuple),
-			clsOut:      meter.Class(e.params.Tuple),
-			out:         e.pool.getOut(lw, 1, capacity),
-			ls:          e.faults != nil,
-		}, nil
-	default:
-		return nil, fmt.Errorf("exec: unknown join method")
-	}
 }
 
 // vecJoinBase is the batch engine's counterpart of joinBase: shared
@@ -587,7 +371,7 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 type vecJoinBase struct {
 	e           *Executor
 	meter       *Meter
-	refs        *joinRefs
+	refs        joinRefs
 	left, right batchOperator
 	// rw is the width of the right child's tuples.
 	rw  int
@@ -600,8 +384,8 @@ type vecJoinBase struct {
 // observations implements joinObserver, recursing into children.
 func (b *vecJoinBase) observations(into map[int]float64) {
 	if b.exact {
-		for _, id := range b.refs.ids {
-			into[id] = b.obs.Sel()
+		for _, p := range b.refs.preds {
+			into[p.id] = b.obs.Sel()
 		}
 	}
 	collectObservations(b.left, into)

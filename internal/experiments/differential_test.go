@@ -267,7 +267,7 @@ func TestDifferentialDiscoveryRealLazy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := ess.Config{Res: spec.Res, Exact: true}
+		cfg := ess.Config{Res: spec.Res, Theta: ess.ThetaExact}
 		space, err := ess.Build(s.q, s.space.BaseEnv, model, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -21,9 +21,6 @@ type Options struct {
 	// StrideHighD samples every n-th location in 5D/6D MSO sweeps to
 	// bound runtime (default 3; 1 = exhaustive).
 	StrideHighD int
-	// Exact forces the exact one-DP-per-point POSP sweep when building
-	// search spaces instead of the recost-first pipeline.
-	Exact bool
 	// Theta is the recost sweep's fallback gate width (0 = ess default;
 	// ess.ThetaExact disables recosting).
 	Theta float64
@@ -90,7 +87,7 @@ func (h *Harness) source(spec workload.Spec, mode string) (ess.ContourSource, er
 		return src, nil
 	}
 	src, err := spec.Source(mode, h.Opts.Scale, ess.Config{
-		Res: h.Opts.Res, Exact: h.Opts.Exact, Theta: h.Opts.Theta,
+		Res: h.Opts.Res, Theta: h.Opts.Theta,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building %s (%s): %w", spec.Name, mode, err)

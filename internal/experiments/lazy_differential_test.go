@@ -26,7 +26,7 @@ func buildLazyPair(t *testing.T, res int) *lazyPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ess.Config{Res: res, Exact: true}
+	cfg := ess.Config{Res: res, Theta: ess.ThetaExact}
 	space, err := spec.SpaceWith(0.2, cfg)
 	if err != nil {
 		t.Fatal(err)

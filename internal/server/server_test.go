@@ -551,7 +551,8 @@ func TestGracefulDrain(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ExecLatency = 5 * time.Millisecond
 	cfg.DrainTimeout = 5 * time.Second
-	drainInFlight(t, newTestServer(t, cfg), DiscoverRequest{Workload: "EQ", Algorithm: "spillbound", QA: 3})
+	// Nine executions at 5 ms each: the drain starts mid-run.
+	drainInFlight(t, newTestServer(t, cfg), DiscoverRequest{Workload: "EQ", Algorithm: "spillbound", QA: 35})
 }
 
 // TestGracefulDrainLazy drains a lazy server with a snapshot directory
@@ -621,7 +622,13 @@ func drainInFlight(t *testing.T, s *Server, req DiscoverRequest) {
 		buf.ReadFrom(resp.Body)
 		inflight <- result{code: resp.StatusCode, body: buf.Bytes()}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the request get in flight
+	// Trigger the drain only once the request is inside the handler.
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.inflight.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached the handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 
 	res := <-inflight
