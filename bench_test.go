@@ -275,21 +275,25 @@ func BenchmarkLazyDiscover6D(b *testing.B) {
 	}
 }
 
-// BenchmarkContours isolates iso-cost contour extraction on a built 2D
-// space.
+// BenchmarkContours isolates iso-cost contour extraction: each
+// iteration enumerates every full-grid contour of a freshly built 2D
+// space, whose contour memo starts empty. The build is not timed.
 func BenchmarkContours(b *testing.B) {
 	spec, err := workload.ByName("2D_Q91")
 	if err != nil {
 		b.Fatal(err)
 	}
-	space, err := spec.Space(1.0, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cs := space.RecomputeContours(); len(cs) == 0 {
-			b.Fatal("no contours")
+		b.StopTimer()
+		space, err := spec.Space(1.0, 12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for ci := range space.NumContours() {
+			if len(space.ContourAt(nil, ci).Points) == 0 {
+				b.Fatalf("contour %d empty", ci)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ESS: %d locations, %d POSP plans, %d contours\n\n",
-		space.Grid.NumPoints(), space.NumPlans(), len(space.Contours))
+		space.Grid.NumPoints(), space.NumPlans(), space.NumContours())
 
 	sess, err := core.Compile(space, core.CompileOptions{})
 	if err != nil {

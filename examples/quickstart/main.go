@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ESS: %d locations, %d POSP plans, %d iso-cost contours, cost range [%.3g, %.3g]\n\n",
-		space.Grid.NumPoints(), space.NumPlans(), len(space.Contours), space.Cmin, space.Cmax)
+		space.Grid.NumPoints(), space.NumPlans(), space.NumContours(), space.Cmin, space.Cmax)
 
 	// 3. Pretend the query's true selectivities are (0.02, 0.3) — far
 	//    from what any estimator would guess.

@@ -123,7 +123,7 @@ func TestDecisionPenaltySanity(t *testing.T) {
 	s := testutil.Space2D(t, 10)
 	pl := NewPlanner(s)
 	unlearned := []int{-1, -1}
-	for ci := range s.Contours {
+	for ci := range s.NumContours() {
 		dec := pl.Decide(unlearned, ci)
 		if len(dec.Execs) == 0 {
 			t.Fatalf("contour %d: no executions chosen", ci)
@@ -148,7 +148,7 @@ func TestDecisionPenaltySanity(t *testing.T) {
 			if ex.Budget <= 0 {
 				t.Fatal("non-positive budget")
 			}
-			if !ex.Induced && ex.Budget != s.Contours[ci].Cost {
+			if !ex.Induced && ex.Budget != s.ContourAt(nil, ci).Cost {
 				t.Fatal("native execution must use the contour budget")
 			}
 			if !ex.Induced && ex.Penalty != 1 {
@@ -187,8 +187,8 @@ func TestProfileShape(t *testing.T) {
 	s := testutil.Space2D(t, 10)
 	pl := NewPlanner(s)
 	prof := pl.Profile()
-	if len(prof) != len(s.Contours) {
-		t.Fatalf("profile length %d != contours %d", len(prof), len(s.Contours))
+	if len(prof) != s.NumContours() {
+		t.Fatalf("profile length %d != contours %d", len(prof), s.NumContours())
 	}
 	for i, ca := range prof {
 		if ca.Contour != i+1 {
@@ -249,7 +249,7 @@ func TestTraceBudgetsRespectPenalty(t *testing.T) {
 		if step.Phase != discovery.PhaseSpill {
 			continue
 		}
-		cc := s.Contours[step.Contour-1].Cost
+		cc := s.ContourAt(nil, step.Contour-1).Cost
 		// Budgets are CC_i for native, Cost(P,q) ≥ CC_i·Δ⁻¹ for induced;
 		// in no case should a budget be absurdly above the contour cost.
 		if step.Budget > cc*20 {

@@ -61,7 +61,7 @@ func TestBudgetsInflatedByLambda(t *testing.T) {
 	qa := int32(s.Grid.Terminus())
 	out, _ := Run(s, red, discovery.NewSimEngine(s, qa))
 	for _, step := range out.Steps {
-		want := s.Contours[step.Contour-1].Cost * 1.2
+		want := s.ContourAt(nil, step.Contour-1).Cost * 1.2
 		if step.Budget != want {
 			t.Fatalf("budget %v, want (1+λ)·CC = %v", step.Budget, want)
 		}
@@ -85,9 +85,9 @@ func TestContourOrderAndExhaustion(t *testing.T) {
 	}
 	// The (1+λ) budget inflation can let a plan finish one contour
 	// early, but never earlier than that.
-	if maxContour < len(s.Contours)-1 {
+	if maxContour < s.NumContours()-1 {
 		t.Errorf("terminus should climb to contour %d or %d, got %d",
-			len(s.Contours)-1, len(s.Contours), maxContour)
+			s.NumContours()-1, s.NumContours(), maxContour)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestSimEngineExecSpillFailure(t *testing.T) {
 	// qa at the terminus: tiny budgets can't complete spills.
 	qa := int32(s.Grid.Terminus())
 	eng := NewSimEngine(s, qa)
-	pid := s.PointPlan[s.Contours[0].Points[0]] // cheapest plan
+	pid := s.PointPlan[s.ContourAt(nil, 0).Points[0]] // cheapest plan
 	dim := s.SpillDim(pid, 0b11)
 	budget := s.Cmin
 	c, done, idx := eng.ExecSpill(pid, dim, budget)

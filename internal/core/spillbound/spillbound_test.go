@@ -146,7 +146,7 @@ func TestChooseSpillPlansCoverDims(t *testing.T) {
 	st := discovery.NewState(2)
 	// Mid contour should have plans spilling on at least one dimension,
 	// and every returned exec must be consistent.
-	ic := &s.Contours[len(s.Contours)/2]
+	ic := s.ContourAt(nil, s.NumContours()/2)
 	execs := ChooseSpillPlans(s, st, ic)
 	if len(execs) == 0 {
 		t.Fatal("no spill plans chosen on a mid contour")
@@ -171,8 +171,8 @@ func TestChooseSpillPlansCoverDims(t *testing.T) {
 func TestChooseSpillPlansMaximality(t *testing.T) {
 	s := testutil.Space2D(t, 12)
 	st := discovery.NewState(2)
-	for ci := range s.Contours {
-		ic := &s.Contours[ci]
+	for ci := range s.NumContours() {
+		ic := s.ContourAt(nil, ci)
 		execs := ChooseSpillPlans(s, st, ic)
 		for _, ex := range execs {
 			for _, pt := range ic.Points {

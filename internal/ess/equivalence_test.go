@@ -51,11 +51,11 @@ func TestThetaExactMatchesExactAcrossWorkloads(t *testing.T) {
 					t.Fatalf("point %d plan %s != %s", pt, es, zs)
 				}
 			}
-			if len(exact.Contours) != len(zero.Contours) {
-				t.Fatalf("contours %d != %d", len(exact.Contours), len(zero.Contours))
+			if exact.NumContours() != zero.NumContours() {
+				t.Fatalf("contours %d != %d", exact.NumContours(), zero.NumContours())
 			}
-			for i := range exact.Contours {
-				a, b := exact.Contours[i], zero.Contours[i]
+			for i := range exact.NumContours() {
+				a, b := exact.ContourAt(nil, i), zero.ContourAt(nil, i)
 				if a.Cost != b.Cost || len(a.Points) != len(b.Points) {
 					t.Fatalf("contour %d differs", i)
 				}

@@ -1,7 +1,6 @@
 package ess
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -52,12 +51,6 @@ type LazySpace struct {
 	// the owning coarse interval ([idx[i], idx[i+1]), top closed) — the
 	// corner anchors used when settling the coordinate by recost.
 	cellLo, cellHi []int
-
-	// costs is the fixed budget sequence CC_1..CC_m (Cmin and Cmax are
-	// settled exactly at construction and never refined); budgets adds
-	// the eager extractor's epsilon slack.
-	costs   []float64
-	budgets []float64
 
 	flags []atomic.Uint32
 	locks []sync.Mutex
@@ -169,13 +162,22 @@ const (
 const lazyLockShards = 256
 
 // lazyState is one refinement epoch: the copy-on-write overlay of
-// exactly re-solved point values and the contour memo keyed by
-// (slice, contour). Both are immutable once published (the sync.Map
-// only ever gains entries that are pure functions of the epoch).
+// exactly re-solved point values and the contour memo over them. Both
+// are immutable once published (the memo only ever gains entries that
+// are pure functions of the epoch). Every epoch climbs one budget
+// ladder: Cmin and Cmax are settled exactly and never refined.
 type lazyState struct {
 	refined  map[int32]refinedVal
-	contours sync.Map
+	contours *contourMemo
 	epoch    uint64
+}
+
+// newState builds an epoch over the overlay, its contour memo reading
+// costs through that same epoch.
+func (ls *LazySpace) newState(refined map[int32]refinedVal, epoch uint64, costs []float64) *lazyState {
+	st := &lazyState{refined: refined, epoch: epoch}
+	st.contours = newContourMemo(ls.inner.Grid, costs, func(pt int) float64 { return ls.costAtState(st, int32(pt)) })
+	return st
 }
 
 type refinedVal struct {
@@ -273,24 +275,17 @@ func BuildLazy(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config)
 			tried:  make([]int32, 0, 8),
 		}
 	}
-	ls.state.Store(&lazyState{refined: map[int32]refinedVal{}})
-
 	if err := ls.solveExact(int32(g.Origin())); err != nil {
 		return nil, err
 	}
 	if err := ls.solveExact(int32(g.Terminus())); err != nil {
 		return nil, err
 	}
-	s.Cmin = s.PointCost[g.Origin()]
-	s.Cmax = s.PointCost[g.Terminus()]
-	if s.Cmin <= 0 || s.Cmax < s.Cmin {
-		return nil, fmt.Errorf("ess: degenerate cost surface (Cmin=%v, Cmax=%v)", s.Cmin, s.Cmax)
+	costs, err := s.ladder()
+	if err != nil {
+		return nil, err
 	}
-	ls.costs = s.ContourCosts()
-	ls.budgets = make([]float64, len(ls.costs))
-	for i, cc := range ls.costs {
-		ls.budgets[i] = cc * (1 + 1e-9)
-	}
+	ls.state.Store(ls.newState(map[int32]refinedVal{}, 0, costs))
 	return ls, nil
 }
 
@@ -310,11 +305,11 @@ func (ls *LazySpace) Ratio() float64 { return ls.inner.CostRatio }
 
 // ContourCosts returns the budget sequence CC_1..CC_m.
 func (ls *LazySpace) ContourCosts() []float64 {
-	return append([]float64(nil), ls.costs...)
+	return slices.Clone(ls.state.Load().contours.costs)
 }
 
 // NumContours returns the number of iso-cost contours.
-func (ls *LazySpace) NumContours() int { return len(ls.costs) }
+func (ls *LazySpace) NumContours() int { return len(ls.state.Load().contours.costs) }
 
 // Plan returns the pool entry with the given ID.
 func (ls *LazySpace) Plan(id int32) *PlanInfo { return ls.inner.Plan(id) }
@@ -376,17 +371,14 @@ func (ls *LazySpace) PlanAt(pt int32) int32 {
 // ContourAt materializes (and memoizes, per epoch) contour ci of the
 // slice pinned by learned.
 func (ls *LazySpace) ContourAt(learned []int, ci int) *Contour {
-	st := ls.state.Load()
-	key := ls.contourKey(learned, ci)
-	if v, ok := st.contours.Load(key); ok {
+	ct, hit := ls.state.Load().contours.at(learned, ci)
+	if hit {
 		ls.stats.hits.Add(1)
-		return v.(*Contour)
+	} else {
+		ls.stats.misses.Add(1)
+		ls.stats.contoursBuilt.Add(1)
 	}
-	ls.stats.misses.Add(1)
-	ct := ls.buildContour(st, learned, ci)
-	ls.stats.contoursBuilt.Add(1)
-	actual, _ := st.contours.LoadOrStore(key, ct)
-	return actual.(*Contour)
+	return ct
 }
 
 // Profile reports the demand-driven work profile.
@@ -640,125 +632,6 @@ func (ls *LazySpace) solveRecost(pt int32) error {
 	return ls.solveExactLocked(pt)
 }
 
-// --- contour materialization ------------------------------------------
-
-// contourKey builds the memo key: the learned vector's slice key (nil
-// normalized to all-free) followed by the contour index's varint.
-func (ls *LazySpace) contourKey(learned []int, ci int) string {
-	D := ls.inner.Grid.D
-	b := make([]byte, 0, (D+1)*2)
-	if learned == nil {
-		for range D {
-			b = binary.AppendVarint(b, -1)
-		}
-	} else {
-		b = AppendSliceKey(b, learned)
-	}
-	return string(binary.AppendVarint(b, int64(ci)))
-}
-
-// buildContour enumerates the points of contour ci on the slice. The
-// cost surface is monotone nondecreasing along every dimension, so each
-// innermost grid line holds at most one contour point — the largest
-// in-budget index — found by binary search, and a whole subtree is
-// pruned as soon as its minimum corner exceeds the budget. Membership
-// is verified directly against the free-dimension successors, which
-// also keeps the contour valid under the bounded monotonicity slips a
-// recost-settled surface can have.
-func (ls *LazySpace) buildContour(st *lazyState, learned []int, ci int) *Contour {
-	g := ls.inner.Grid
-	b := ls.budgets[ci]
-	ct := &Contour{Index: ci + 1, Cost: ls.costs[ci]}
-
-	var free []int
-	base := 0
-	for d := 0; d < g.D; d++ {
-		v := -1
-		if learned != nil {
-			v = learned[d]
-		}
-		if v >= 0 {
-			base += v * g.strides[d]
-		} else {
-			free = append(free, d)
-		}
-	}
-	cost := func(pt int) float64 { return ls.costAtState(st, int32(pt)) }
-
-	if len(free) == 0 {
-		// Fully pinned slice: the single point sits on every contour
-		// from its cost upward (no free successors to exceed).
-		if cost(base) <= b {
-			ct.Points = append(ct.Points, int32(base))
-		}
-		return ct
-	}
-
-	last := free[len(free)-1]
-	// prevLo carries the boundary index of the previously searched line:
-	// the contour is a continuous monotone surface, so adjacent lines
-	// cross the budget at nearly the same index and a gallop from the
-	// last boundary settles ~2 points per line where a cold binary
-	// search settles O(log res). Purely an access-order optimization —
-	// the boundary found is the same either way.
-	prevLo := -1
-	var rec func(k, lin int) bool
-	rec = func(k, lin int) bool {
-		// lin fixes free dims [0,k) and holds free dims [k,·) at index
-		// 0 — the subtree's monotone minimum. Above budget ⇒ prune, and
-		// the caller stops advancing its own index (costs only rise).
-		if cost(lin) > b {
-			return false
-		}
-		if k == len(free)-1 {
-			var lo int
-			if prevLo < 0 {
-				hi := g.Res - 1
-				for lo < hi {
-					mid := (lo + hi + 1) / 2
-					if cost(lin+mid*g.strides[last]) <= b {
-						lo = mid
-					} else {
-						hi = mid - 1
-					}
-				}
-			} else {
-				lo = prevLo
-				if cost(lin+lo*g.strides[last]) <= b {
-					for lo < g.Res-1 && cost(lin+(lo+1)*g.strides[last]) <= b {
-						lo++
-					}
-				} else {
-					for lo--; cost(lin+lo*g.strides[last]) > b; lo-- {
-					}
-				}
-			}
-			prevLo = lo
-			pt := lin + lo*g.strides[last]
-			on := true
-			for _, d := range free {
-				if nxt := g.Step(pt, d); nxt >= 0 && cost(nxt) <= b {
-					on = false
-					break
-				}
-			}
-			if on {
-				ct.Points = append(ct.Points, int32(pt))
-			}
-			return true
-		}
-		d := free[k]
-		for i := 0; i < g.Res; i++ {
-			if !rec(k+1, lin+i*g.strides[d]) {
-				break
-			}
-		}
-		return true
-	}
-	rec(0, base)
-	return ct
-}
-
 // costAtState is CostAt pinned to one refinement epoch, so a contour is
 // computed against a coherent surface even while a refinement publishes.
 func (ls *LazySpace) costAtState(st *lazyState, pt int32) float64 {
@@ -836,10 +709,7 @@ func (ls *LazySpace) ApplyRefinements() int {
 	}
 	if len(changed) > 0 {
 		old := ls.state.Load()
-		next := &lazyState{
-			refined: make(map[int32]refinedVal, len(old.refined)+len(changed)),
-			epoch:   old.epoch + 1,
-		}
+		next := ls.newState(make(map[int32]refinedVal, len(old.refined)+len(changed)), old.epoch+1, old.contours.costs)
 		for pt, v := range old.refined {
 			next.refined[pt] = v
 		}

@@ -79,7 +79,8 @@ type LoadOptions struct {
 }
 
 // spaceDTO is the gob wire format of a built space: enough to skip the
-// expensive POSP sweep on reload. Contours and caches are rebuilt.
+// expensive POSP sweep on reload. Contours and caches are rebuilt on
+// demand.
 //
 // Gob ignores unknown fields and zero-fills missing ones, so the
 // GridSig / sparse additions are read compatibly by both directions of
@@ -144,8 +145,8 @@ func (s *Space) frameHeader() spaceDTO {
 // frame always takes the full recost path.
 func (s *Space) gridSig(dto *spaceDTO) uint64 {
 	ev := s.NewEvaluator()
-	for ci := range s.Contours {
-		for _, pt := range s.Contours[ci].Points {
+	for ci := range s.NumContours() {
+		for _, pt := range s.ContourAt(nil, ci).Points {
 			if checkPoint(ev, s, pt) != nil {
 				return 0
 			}
@@ -492,12 +493,9 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 			return nil, fmt.Errorf("%w: saved point references plan %d of %d", ErrCorrupt, pid, len(pool))
 		}
 	}
-	s.Cmin = s.PointCost[g.Origin()]
-	s.Cmax = s.PointCost[g.Terminus()]
-	if s.Cmin <= 0 || s.Cmax < s.Cmin {
-		return nil, fmt.Errorf("%w: saved cost surface degenerate", ErrCorrupt)
+	if err := s.memoContours(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s.Contours = s.contoursOn(s.allPoints(), nil)
 	s.loaded = true
 	// Verify recorded optimal costs against recosting the recorded plans
 	// under the supplied environment and model: every contour-member
@@ -513,8 +511,8 @@ func buildFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.
 		strictFull = false
 	}
 	if strictFull {
-		for ci := range s.Contours {
-			for _, pt := range s.Contours[ci].Points {
+		for ci := range s.NumContours() {
+			for _, pt := range s.ContourAt(nil, ci).Points {
 				if err := checkPoint(ev, s, pt); err != nil {
 					return nil, err
 				}

@@ -168,7 +168,7 @@ func TestStrictLoadCatchesContourCostDrift(t *testing.T) {
 		int32(s.Grid.Origin()): true, int32(s.Grid.Terminus()): true,
 		int32(s.Grid.NumPoints() / 2): true,
 	}
-	for _, ct := range s.Contours {
+	for _, ct := range allContours(s, nil) {
 		for _, pt := range ct.Points {
 			if !spot[pt] {
 				victim = pt

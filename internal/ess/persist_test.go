@@ -2,6 +2,7 @@ package ess
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/cost"
@@ -36,11 +37,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("point %d differs after reload", pt)
 		}
 	}
-	if len(loaded.Contours) != len(s.Contours) {
+	if loaded.NumContours() != s.NumContours() {
 		t.Fatal("contours differ after reload")
 	}
-	for i := range s.Contours {
-		if len(loaded.Contours[i].Points) != len(s.Contours[i].Points) {
+	for i := range s.NumContours() {
+		if len(loaded.ContourAt(nil, i).Points) != len(s.ContourAt(nil, i).Points) {
 			t.Fatalf("contour %d membership differs", i)
 		}
 	}
@@ -108,5 +109,36 @@ func TestLoadRejectsWrongModelParams(t *testing.T) {
 	p.HashBuild *= 10
 	if _, err := Load(&buf, s.Q, s.BaseEnv, cost.NewModel(p)); err == nil {
 		t.Fatal("loading under different cost params must fail the spot check")
+	}
+}
+
+// TestLoadRefusesOverlongContourLadder saves frames whose cost ratio is
+// barely above 1, which would put billions of contours between Cmin
+// and Cmax: both loaders refuse them instead of building the ladder,
+// as do the builders given such a ratio.
+func TestLoadRefusesOverlongContourLadder(t *testing.T) {
+	const ratio = 1 + 1e-12
+	s := buildSpace(t, 6)
+	s.CostRatio = ratio
+	if _, err := Load(bytes.NewReader(snapshotBytes(t, s)), s.Q, s.BaseEnv, s.Model); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("dense load: err %v, want ErrCorrupt", err)
+	}
+	ls, err := BuildLazy(s.Q, s.BaseEnv, s.Model, Config{Res: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.inner.CostRatio = ratio
+	var buf bytes.Buffer
+	if err := ls.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLazy(&buf, s.Q, s.BaseEnv, s.Model, Config{}); err == nil {
+		t.Fatal("lazy load accepted a 1+1e-12 cost ratio")
+	}
+	if _, err := BuildLazy(s.Q, s.BaseEnv, s.Model, Config{Res: 6, CostRatio: ratio}); err == nil {
+		t.Fatal("BuildLazy accepted a 1+1e-12 cost ratio")
+	}
+	if _, err := Build(s.Q, s.BaseEnv, s.Model, Config{Res: 4, CostRatio: ratio}); err == nil {
+		t.Fatal("Build accepted a 1+1e-12 cost ratio")
 	}
 }

@@ -146,17 +146,14 @@ func (s *Space) Bounds() (float64, float64) { return s.Cmin, s.Cmax }
 func (s *Space) Ratio() float64 { return s.CostRatio }
 
 // NumContours returns the number of iso-cost contours.
-func (s *Space) NumContours() int { return len(s.Contours) }
+func (s *Space) NumContours() int { return len(s.contours.costs) }
 
 // ContourAt returns contour ci of the slice pinned by learned (nil =
-// full grid). The contour is part of the immutable (memoized) contour
-// set, so callers must not mutate it.
+// full grid), memoized for the space's lifetime, so callers must not
+// mutate it.
 func (s *Space) ContourAt(learned []int, ci int) *Contour {
-	if learned == nil {
-		return &s.Contours[ci]
-	}
-	cs := s.ContoursFor(learned)
-	return &cs[ci]
+	ct, _ := s.contours.at(learned, ci)
+	return ct
 }
 
 // CostAt returns the optimal cost at the grid point.

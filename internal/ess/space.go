@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,29 +92,14 @@ type PlanInfo struct {
 	spill []int8
 }
 
-// Contour is one iso-cost contour: the discrete skyline of the
-// hypograph {q : Cost(Pq,q) ≤ Cost} — every location on it has optimal
-// cost within budget while all of its (unlearned-dimension) successors
-// exceed it.
-type Contour struct {
-	// Index is the 1-based contour number (IC_{Index}).
-	Index int
-	// Cost is CC_i, the execution budget on this contour.
-	Cost float64
-	// Points are the linear grid indexes on the contour, ascending.
-	Points []int32
-}
-
 // Space is the constructed search space: the tuples <q, Pq, Cost(Pq,q)>
 // of §2.2 for every grid location, the plan pool, and the contours.
 //
 // After Build returns the space is immutable apart from two
 // concurrency-safe extension points: AddPlan interns runtime plans into
-// a copy-on-write pool, and ContoursFor memoizes slice contours in a
-// sync.Map. Every read path (Plans, Plan, SpillDim, ContoursFor,
-// Evaluator) is lock-free, so any number of discovery runs can share
-// one Space. RecomputeContours is the one exception — it rewrites the
-// surface in place for benchmarks and must not race discoveries.
+// a copy-on-write pool, and ContourAt memoizes slice contours. Every
+// read path (Plans, Plan, SpillDim, ContourAt, Evaluator) is
+// lock-free, so any number of discovery runs can share one Space.
 type Space struct {
 	// Q is the underlying query.
 	Q *query.Query
@@ -128,8 +113,6 @@ type Space struct {
 	PointPlan []int32
 	// PointCost maps each grid point to its optimal cost.
 	PointCost []float64
-	// Contours are the full-grid iso-cost contours, cheapest first.
-	Contours []Contour
 	// Cmin and Cmax are the optimal costs at origin and terminus.
 	Cmin, Cmax float64
 	// CostRatio is the contour spacing used.
@@ -149,10 +132,9 @@ type Space struct {
 	planSig   map[string]int32
 	basePlans int
 
-	// slices caches per-slice contour sets (slice key → []Contour).
-	// The values are pure functions of the immutable cost surface, so a
-	// racing double-compute is benign; LoadOrStore keeps one winner.
-	slices sync.Map
+	// contours enumerates and memoizes the iso-cost contours of every
+	// slice over the immutable PointCost surface.
+	contours *contourMemo
 
 	// loaded marks spaces reconstructed from a snapshot (Profile mode).
 	loaded bool
@@ -190,21 +172,21 @@ func Build(q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config) (*S
 	if err := s.sweep(cfg); err != nil {
 		return nil, err
 	}
-	s.Cmin = s.PointCost[g.Origin()]
-	s.Cmax = s.PointCost[g.Terminus()]
-	if s.Cmin <= 0 || s.Cmax < s.Cmin {
-		return nil, fmt.Errorf("ess: degenerate cost surface (Cmin=%v, Cmax=%v)", s.Cmin, s.Cmax)
+	if err := s.memoContours(); err != nil {
+		return nil, err
 	}
-	s.Contours = s.contoursOn(s.allPoints(), nil)
 	return s, nil
 }
 
-func (s *Space) allPoints() []int32 {
-	pts := make([]int32, s.Grid.NumPoints())
-	for i := range pts {
-		pts[i] = int32(i)
+// memoContours sets the bounds and starts the contour memo over the
+// space's settled PointCost surface.
+func (s *Space) memoContours() error {
+	costs, err := s.ladder()
+	if err != nil {
+		return err
 	}
-	return pts
+	s.contours = newContourMemo(s.Grid, costs, func(pt int) float64 { return s.PointCost[pt] })
+	return nil
 }
 
 // Plans returns the current plan-pool snapshot. The returned slice is
@@ -247,100 +229,7 @@ func (s *Space) publishPlans(plans []*PlanInfo) {
 
 // ContourCosts returns the budget sequence CC_1..CC_m: Cmin, then
 // geometric steps, capped at Cmax (§2.5).
-func (s *Space) ContourCosts() []float64 {
-	costs := []float64{s.Cmin}
-	const slack = 1e-9
-	for c := s.Cmin * s.CostRatio; c < s.Cmax*(1-slack); c *= s.CostRatio {
-		costs = append(costs, c)
-	}
-	if s.Cmax > s.Cmin*(1+slack) {
-		costs = append(costs, s.Cmax)
-	}
-	return costs
-}
-
-// contoursOn computes the iso-cost contours restricted to the given
-// point set, with successor checks along freeDims only (nil = all).
-//
-// A point sits on contour i exactly when its cost is within budget b_i
-// while the cheapest freeDims-successor exceeds b_i — so its membership
-// is a contiguous budget interval [cost(pt), minSucc(pt)). One binary
-// search per endpoint places each point in all of its contours directly:
-// O(n log m + output) instead of the per-contour full rescan, and since
-// the points are visited in ascending order the member lists come out
-// sorted without a per-contour pass.
-func (s *Space) contoursOn(pts []int32, freeDims []int) []Contour {
-	if freeDims == nil {
-		freeDims = make([]int, s.Grid.D)
-		for d := range freeDims {
-			freeDims[d] = d
-		}
-	}
-	costs := s.ContourCosts()
-	const eps = 1e-9
-	budgets := make([]float64, len(costs))
-	out := make([]Contour, len(costs))
-	for i, cc := range costs {
-		budgets[i] = cc * (1 + eps)
-		out[i] = Contour{Index: i + 1, Cost: cc}
-	}
-	for _, pt := range pts {
-		lo := sort.SearchFloat64s(budgets, s.PointCost[pt])
-		if lo == len(budgets) {
-			continue
-		}
-		minSucc := math.Inf(1)
-		for _, d := range freeDims {
-			if nxt := s.Grid.Step(int(pt), d); nxt >= 0 && s.PointCost[nxt] < minSucc {
-				minSucc = s.PointCost[nxt]
-			}
-		}
-		for i := lo; i < len(budgets) && budgets[i] < minSucc; i++ {
-			out[i].Points = append(out[i].Points, pt)
-		}
-	}
-	return out
-}
-
-// RecomputeContours rebuilds the full-grid contour set from the current
-// cost surface (exposed for benchmarking and tools). It mutates the
-// space and must not run concurrently with discoveries.
-func (s *Space) RecomputeContours() []Contour {
-	s.Contours = s.contoursOn(s.allPoints(), nil)
-	return s.Contours
-}
-
-// ContoursFor returns the iso-cost contours of the slice where the
-// learned dimensions (learned[d] ≥ 0) are pinned to their grid indexes.
-// With nothing learned this is the precomputed full-grid contour set.
-// Results are memoized per slice; hits are lock-free, and a racing miss
-// merely recomputes the same pure function of the cost surface.
-func (s *Space) ContoursFor(learned []int) []Contour {
-	all := true
-	for _, v := range learned {
-		if v >= 0 {
-			all = false
-			break
-		}
-	}
-	if all {
-		return s.Contours
-	}
-	key := string(AppendSliceKey(make([]byte, 0, len(learned)*2), learned))
-	if c, ok := s.slices.Load(key); ok {
-		return c.([]Contour)
-	}
-
-	pts := s.slicePoints(learned)
-	var free []int
-	for d, v := range learned {
-		if v < 0 {
-			free = append(free, d)
-		}
-	}
-	c, _ := s.slices.LoadOrStore(key, s.contoursOn(pts, free))
-	return c.([]Contour)
-}
+func (s *Space) ContourCosts() []float64 { return slices.Clone(s.contours.costs) }
 
 // AppendSliceKey appends the cache key of a learned-dimension vector to
 // b: one varint per dimension. Varint encoding is self-delimiting, so
@@ -352,47 +241,6 @@ func AppendSliceKey(b []byte, learned []int) []byte {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	return b
-}
-
-// slicePoints enumerates the linear indexes of the slice in ascending
-// order.
-func (s *Space) slicePoints(learned []int) []int32 {
-	g := s.Grid
-	var free []int
-	base := 0
-	for d, v := range learned {
-		if v >= 0 {
-			base += v * g.strides[d]
-		} else {
-			free = append(free, d)
-		}
-	}
-	count := 1
-	for range free {
-		count *= g.Res
-	}
-	pts := make([]int32, 0, count)
-	idx := make([]int, len(free))
-	for {
-		lin := base
-		for k, d := range free {
-			lin += idx[k] * g.strides[d]
-		}
-		pts = append(pts, int32(lin))
-		k := len(free) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < g.Res {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			break
-		}
-	}
-	return pts
 }
 
 // spillTable computes, for every bitmask of still-unlearned dimensions,

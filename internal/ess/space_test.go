@@ -45,6 +45,16 @@ WHERE cs.cs_sold_date_sk = d.date_dim_sk
 	return s
 }
 
+// allContours returns every contour of the slice pinned by learned
+// (nil = the full grid), cheapest first.
+func allContours(src ContourSource, learned []int) []*Contour {
+	out := make([]*Contour, src.NumContours())
+	for ci := range out {
+		out[ci] = src.ContourAt(learned, ci)
+	}
+	return out
+}
+
 func TestBuildBasics(t *testing.T) {
 	s := buildSpace(t, 12)
 	if s.Grid.NumPoints() != 144 {
@@ -111,14 +121,19 @@ func TestContourCostsDoubling(t *testing.T) {
 			t.Errorf("intermediate contour ratio %v, want 2.0", costs[i]/costs[i-1])
 		}
 	}
-	if len(s.Contours) != len(costs) {
+	if s.NumContours() != len(costs) {
 		t.Error("contour structs must match cost list")
+	}
+	for i, c := range allContours(s, nil) {
+		if c.Index != i+1 || c.Cost != costs[i] {
+			t.Errorf("contour %d is IC_%d at %v, want IC_%d at %v", i, c.Index, c.Cost, i+1, costs[i])
+		}
 	}
 }
 
 func TestFirstContourIsOrigin(t *testing.T) {
 	s := buildSpace(t, 12)
-	ic1 := s.Contours[0]
+	ic1 := s.ContourAt(nil, 0)
 	if len(ic1.Points) != 1 || ic1.Points[0] != int32(s.Grid.Origin()) {
 		t.Fatalf("IC1 points = %v, want just the origin", ic1.Points)
 	}
@@ -127,7 +142,7 @@ func TestFirstContourIsOrigin(t *testing.T) {
 func TestContourMembersAreMaximal(t *testing.T) {
 	s := buildSpace(t, 12)
 	g := s.Grid
-	for _, c := range s.Contours {
+	for _, c := range allContours(s, nil) {
 		if len(c.Points) == 0 {
 			t.Fatalf("contour %d empty", c.Index)
 		}
@@ -149,7 +164,7 @@ func TestContourMembersAreMaximal(t *testing.T) {
 func TestContourDominatesHypograph(t *testing.T) {
 	s := buildSpace(t, 10)
 	g := s.Grid
-	for _, c := range s.Contours {
+	for _, c := range allContours(s, nil) {
 		for pt := 0; pt < g.NumPoints(); pt++ {
 			if s.PointCost[pt] > c.Cost {
 				continue
@@ -170,7 +185,7 @@ func TestContourDominatesHypograph(t *testing.T) {
 
 func TestLastContourContainsTerminus(t *testing.T) {
 	s := buildSpace(t, 10)
-	last := s.Contours[len(s.Contours)-1]
+	last := s.ContourAt(nil, s.NumContours()-1)
 	found := false
 	for _, pt := range last.Points {
 		if int(pt) == s.Grid.Terminus() {
@@ -243,7 +258,7 @@ func TestMaxSelIndexWithin(t *testing.T) {
 	s := buildSpace(t, 12)
 	ev := s.NewEvaluator()
 	// Take a mid contour and its first point/plan.
-	c := s.Contours[len(s.Contours)/2]
+	c := s.ContourAt(nil, s.NumContours()/2)
 	pt := c.Points[0]
 	pid := s.PointPlan[pt]
 	d := s.SpillDim(pid, uint16(1<<uint(s.Grid.D))-1)
@@ -272,11 +287,11 @@ func TestContoursForSliceLine(t *testing.T) {
 	s := buildSpace(t, 12)
 	// Pin dimension 0 to some index; the slice is a 1D line in dim 1.
 	learned := []int{4, -1}
-	cs := s.ContoursFor(learned)
-	if len(cs) != len(s.Contours) {
-		t.Fatal("slice contour count must match global budget list")
-	}
-	for _, c := range cs {
+	cs := allContours(s, learned)
+	for ci, c := range cs {
+		if c.Cost != s.ContourAt(nil, ci).Cost {
+			t.Fatal("slice contours must follow the global budget list")
+		}
 		if len(c.Points) > 1 {
 			t.Fatalf("1D slice contour %d has %d points, want ≤1", c.Index, len(c.Points))
 		}
@@ -287,13 +302,11 @@ func TestContoursForSliceLine(t *testing.T) {
 		}
 	}
 	// Caching: same slice returns identical data.
-	cs2 := s.ContoursFor([]int{4, -1})
-	if &cs[0] != &cs2[0] {
+	if s.ContourAt([]int{4, -1}, 0) != cs[0] {
 		t.Error("slice contours should be cached")
 	}
-	// Nothing learned → the precomputed global contours.
-	csAll := s.ContoursFor([]int{-1, -1})
-	if &csAll[0] != &s.Contours[0] {
+	// Nothing learned → the memoized global contours.
+	if s.ContourAt([]int{-1, -1}, 0) != s.ContourAt(nil, 0) {
 		t.Error("unlearned slice should be the global contours")
 	}
 }
@@ -302,8 +315,7 @@ func TestSliceContourDominatesSliceHypograph(t *testing.T) {
 	s := buildSpace(t, 10)
 	g := s.Grid
 	learned := []int{3, -1}
-	cs := s.ContoursFor(learned)
-	for _, c := range cs {
+	for _, c := range allContours(s, learned) {
 		for k := 0; k < g.Res; k++ {
 			pt := g.Linear([]int{3, k})
 			if s.PointCost[pt] > c.Cost {

@@ -158,11 +158,11 @@ func assertSameSurface(t *testing.T, a, b *Space) {
 			t.Fatalf("point %d plan %s != %s", pt, sa, sb)
 		}
 	}
-	if len(a.Contours) != len(b.Contours) {
-		t.Fatalf("contour count %d != %d", len(a.Contours), len(b.Contours))
+	if a.NumContours() != b.NumContours() {
+		t.Fatalf("contour count %d != %d", a.NumContours(), b.NumContours())
 	}
-	for i := range a.Contours {
-		ca, cb := a.Contours[i], b.Contours[i]
+	for i := range a.NumContours() {
+		ca, cb := a.ContourAt(nil, i), b.ContourAt(nil, i)
 		if ca.Cost != cb.Cost || len(ca.Points) != len(cb.Points) {
 			t.Fatalf("contour %d differs: cost %v/%v, %d/%d points",
 				i, ca.Cost, cb.Cost, len(ca.Points), len(cb.Points))
@@ -179,14 +179,13 @@ func assertSameSurface(t *testing.T, a, b *Space) {
 // extraction against the original per-contour full-rescan algorithm.
 func TestContoursMatchRescanReference(t *testing.T) {
 	s := buildSpace(t, 12)
-	pts := s.allPoints()
 	free := []int{0, 1}
 	costs := s.ContourCosts()
 	const eps = 1e-9
 	for i, cc := range costs {
 		budget := cc * (1 + eps)
 		var members []int32
-		for _, pt := range pts {
+		for pt := range int32(s.Grid.NumPoints()) {
 			if s.PointCost[pt] > budget {
 				continue
 			}
@@ -201,7 +200,7 @@ func TestContoursMatchRescanReference(t *testing.T) {
 				members = append(members, pt)
 			}
 		}
-		got := s.Contours[i].Points
+		got := s.ContourAt(nil, i).Points
 		if len(got) != len(members) {
 			t.Fatalf("contour %d: %d members, reference %d", i, len(got), len(members))
 		}

@@ -201,7 +201,8 @@ func (e *Executor) decideJoin(n *plan.Node, meter *Meter) (joinSpec, error) {
 // orient resolves join node n's predicates to column references into
 // its children's tuples, each as written or, failing that, the other
 // way round. It refuses a predicate whose columns are below the
-// children in neither orientation.
+// children in neither orientation, and one that would compare a string
+// with a non-NULL non-string: no join method has an answer for that.
 func (e *Executor) orient(n *plan.Node) ([]joinPred, error) {
 	preds := make([]joinPred, len(n.Join.JoinIDs))
 	for i, id := range n.Join.JoinIDs {
@@ -222,6 +223,11 @@ func (e *Executor) orient(n *plan.Node) ([]joinPred, error) {
 		}
 		if preds[i].r, err = e.newColRef(rrel, rs, rcol); err != nil {
 			return nil, err
+		}
+		lstr, lother := preds[i].l.rel.Holds(lcol)
+		rstr, rother := preds[i].r.rel.Holds(rcol)
+		if lstr && rother || rstr && lother {
+			return nil, fmt.Errorf("exec: join %d compares strings with non-strings", id)
 		}
 		preds[i].id = id
 	}

@@ -700,6 +700,8 @@ func TestDifferentialBuildRefusals(t *testing.T) {
 	qScan := f.parse(t, `SELECT * FROM fact ff WHERE ff.f_val <= 50`)
 	q3 := f.parse(t, `SELECT * FROM fact ff, dim d, dim2 e
 		WHERE ff.f_dim = d.d_id AND ff.f_dim2 = e.e_id`)
+	qStr, strStore := stringKeyQuery(300, 200)
+	qStr.Joins = append(qStr.Joins, query.Join{ID: 2, LeftRel: 0, RightRel: 1, LeftCol: "a_s", RightCol: "b_id"})
 	for _, c := range []struct {
 		name  string
 		q     *query.Query
@@ -717,6 +719,9 @@ func TestDifferentialBuildRefusals(t *testing.T) {
 			plan.NewScan(q3.RelIndex("ff"), plan.SeqScan),
 			plan.NewScan(q3.RelIndex("d"), plan.SeqScan)),
 			"exec: join 1 columns not found in children"},
+		{"string joined to int", qStr, strStore, plan.NewJoin(plan.HashJoin, []int{2},
+			plan.NewScan(0, plan.SeqScan), plan.NewScan(1, plan.SeqScan)),
+			"exec: join 2 compares strings with non-strings"},
 	} {
 		for _, vec := range []bool{false, true} {
 			res, err := New(c.q, c.store, cost.DefaultParams()).Vectorized(vec).Run(c.p, 0)

@@ -35,7 +35,7 @@ func (h *Harness) AblationCostRatio() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(f2(ratio), fmt.Sprintf("%d", len(s.Contours)), f2(res.MSO), f2(res.ASO))
+		rep.AddRow(f2(ratio), fmt.Sprintf("%d", s.NumContours()), f2(res.MSO), f2(res.ASO))
 	}
 	return rep, nil
 }
@@ -176,12 +176,11 @@ func runSpillOneD(s *ess.Space, qa int32) (*discovery.Outcome, error) {
 	eng := discovery.NewSimEngine(s, qa)
 	out := &discovery.Outcome{}
 	st := discovery.NewState(s.Grid.D)
-	m := len(s.ContourCosts())
+	m := s.NumContours()
 
 	ci := 0
 	for ci < m && !out.Completed {
-		contours := s.ContoursFor(st.Learned)
-		ic := &contours[ci]
+		ic := s.ContourAt(st.Learned, ci)
 		if st.Remaining() == 1 {
 			dim := st.RemainingDims()[0]
 			// Spill the line's plan; on exact learning, run the optimal

@@ -40,7 +40,7 @@ func (h *Harness) Fig3OCS() (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("full surface: %d locations, %d POSP plans, cost range [%.3g, %.3g], %d contours",
-			g.NumPoints(), s.NumPlans(), s.Cmin, s.Cmax, len(s.Contours)))
+			g.NumPoints(), s.NumPlans(), s.Cmin, s.Cmax, s.NumContours()))
 	return rep, nil
 }
 

@@ -33,6 +33,7 @@ type Column struct {
 	numNull int
 	codes   map[string]int32 // Dict's inverse, KindString only
 	mixed   []expr.Value     // every value once kinds mix; the typed fields are then empty
+	kinds   uint8            // bit 1<<k set once a non-NULL value of kind k is appended
 }
 
 // HasNulls reports whether any row is NULL in this column.
@@ -66,11 +67,24 @@ func (r *Relation) Col(i int) *Column {
 	return r.cols[i]
 }
 
+// Holds reports whether column col holds a string, and whether it
+// holds a non-NULL value of another kind; false, false out of range.
+func (r *Relation) Holds(col int) (strs, others bool) {
+	if col < 0 || col >= len(r.cols) {
+		return false, false
+	}
+	k := r.cols[col].kinds
+	return k&(1<<expr.KindString) != 0, k&^(1<<expr.KindString) != 0
+}
+
 // append stores v as row i, the column's next row.
 func (c *Column) append(v expr.Value, i int) {
 	null := v.K == expr.KindNull
 	if c.mixed == nil && !null && v.K != c.Kind {
 		c.rekind(v.K, i)
+	}
+	if !null {
+		c.kinds |= 1 << v.K
 	}
 	if c.mixed != nil {
 		c.mixed = append(c.mixed, v)
@@ -115,7 +129,7 @@ func (c *Column) rekind(k expr.Kind, n int) {
 		for i := range vals {
 			vals[i] = c.value(i)
 		}
-		*c = Column{mixed: vals}
+		*c = Column{mixed: vals, kinds: c.kinds}
 	case k == expr.KindFloat:
 		c.Kind, c.Ints, c.Floats = k, nil, make([]float64, n)
 	default:

@@ -131,7 +131,7 @@ func TestSpaceSmokeEQ(t *testing.T) {
 	if s.Grid.D != 2 || s.Grid.Res != 6 {
 		t.Fatalf("space grid %dx%d", s.Grid.D, s.Grid.Res)
 	}
-	if len(s.Contours) < 2 {
+	if s.NumContours() < 2 {
 		t.Error("EQ space should have multiple contours")
 	}
 }
