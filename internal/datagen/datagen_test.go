@@ -155,9 +155,8 @@ func TestPopulateSerialPK(t *testing.T) {
 	}
 	dim := st.MustRelation("dim")
 	for i := range dim.NumRows() {
-		row := dim.Row(i)
-		if row[0].I != int64(i+1) {
-			t.Fatalf("PK row %d = %d, want %d", i, row[0].I, i+1)
+		if pk := dim.Value(i, 0).I; pk != int64(i+1) {
+			t.Fatalf("PK row %d = %d, want %d", i, pk, i+1)
 		}
 	}
 }
@@ -169,9 +168,7 @@ func TestPopulateFKIntegrity(t *testing.T) {
 	}
 	fact := st.MustRelation("fact")
 	for ord := range fact.NumRows() {
-		row := fact.Row(ord)
-		fk := row[1].I
-		if fk < 1 || fk > 50 {
+		if fk := fact.Value(ord, 1).I; fk < 1 || fk > 50 {
 			t.Fatalf("FK value %d outside dim key range", fk)
 		}
 	}
@@ -224,8 +221,7 @@ func TestPopulateUniformRange(t *testing.T) {
 	st, _ := Populate(smallCatalog(), Options{Seed: 3})
 	dim := st.MustRelation("dim")
 	for ord := range dim.NumRows() {
-		row := dim.Row(ord)
-		if v := row[1].I; v < 1 || v > 5 {
+		if v := dim.Value(ord, 1).I; v < 1 || v > 5 {
 			t.Fatalf("uniform value %d outside [1,5]", v)
 		}
 	}
@@ -236,8 +232,7 @@ func TestPopulateZipfSkewInFK(t *testing.T) {
 	counts := map[int64]int{}
 	fact := st.MustRelation("fact")
 	for ord := range fact.NumRows() {
-		row := fact.Row(ord)
-		counts[row[1].I]++
+		counts[fact.Value(ord, 1).I]++
 	}
 	max := 0
 	for _, c := range counts {

@@ -14,8 +14,7 @@ import (
 )
 
 // benchFixture is a star schema big enough that per-tuple overheads
-// dominate: the numbers here are what the vectorized engine is measured
-// against (EXPERIMENTS.md, "Executor throughput").
+// dominate (EXPERIMENTS.md, "Executor throughput").
 type benchFixture struct {
 	cat   *catalog.Catalog
 	store *storage.Store
@@ -49,15 +48,10 @@ func (f *benchFixture) parse(b testing.TB, sql string) *query.Query {
 	return q
 }
 
+// benchRun runs the plan b.N times on one warm executor.
 func benchRun(b *testing.B, q *query.Query, store *storage.Store, p *plan.Node, budget float64) {
-	benchRunEngine(b, q, store, p, budget, true)
-}
-
-// benchRunEngine drives either engine; the *Tuple benchmark variants pin
-// the row-at-a-time engine so both sides stay measurable in one run.
-func benchRunEngine(b *testing.B, q *query.Query, store *storage.Store, p *plan.Node, budget float64, vectorized bool) {
 	b.Helper()
-	e := New(q, store, cost.DefaultParams()).Vectorized(vectorized)
+	e := New(q, store, cost.DefaultParams())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -118,35 +112,10 @@ func BenchmarkBudgetKill(b *testing.B) {
 	benchRun(b, q, f.store, p, 0.3*full.Cost)
 }
 
-func BenchmarkSeqScanTuple(b *testing.B) {
-	f := newBenchFixture(b)
-	q := f.parse(b, `SELECT * FROM fact f WHERE f.f_val <= 50`)
-	p := plan.NewScan(q.RelIndex("f"), plan.SeqScan)
-	benchRunEngine(b, q, f.store, p, 0, false)
-}
-
-func BenchmarkHashJoinTuple(b *testing.B) {
-	f := newBenchFixture(b)
-	q := f.parse(b, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id`)
-	p := plan.NewJoin(plan.HashJoin, []int{0},
-		plan.NewScan(q.RelIndex("f"), plan.SeqScan),
-		plan.NewScan(q.RelIndex("d"), plan.SeqScan))
-	benchRunEngine(b, q, f.store, p, 0, false)
-}
-
-func BenchmarkIndexNLTuple(b *testing.B) {
-	f := newBenchFixture(b)
-	q := f.parse(b, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id`)
-	p := plan.NewJoin(plan.IndexNLJoin, []int{0},
-		plan.NewScan(q.RelIndex("f"), plan.SeqScan),
-		plan.NewScan(q.RelIndex("d"), plan.SeqScan))
-	benchRunEngine(b, q, f.store, p, 0, false)
-}
-
 // BenchmarkParallelExec pins the morsel scheduler's wall-clock win on
 // the star-schema hash join at a fixed worker count (8), so the ledger
-// tracks parallel speedup separately from the single-threaded
-// vectorized numbers above.
+// tracks parallel speedup separately from the single-threaded numbers
+// above.
 func BenchmarkParallelExec(b *testing.B) {
 	f := newBenchFixture(b)
 	q := f.parse(b, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id`)

@@ -90,22 +90,26 @@ func TestIndexScanNEFilterFallsBack(t *testing.T) {
 	}
 }
 
-// scanBoth runs a one-relation query as a scan by the given method in
-// both engines, failing the test unless they agree on rows and cost.
+// scanBoth runs a one-relation query as a scan by the given method, row
+// by row (capacity 1) and batched, failing the test unless both agree
+// on rows and cost and a completed run returns refCount's rows.
 func scanBoth(t *testing.T, f *fixture, sql string, m plan.ScanMethod) (*Result, error) {
 	t.Helper()
+	q := f.parse(t, sql)
 	var out [2]*Result
 	var errs [2]error
-	for i, vec := range []bool{false, true} {
-		e := New(f.parse(t, sql), f.store, cost.DefaultParams()).Vectorized(vec)
-		out[i], errs[i] = e.Run(plan.NewScan(0, m), 0)
+	for i, batch := range []int{1, DefaultBatchSize} {
+		out[i], errs[i] = New(q, f.store, cost.DefaultParams()).WithBatchSize(batch).Run(plan.NewScan(0, m), 0)
 	}
 	if (errs[0] == nil) != (errs[1] == nil) {
-		t.Fatalf("%s: tuple err %v, vectorized err %v", sql, errs[0], errs[1])
+		t.Fatalf("%s: err %v at capacity 1, %v batched", sql, errs[0], errs[1])
 	}
 	if errs[0] == nil && (out[0].Rows != out[1].Rows || out[0].Cost != out[1].Cost) {
-		t.Fatalf("%s: tuple %d rows cost %g, vectorized %d rows cost %g",
+		t.Fatalf("%s: %d rows cost %g at capacity 1, %d rows cost %g batched",
 			sql, out[0].Rows, out[0].Cost, out[1].Rows, out[1].Cost)
+	}
+	if want := int64(refCount(f.store, q, 0)); errs[0] == nil && out[0].Rows != want {
+		t.Fatalf("%s: %d rows, reference %d", sql, out[0].Rows, want)
 	}
 	return out[0], errs[0]
 }
@@ -148,19 +152,17 @@ func TestIndexScanInt64EdgeBounds(t *testing.T) {
 		tag := fmt.Sprintf("d_attr %v %d", c.op, c.v)
 		q := f.parse(t, `SELECT * FROM dim d WHERE d.d_attr = 1`)
 		q.Relations[0].Filters = []query.FilterPred{{Column: "d_attr", Op: c.op, Value: c.v}}
-		for _, vec := range []bool{false, true} {
-			e := New(q, f.store, cost.DefaultParams()).Vectorized(vec)
-			seq, err := e.Run(plan.NewScan(0, plan.SeqScan), 0)
-			if err != nil || seq.Rows != c.rows {
-				t.Fatalf("%s: seq scan %+v, %v; want %d rows", tag, seq, err, c.rows)
-			}
-			idx, err := e.Run(plan.NewScan(0, plan.IndexScan), 0)
-			switch {
-			case !c.ranged && err == nil:
-				t.Errorf("%s: index scan with no range filter must fail to build", tag)
-			case c.ranged && (err != nil || idx.Rows != c.rows):
-				t.Errorf("%s: index scan %+v, %v; want %d rows", tag, idx, err, c.rows)
-			}
+		e := New(q, f.store, cost.DefaultParams())
+		seq, err := e.Run(plan.NewScan(0, plan.SeqScan), 0)
+		if err != nil || seq.Rows != c.rows {
+			t.Fatalf("%s: seq scan %+v, %v; want %d rows", tag, seq, err, c.rows)
+		}
+		idx, err := e.Run(plan.NewScan(0, plan.IndexScan), 0)
+		switch {
+		case !c.ranged && err == nil:
+			t.Errorf("%s: index scan with no range filter must fail to build", tag)
+		case c.ranged && (err != nil || idx.Rows != c.rows):
+			t.Errorf("%s: index scan %+v, %v; want %d rows", tag, idx, err, c.rows)
 		}
 	}
 }
@@ -200,8 +202,7 @@ func TestInFilterExecution(t *testing.T) {
 	ci := rel.ColumnIndex("d_attr")
 	var want int64
 	for ord := range rel.NumRows() {
-		row := rel.Row(ord)
-		if row[ci].I == 1 || row[ci].I == 3 {
+		if v := rel.Value(ord, ci).I; v == 1 || v == 3 {
 			want++
 		}
 	}
@@ -341,21 +342,7 @@ func TestJoinWithResidualPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Manual count.
-	frel, drel := f.store.MustRelation("fact"), f.store.MustRelation("dim")
-	fd, fv := frel.ColumnIndex("f_dim"), frel.ColumnIndex("f_val")
-	di, da := drel.ColumnIndex("d_id"), drel.ColumnIndex("d_attr")
-	var want int64
-	for fo := range frel.NumRows() {
-		fr := frel.Row(fo)
-		for do := range drel.NumRows() {
-			dr := drel.Row(do)
-			if fr[fd].I == dr[di].I && fr[fv].I == dr[da].I {
-				want++
-			}
-		}
-	}
-	if res.Rows != want {
+	if want := int64(len(refJoin(f.store, q, 0, 1, []int{0, 1}))); want == 0 || res.Rows != want {
 		t.Fatalf("residual join rows = %d, want %d", res.Rows, want)
 	}
 }
@@ -372,8 +359,12 @@ func regenerateWithoutIndexes(t *testing.T) *storage.Store {
 	for _, name := range f.store.Names() {
 		old := f.store.MustRelation(name)
 		rel := storage.NewRelation(old.Name, old.Cols)
+		row := make(expr.Row, len(old.Cols))
 		for ord := range old.NumRows() {
-			rel.Append(old.Row(ord))
+			for c := range row {
+				row[c] = old.Value(ord, c)
+			}
+			rel.Append(row)
 		}
 		stripped.Add(rel)
 	}

@@ -10,8 +10,7 @@ import (
 // index per outer row. In the default batched mode the fetch
 // charges of one probe's matches bill as one ChargeN before filtering;
 // in lockstep mode (armed faults) fetch and output charges interleave
-// per match exactly like the tuple engine, so kill points replay bit
-// for bit.
+// per match, row at a time, so kill points replay bit for bit.
 type vecIndexNLJoin struct {
 	vecJoinBase
 	relIdx  int // the inner's query relation index
@@ -80,8 +79,8 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 			i := j.pi
 			j.pi++
 			j.obs.LeftRows++
-			// One index descent per outer row (charged before the null
-			// check, like the tuple engine).
+			// One index descent per outer row, charged before the null
+			// check.
 			if _, err := j.meter.ChargeN(j.clsDescend, 1); err != nil {
 				return nil, err
 			}
@@ -95,8 +94,8 @@ func (j *vecIndexNLJoin) NextBatch() (*rowBatch, error) {
 			j.have = true
 			if !j.ls {
 				// Batched mode: bill every random fetch of this probe up
-				// front; the counts at any kill equal the tuple engine's
-				// only for completed runs, which is all that is observable
+				// front; the counts at any kill equal lockstep's only for
+				// completed runs, which is all that is observable
 				// without armed faults.
 				if _, err := j.meter.ChargeN(j.clsFetch, int64(len(j.matches))); err != nil {
 					return nil, err

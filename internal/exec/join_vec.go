@@ -178,7 +178,7 @@ func (t *graceTable) lookup(k int64) (*gracePart, int32) {
 // rows into the output arena; output charges accumulate in outPending
 // and bill as one ChargeN per emitted arena (flushed at take / EOF).
 // At capacity 1 (lockstep) the arena holds one row, so the flush
-// degenerates to the tuple engine's exact per-row charge order.
+// degenerates to a row-at-a-time charge order.
 type vecHashJoin struct {
 	vecJoinBase
 	clsBuild, clsProbe, clsOut int
@@ -382,8 +382,8 @@ func (t *ordTuples) at(i int) []int32 {
 
 // vecMergeJoin drains and sorts both inputs at Open, then merges batch
 // at a time. Merge-advance charges for one left row and its right-side
-// skips are consecutive in the tuple engine too, so they are billed as
-// one ChargeN chunk — identical counts at every possible kill point.
+// skips are consecutive in a row-at-a-time run too, so they are billed
+// as one ChargeN chunk — identical counts at every possible kill point.
 type vecMergeJoin struct {
 	vecJoinBase
 	clsMerge, clsOut int
@@ -420,8 +420,8 @@ func (m *vecMergeJoin) Open() error {
 }
 
 // drainAndSort copies every w-wide tuple of op into a pooled arena and
-// sorts it stably on key, with the comparisons the tuple engine's sort
-// makes, so both engines produce the same order.
+// sorts it stably on key by expr.Compare, so the order, and the kill
+// point of a budgeted merge, do not depend on the input's batching.
 func (m *vecMergeJoin) drainAndSort(op batchOperator, key *colRef, w int) (ordTuples, error) {
 	t := ordTuples{w: w, a: m.e.pool.getInts(0)}
 	for {
@@ -541,8 +541,8 @@ func (m *vecMergeJoin) Close() error {
 
 // vecNLJoin materializes the inner child at Open and nest-loops outer
 // batches over it. Pair charges up to and including the next match are
-// consecutive in the tuple engine, so they bill as one ChargeN chunk —
-// the charge sequence is tuple-exact at any batch capacity.
+// consecutive in a row-at-a-time run, so they bill as one ChargeN chunk
+// — the charge sequence is row-exact at any batch capacity.
 type vecNLJoin struct {
 	vecJoinBase
 	clsMat, clsPair, clsOut int

@@ -198,8 +198,8 @@ func (s *vecSeqScan) NextBatch() (*rowBatch, error) {
 		}
 		s.pos = end
 		if s.ex.faults != nil {
-			// Lockstep: fire the scan-tuple site at the same absolute row
-			// positions the tuple engine checks (every 64th row).
+			// Lockstep: fire the scan-tuple site at fixed absolute row
+			// positions (every 64th row).
 			for p := pos; p < end; p++ {
 				if p&cancelCheckMask == 0 {
 					if ferr := s.ex.faults.Check(faultinject.SiteScanTuple); ferr != nil {
@@ -247,7 +247,7 @@ func (s *vecSeqScan) Close() error {
 }
 
 // vecIndexScan emits the probed ordinals in windows, charging one
-// descent at Open (like the tuple engine) and IdxTuple per fetched row
+// descent at Open and IdxTuple per fetched row
 // in batches; residual filters narrow a window to the ordinals that
 // pass, in a pooled vector, so steady-state batches allocate nothing.
 // An unfiltered window is the probe's ordinal list itself.

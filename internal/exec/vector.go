@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/expr"
@@ -71,13 +72,48 @@ func (c *colRef) value(ord int32) expr.Value {
 	return c.rel.Value(int(ord), c.col)
 }
 
-// key returns the hash key at ord — the value's joinKey, exactly what
-// the tuple engine keys its table on — and false for NULL.
+// key returns the hash key at ord — the value's joinKey — and false for
+// NULL.
 func (c *colRef) key(ord int32) (int64, bool) {
 	if c.typed(ord) {
 		return c.ints[ord], true
 	}
 	return joinKey(c.rel.Value(int(ord), c.col))
+}
+
+// joinKey is the hash key of a join-key value, false for NULL. An int
+// keys as itself and an integral float as the int it equals, so 3 and
+// 3.0 share a bucket; every NaN keys as one NaN, which equals only NaN;
+// any other float keys by its bit pattern. A string keys by the 64-bit
+// FNV-1a hash of its bytes, the hash datagen seeds its streams with, and
+// a bool as 0 or 1. Keys of different values may collide, so bucket
+// candidates are rechecked (joinRefs.candidateMatch).
+func joinKey(v expr.Value) (int64, bool) {
+	switch v.K {
+	case expr.KindNull:
+		return 0, false
+	case expr.KindString:
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(v.S); i++ {
+			h ^= uint64(v.S[i])
+			h *= 1099511628211
+		}
+		return int64(h), true
+	case expr.KindBool:
+		if v.B {
+			return 1, true
+		}
+		return 0, true
+	case expr.KindFloat:
+		switch f := v.F; {
+		case f != f:
+			return int64(math.Float64bits(math.NaN())), true
+		case f == math.Trunc(f) && f >= -1<<63 && f < 1<<63:
+			return int64(f), true
+		}
+		return int64(math.Float64bits(v.F)), true
+	}
+	return v.I, true
 }
 
 // clean returns the column's NULL-free int vector, or nil.
@@ -263,10 +299,9 @@ type batchOperator interface {
 // markDiscardRoot flips the plan root's output arena into count-only
 // mode. Result rows of the root are discarded by every consumer (the
 // drive loop just counts them), so materializing the joined ordinals is
-// pure overhead. Lockstep runs (faults armed) skip this: the tuple
-// engine materializes, and lockstep must replay its exact allocation-
-// free observables — charge order is unaffected either way, but we keep
-// the fault path maximally conservative.
+// pure overhead. Lockstep runs (faults armed) skip this and keep the
+// root materializing: charge order, fault checks and Rows do not depend
+// on it, and the lockstep path stays the one the chaos goldens recorded.
 func markDiscardRoot(op batchOperator) {
 	switch o := op.(type) {
 	case *vecHashJoin:
@@ -366,8 +401,8 @@ func (jr *joinRefs) candidateMatch(l, r []int32) bool {
 	return (!jr.rowKey || equalAt(a, l[a.slot], b, r[b.slot])) && jr.residualsMatch(l, r)
 }
 
-// vecJoinBase is the batch engine's counterpart of joinBase: shared
-// join state plus the run-time selectivity monitor.
+// vecJoinBase is the state every join operator shares, the run-time
+// selectivity monitor (§3.1's run-time monitoring) included.
 type vecJoinBase struct {
 	e           *Executor
 	meter       *Meter

@@ -165,8 +165,7 @@ func TestFromDataExactCounts(t *testing.T) {
 	ci := rel.ColumnIndex("f_val")
 	truth := 0.0
 	for ord := range rel.NumRows() {
-		row := rel.Row(ord)
-		if row[ci].I <= 25 {
+		if rel.Value(ord, ci).I <= 25 {
 			truth++
 		}
 	}

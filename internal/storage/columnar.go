@@ -1,7 +1,7 @@
 // Column vectors: the storage of a relation. Each column is contiguous
 // []int64 / []float64 values, or dictionary-encoded strings, plus a NULL
 // bitmap, filled one value per Append. The vectorized executor's kernels
-// and joins read them directly; Value and Row read any column, typed or
+// and joins read them directly; Value reads any column, typed or
 // not. A column whose values mix kinds keeps them as a []expr.Value
 // vector instead and has no typed projection (Col returns nil).
 package storage

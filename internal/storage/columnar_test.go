@@ -202,7 +202,7 @@ func fuzzValue(data []byte) (expr.Value, []byte) {
 }
 
 // FuzzAppend appends arbitrary int/float/string/NULL rows to a
-// two-column relation and, after every append, checks Value, Row and
+// two-column relation and, after every append, checks Value and
 // the typed columns against what was appended and against classify,
 // and BuildIndex + Lookup on a NULL-free int column against a scan.
 func FuzzAppend(f *testing.F) {
@@ -229,6 +229,7 @@ func FuzzAppend(f *testing.F) {
 				ref[c] = append(ref[c], v)
 			}
 			r.Append(row)
+			row[0] = expr.Str("clobbered") // Append must not alias its argument
 			if err := checkColumns(r, ref); err != nil {
 				t.Fatalf("after %d rows: %v", n+1, err)
 			}
@@ -243,15 +244,10 @@ func checkColumns(r *Relation, ref [2][]expr.Value) error {
 		return fmt.Errorf("NumRows = %d, want %d", r.NumRows(), len(ref[0]))
 	}
 	for ord := range r.NumRows() {
-		row := r.Row(ord)
 		for c := range ref {
-			if want := ref[c][ord]; !sameValue(r.Value(ord, c), want) || !sameValue(row[c], want) {
-				return fmt.Errorf("row %d col %d: Value %v, Row %v, want %v", ord, c, r.Value(ord, c), row[c], want)
+			if want := ref[c][ord]; !sameValue(r.Value(ord, c), want) {
+				return fmt.Errorf("row %d col %d: Value %v, want %v", ord, c, r.Value(ord, c), want)
 			}
-		}
-		row[0] = expr.Str("clobbered")
-		if !sameValue(r.Value(ord, 0), ref[0][ord]) {
-			return fmt.Errorf("row %d: Row aliases the store", ord)
 		}
 	}
 	for c := range ref {

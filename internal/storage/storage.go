@@ -90,15 +90,6 @@ func (r *Relation) NumRows() int { return r.n }
 // Value returns column col's value at row ordinal ord.
 func (r *Relation) Value(ord, col int) expr.Value { return r.cols[col].value(ord) }
 
-// Row materializes row ord as a fresh slice.
-func (r *Relation) Row(ord int) expr.Row {
-	row := make(expr.Row, len(r.cols))
-	for i, c := range r.cols {
-		row[i] = c.value(ord)
-	}
-	return row
-}
-
 // BuildIndex builds (or rebuilds) the index on an int column: by a
 // counting sort when the column's key span is below 4n, by sorting
 // (value, ordinal) pairs otherwise (see group). It panics unless the
