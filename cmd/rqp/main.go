@@ -288,22 +288,26 @@ func render(f func() (*experiments.Report, error)) error {
 // printSweepStats reports how the contour provider did its work, in
 // provider-agnostic form: a lazy source reports settled points and
 // cache/refinement activity instead of the misleading zeros that
-// reading eager sweep counters directly would produce.
-func printSweepStats(src ess.ContourSource) {
+// reading eager sweep counters directly would produce. Every form ends
+// with the DP runs of the AlignedBound planner's probes, which the
+// provider's DP calls do not include.
+func printSweepStats(c *core.Compiled) {
+	src := c.Source
 	p := src.Profile()
 	switch {
 	case strings.HasPrefix(p.Mode, "lazy"):
-		fmt.Printf("sweep: %s, %d/%d points settled on demand (%d contours built, %d hits / %d misses), %d DP calls, %d recost-settled (%d recosts), %d refinement rounds (%d points changed, epoch %d), %d plans\n",
-			p.Mode, p.Settled, p.Points, p.ContoursBuilt, p.Hits, p.Misses,
+		fmt.Printf("sweep: %s, %d/%d points settled on demand (%d hits / %d misses), %d contours built (%d hits / %d misses), %d DP calls, %d recost-settled (%d recosts), %d refinement rounds (%d points changed, epoch %d), %d plans",
+			p.Mode, p.Settled, p.Points, p.Hits, p.Misses, p.ContoursBuilt, p.ContourHits, p.ContourMisses,
 			p.DPCalls, p.RecostPoints, p.RecostCalls,
 			p.Refinements, p.RefinedPoints, p.Epoch, src.NumPlans())
 	case p.RecostPoints == 0 && p.Fallbacks == 0:
-		fmt.Printf("sweep: %s, %d DP calls, %d plans\n", p.Mode, p.DPCalls, src.NumPlans())
+		fmt.Printf("sweep: %s, %d DP calls, %d plans", p.Mode, p.DPCalls, src.NumPlans())
 	default:
-		fmt.Printf("sweep: %s, %d points, %d DP calls (%.1fx reduction: %d lattice, %d fallback, %d repair), %d recost-settled (%d recosts), fallback rate %.2f, %d plans\n",
+		fmt.Printf("sweep: %s, %d points, %d DP calls (%.1fx reduction: %d lattice, %d fallback, %d repair), %d recost-settled (%d recosts), fallback rate %.2f, %d plans",
 			p.Mode, p.Points, p.DPCalls, p.DPReduction(), p.LatticeDP, p.Fallbacks,
 			p.Repairs, p.RecostPoints, p.RecostCalls, p.FallbackRate(), src.NumPlans())
 	}
+	fmt.Printf(", %d planner DP runs\n", c.Planner().DPRuns())
 }
 
 // memSummary prints a one-line allocation/GC profile of the run so far,
@@ -361,7 +365,7 @@ func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, dea
 	sel := src.Geometry().Sel(int(res.ArgMax), nil)
 	fmt.Printf("%s via %s: MSOe %.4f (guarantee %.1f), ASO %.4f over %d locations, worst at %v\n",
 		name, algName, res.MSO, g, res.ASO, len(res.Points), sel)
-	printSweepStats(src)
+	printSweepStats(c)
 	memSummary()
 	return nil
 }
@@ -391,7 +395,7 @@ func bakeoff(name, strategiesFlag string, scale float64, cfg sweepCfg,
 		return err
 	}
 	res.Report().Render(os.Stdout)
-	printSweepStats(c.Source)
+	printSweepStats(c)
 	if experimentsFile != "" {
 		if err := res.UpdateExperimentsFile(experimentsFile); err != nil {
 			return err
@@ -569,7 +573,7 @@ func discover(name, algName, qaFlag string, scale float64, cfg sweepCfg, chaosSe
 	opt := src.CostAt(qa)
 	fmt.Printf("total cost %.4g, optimal %.4g, sub-optimality %.2f (guarantee %.1f)\n",
 		out.TotalCost, opt, out.SubOpt(opt), guar)
-	printSweepStats(src)
+	printSweepStats(c)
 	memSummary()
 	if chaos != nil {
 		fmt.Printf("chaos: seed=%d rate=%g, %d faults fired, %d retries, wasted cost %.4g\n",

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core/bouquet"
 	"repro/internal/core/discovery"
@@ -72,6 +73,8 @@ type Planner struct {
 	cache  map[string]*Decision
 	probes map[probeKey][]probeClass
 	ev     *ess.Evaluator
+	// dpRuns counts runProbe's optimizer runs (see DPRuns).
+	dpRuns atomic.Int64
 }
 
 // probeKey identifies an optimizer probe: the grid location whose
@@ -441,8 +444,14 @@ func (p *Planner) runProbe(pt int32, remMask uint16) map[int]*optimizer.Plan {
 			remaining[joinID] = true
 		}
 	}
+	p.dpRuns.Add(1)
 	return p.S.Optimizer().BestPerSpillClass(p.ev.Env(pt), remaining)
 }
+
+// DPRuns reports how many optimizer DP runs the planner's probes have
+// made in its life. The ESS profile's DPCalls counts only the runs that
+// settle the surface, so this is AlignedBound's DP work on top of it.
+func (p *Planner) DPRuns() int64 { return p.dpRuns.Load() }
 
 func sortExecs(execs []LeaderExec) {
 	for i := 1; i < len(execs); i++ {

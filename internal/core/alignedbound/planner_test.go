@@ -3,6 +3,7 @@ package alignedbound
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,37 @@ func TestPlannerCachedDecisionAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("warm Decide: %v allocs, want 0", allocs)
+	}
+}
+
+// TestPlannerDPRunsRepeat pins the planner's DP count on a fixed Decide
+// sequence, a refinement bump included: identical across two runs and
+// at GOMAXPROCS 1, 2 and 4.
+func TestPlannerDPRunsRepeat(t *testing.T) {
+	const res = 6
+	want := int64(-1)
+	for _, procs := range []int{1, 2, 4} {
+		for run := range 2 {
+			prev := runtime.GOMAXPROCS(procs)
+			src := lazy3D(t, res)
+			p := NewPlanner(src)
+			for i, l := range slices3D(res) {
+				for ci := 0; ci < src.NumContours(); ci++ {
+					p.Decide(l, ci)
+				}
+				if i == 3 {
+					src.Observe(1, 2)
+					src.ApplyRefinements()
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+			got := p.DPRuns()
+			if want < 0 {
+				want = got
+			}
+			if got == 0 || got != want {
+				t.Fatalf("GOMAXPROCS %d run %d: %d planner DP runs, want %d (and not 0)", procs, run, got, want)
+			}
+		}
 	}
 }

@@ -67,14 +67,18 @@ func newContourMemo(g *Grid, costs []float64, cost func(pt int) float64) *contou
 
 // at returns contour ci (0-based) of the slice where the learned
 // dimensions (learned[d] ≥ 0) are pinned; nil learned selects the full
-// grid. hit reports whether the contour was already memoized.
+// grid. hit reports whether the contour was already memoized, and
+// stored whether this call built it and stored it. A call that misses
+// and loses the race to store returns the winner's contour, with
+// neither hit nor stored set, so a count of stores is one per memoized
+// contour however the calls interleave.
 //
 // A slice's key is one exact word: the pinned-dimension mask in bits
 // 0–15 (D ≤ 16, as SpillDim's uint16 mask already requires) and the
 // linear offset of the pinned coordinates above them (grid points fit
 // in int32). It is 0 exactly for the full grid, nil and all-free
 // vectors alike.
-func (m *contourMemo) at(learned []int, ci int) (ct *Contour, hit bool) {
+func (m *contourMemo) at(learned []int, ci int) (ct *Contour, hit, stored bool) {
 	var mask, off uint64
 	for d, v := range learned {
 		if v >= 0 {
@@ -91,10 +95,10 @@ func (m *contourMemo) at(learned []int, ci int) (ct *Contour, hit bool) {
 		slots = v.([]atomic.Pointer[Contour])
 	}
 	if ct := slots[ci].Load(); ct != nil {
-		return ct, true
+		return ct, true, false
 	}
-	slots[ci].CompareAndSwap(nil, m.build(learned, ci))
-	return slots[ci].Load(), false
+	stored = slots[ci].CompareAndSwap(nil, m.build(learned, ci))
+	return slots[ci].Load(), false, stored
 }
 
 // build enumerates the points of contour ci on the slice. A point is on

@@ -3,6 +3,7 @@ package ess_test
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -201,6 +202,50 @@ func TestContourAtConcurrentSameContour(t *testing.T) {
 						t.Fatalf("%s slice %v contour %d: goroutine %d got a different *Contour", mode, learned, ci, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestContourCountsRepeat runs a fixed touch sequence on four racing
+// goroutines over a fresh lazy source: ContoursBuilt must be one per
+// (slice, contour) touched, and contour hits plus misses one per call,
+// identical across two runs and at GOMAXPROCS 1, 2 and 4, however often
+// two lookups race to build one contour.
+func TestContourCountsRepeat(t *testing.T) {
+	spec, err := workload.ByName("2D_Q91")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	slices := [][]int{nil, {2, -1}, {-1, 5}, {2, 6}}
+	for _, procs := range []int{1, 2, 4} {
+		for run := range 2 {
+			prev := runtime.GOMAXPROCS(procs)
+			lazy, err := spec.LazySpaceWith(1.0, ess.Config{Res: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := lazy.Profile()
+			var wg sync.WaitGroup
+			for range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, l := range slices {
+						for ci := range lazy.NumContours() {
+							lazy.ContourAt(l, ci)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			runtime.GOMAXPROCS(prev)
+			p := lazy.Profile()
+			built, calls := p.ContoursBuilt-before.ContoursBuilt, p.ContourHits+p.ContourMisses-before.ContourHits-before.ContourMisses
+			if want := int64(len(slices) * lazy.NumContours()); built != want || calls != goroutines*want {
+				t.Fatalf("GOMAXPROCS %d run %d: %d contours built and %d lookups, want %d and %d",
+					procs, run, built, calls, want, goroutines*want)
 			}
 		}
 	}

@@ -194,6 +194,8 @@ type lazyStats struct {
 	hits          atomic.Int64
 	misses        atomic.Int64
 	contoursBuilt atomic.Int64
+	contourHits   atomic.Int64
+	contourMisses atomic.Int64
 	refinements   atomic.Int64
 	refinedPoints atomic.Int64
 	deltaAppends  atomic.Int64
@@ -371,11 +373,13 @@ func (ls *LazySpace) PlanAt(pt int32) int32 {
 // ContourAt materializes (and memoizes, per epoch) contour ci of the
 // slice pinned by learned.
 func (ls *LazySpace) ContourAt(learned []int, ci int) *Contour {
-	ct, hit := ls.state.Load().contours.at(learned, ci)
+	ct, hit, stored := ls.state.Load().contours.at(learned, ci)
 	if hit {
-		ls.stats.hits.Add(1)
+		ls.stats.contourHits.Add(1)
 	} else {
-		ls.stats.misses.Add(1)
+		ls.stats.contourMisses.Add(1)
+	}
+	if stored {
 		ls.stats.contoursBuilt.Add(1)
 	}
 	return ct
@@ -396,6 +400,8 @@ func (ls *LazySpace) Profile() BuildProfile {
 		RecostCalls:   ls.stats.recostCalls.Load(),
 		Fallbacks:     ls.stats.fallbacks.Load(),
 		ContoursBuilt: ls.stats.contoursBuilt.Load(),
+		ContourHits:   ls.stats.contourHits.Load(),
+		ContourMisses: ls.stats.contourMisses.Load(),
 		Hits:          ls.stats.hits.Load(),
 		Misses:        ls.stats.misses.Load(),
 		Refinements:   ls.stats.refinements.Load(),

@@ -96,8 +96,15 @@ type BuildProfile struct {
 	// Repairs and RepairRounds report the eager sweep's monotonicity
 	// repair pass (eager recost only).
 	Repairs, RepairRounds int
-	// ContoursBuilt counts contours materialized on demand (lazy only).
+	// ContoursBuilt counts contours materialized on demand and stored in
+	// the contour memo: one per contour of an epoch, however lookups race
+	// (lazy only).
 	ContoursBuilt int64
+	// ContourHits counts ContourAt lookups served from the contour memo,
+	// ContourMisses those that found nothing there and built a contour;
+	// ContourMisses − ContoursBuilt are builds lost to a racing lookup
+	// (lazy only).
+	ContourHits, ContourMisses int64
 	// Hits and Misses count settled-point cache hits and misses on the
 	// point accessors (lazy only).
 	Hits, Misses int64
@@ -152,7 +159,7 @@ func (s *Space) NumContours() int { return len(s.contours.costs) }
 // full grid), memoized for the space's lifetime, so callers must not
 // mutate it.
 func (s *Space) ContourAt(learned []int, ci int) *Contour {
-	ct, _ := s.contours.at(learned, ci)
+	ct, _, _ := s.contours.at(learned, ci)
 	return ct
 }
 

@@ -218,18 +218,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeFamily(w, "rqp_refined_points_total", "Lazy ESS point values changed by online refinement.", "counter", val(m.refinedPoints.Load()))
 
 	// Demand-driven sources expose their work profile per workload; the
-	// section is empty when every workload is eager.
+	// section is empty when every workload is eager. Every compiled
+	// pinned workload reports its AlignedBound planner's DP runs.
 	var lazyLabels []string
 	var lazyProfs []ess.BuildProfile
+	var plannerDP []sample
 	for _, ws := range states {
 		ws.mu.RLock()
-		lz := ws.lazy
+		lz, c := ws.lazy, ws.compiled
 		ws.mu.RUnlock()
 		if lz != nil {
 			lazyLabels = append(lazyLabels, label("workload", ws.name))
 			lazyProfs = append(lazyProfs, lz.Profile())
 		}
+		if c != nil {
+			plannerDP = append(plannerDP, sample{label("workload", ws.name), c.Planner().DPRuns()})
+		}
 	}
+	writeFamily(w, "rqp_planner_dp_runs_total", "Optimizer DP runs of the AlignedBound planner's probes, per pinned workload.", "counter", plannerDP...)
 	if len(lazyProfs) > 0 {
 		per := func(get func(ess.BuildProfile) int64) []sample {
 			samples := make([]sample, len(lazyProfs))
@@ -241,6 +247,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeFamily(w, "rqp_lazy_settled_points", "Grid points settled by the demand-driven ESS, per workload.", "gauge", per(func(p ess.BuildProfile) int64 { return int64(p.Settled) })...)
 		writeFamily(w, "rqp_lazy_contour_hits_total", "Settled-point cache hits on the lazy ESS point accessors.", "counter", per(func(p ess.BuildProfile) int64 { return p.Hits })...)
 		writeFamily(w, "rqp_lazy_contour_misses_total", "Points the lazy ESS settled on first touch.", "counter", per(func(p ess.BuildProfile) int64 { return p.Misses })...)
+		writeFamily(w, "rqp_lazy_contours_built_total", "Contours the lazy ESS built and memoized, one per contour of an epoch.", "counter", per(func(p ess.BuildProfile) int64 { return p.ContoursBuilt })...)
+		writeFamily(w, "rqp_lazy_contour_memo_hits_total", "Contour lookups the lazy ESS served from its contour memo.", "counter", per(func(p ess.BuildProfile) int64 { return p.ContourHits })...)
+		writeFamily(w, "rqp_lazy_contour_memo_misses_total", "Contour lookups that found no memoized contour and built one.", "counter", per(func(p ess.BuildProfile) int64 { return p.ContourMisses })...)
 		writeFamily(w, "rqp_lazy_refinement_rounds_total", "Online refinement rounds applied to the lazy ESS surface.", "counter", per(func(p ess.BuildProfile) int64 { return p.Refinements })...)
 		writeFamily(w, "rqp_lazy_epoch", "Current refinement epoch of the lazy ESS surface.", "gauge", per(func(p ess.BuildProfile) int64 { return int64(p.Epoch) })...)
 		writeFamily(w, "rqp_lazy_delta_appends_total", "Refinement deltas durably appended to the lazy snapshot.", "counter", per(func(p ess.BuildProfile) int64 { return p.DeltaAppends })...)

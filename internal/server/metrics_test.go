@@ -177,7 +177,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	for _, name := range []string{
 		"rqp_lazy_settled_points", "rqp_lazy_contour_hits_total", "rqp_lazy_contour_misses_total",
 		"rqp_lazy_refinement_rounds_total", "rqp_lazy_epoch", "rqp_lazy_delta_appends_total",
-		"rqp_lazy_delta_points_total", "rqp_lazy_delta_bytes_total",
+		"rqp_lazy_delta_points_total", "rqp_lazy_delta_bytes_total", "rqp_lazy_contours_built_total",
+		"rqp_lazy_contour_memo_hits_total", "rqp_lazy_contour_memo_misses_total",
 	} {
 		if perFamily[name] != 2 {
 			t.Errorf("%s has %d samples, want one per lazy workload", name, perFamily[name])

@@ -60,6 +60,8 @@ func TestLazyModeServesAllAlgorithms(t *testing.T) {
 		`rqp_lazy_settled_points{workload="EQ"}`,
 		`rqp_lazy_contour_misses_total{workload="EQ"}`,
 		`rqp_lazy_epoch{workload="EQ"}`,
+		`rqp_lazy_contours_built_total{workload="EQ"}`,
+		`rqp_planner_dp_runs_total{workload="EQ"}`,
 	} {
 		if !strings.Contains(page, metric) {
 			t.Fatalf("metrics page missing %s:\n%s", metric, page)
